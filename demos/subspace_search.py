@@ -3,9 +3,10 @@
 
 A distillable subspace (DSS) is a product of local subspaces onto which the
 mixed state projects to a pure entangled state; its existence is exactly
-what makes finite-copy distillation possible.  The search enumerates
-subsets of per-party bases, prunes candidates that are provably zero or
-mixed from the state's eigenvectors alone, and certifies the survivors.
+what makes finite-copy distillation possible.  The search covers all
+subsets of per-party bases, screens out candidates that are clearly zero,
+mixed or product from the state's eigenvectors alone, and certifies the
+survivors with the exact classification.
 Every genuine certificate obeys a rank ceiling: an n-copy state that
 yields an n_A x n_B x ... pure state has rank at most
 (prod dims)^n - prod(n_i) + 1.

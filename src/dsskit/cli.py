@@ -49,7 +49,6 @@ from .subspaces import (
     Refusal,
     candidate_count,
     check_certificate,
-    check_rank_bound,
     find_dss,
     rank_bound,
 )
@@ -358,6 +357,13 @@ def _certificate_doc(cert: DssCertificate) -> dict:
     }
 
 
+def _rank_bound_doc(rank: int, shape: SystemShape, copies: int, cert: DssCertificate) -> dict:
+    """The rank bound check of one certificate, given the measured rank of the
+    n-copy state; the same fields :func:`check_rank_bound` reports."""
+    bound = rank_bound(shape, copies, cert.outcome.signature)
+    return {"rank": rank, "bound": bound, "satisfied": rank <= bound}
+
+
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
@@ -384,14 +390,10 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
         "certificates_found": len(certs),
     }
     docs = []
+    rank = numerical_rank(sigma.mat, tol) if certs else None
     for cert in certs:
         doc = _certificate_doc(cert)
-        bound = check_rank_bound(single, inputs["copies"], cert, tol)
-        doc["rank_bound_check"] = {
-            "rank": bound.rank,
-            "bound": bound.bound,
-            "satisfied": bound.satisfied,
-        }
+        doc["rank_bound_check"] = _rank_bound_doc(rank, single.shape, inputs["copies"], cert)
         docs.append(doc)
     if docs:
         results["certificates"] = docs
@@ -416,12 +418,8 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
         }
     else:
         results = {"accepted": True, **_certificate_doc(verdict)}
-        bound = check_rank_bound(single, inputs["copies"], verdict, tol)
-        results["rank_bound_check"] = {
-            "rank": bound.rank,
-            "bound": bound.bound,
-            "satisfied": bound.satisfied,
-        }
+        rank = numerical_rank(sigma.mat, tol)
+        results["rank_bound_check"] = _rank_bound_doc(rank, single.shape, inputs["copies"], verdict)
     return Report("dss check", inputs, results, warnings), EXIT_OK
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import DEFAULT_TOLERANCE, Tolerance, numerical_rank, partial_trace
+from .linalg import DEFAULT_TOLERANCE, Tolerance, numerical_rank
 from .localops import LocalFactor, ProductOperator, apply, apply_to_pure
 from .states import DensityMatrix, PureState, bell_state, fidelity_with_pure, filter_example
 
@@ -29,17 +29,34 @@ _SPIN_FLIP = np.kron(_Y, _Y)
 FILTER_UPGRADE_MATRIX = np.diag([0.5, sqrt(3.0) / 2.0]).astype(np.complex128)
 
 
+def _cut_ranks(amplitudes: np.ndarray, dims: Sequence[int], rtol: float) -> np.ndarray:
+    """Rank at each single-party cut of one or a stack of state vectors.
+
+    ``amplitudes`` has shape ``(..., prod(dims))``.  At each party's cut the
+    amplitude tensor is reshaped to a (party) x (rest) matrix; its squared
+    singular values are the eigenvalues of the party's reduced state, and
+    the rank counts those above ``rtol * max(1, largest)``, the cutoff
+    :func:`~dsskit.linalg.numerical_rank` applies to the reduced state.
+    Returns an integer array of shape ``(..., len(dims))``.
+    """
+    batch = amplitudes.shape[:-1]
+    tensor = amplitudes.reshape(batch + tuple(dims))
+    ranks = []
+    for axis, d in enumerate(dims, start=len(batch)):
+        cut = np.moveaxis(tensor, axis, len(batch)).reshape(batch + (d, -1))
+        s2 = np.linalg.svd(cut, compute_uv=False) ** 2
+        ranks.append(np.count_nonzero(s2 > rtol * np.maximum(1.0, s2[..., :1]), axis=-1))
+    return np.stack(ranks, axis=-1)
+
+
 def dimension_signature(psi: PureState, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, ...]:
     """Per-party reduced ranks ``(n_A, n_B, ...)`` of a pure state.
 
     Every entry is at least 1 and at most the party's dimension; an entry
     above 1 witnesses entanglement across that party's cut.
     """
-    sig = []
-    for p in psi.shape.parties:
-        red = psi.reduced([p.label])
-        sig.append(numerical_rank(red.mat, tol))
-    return tuple(sig)
+    ranks = _cut_ranks(psi.amplitudes, psi.shape.dims, tol.rank_rtol)
+    return tuple(int(n) for n in ranks)
 
 
 def is_entangled_signature(signature: Sequence[int]) -> bool:

@@ -18,6 +18,7 @@ rotated bases.
 from __future__ import annotations
 
 import itertools
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .entanglement import concurrence, dimension_signature, is_entangled_signature
+from .entanglement import _cut_ranks, concurrence, dimension_signature, is_entangled_signature
 from .errors import InvariantViolation, SearchSpaceTooLarge
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -40,6 +41,8 @@ from .linalg import (
 from .states import DensityMatrix, Party, PureState, SystemShape, tensor_power
 
 Classification = Literal["pure-entangled", "pure-product", "mixed", "zero"]
+
+_logger = logging.getLogger("dsskit")
 
 #: Default ceiling on the number of candidate subspaces a search may visit.
 CANDIDATE_CAP = 1_000_000
@@ -79,6 +82,18 @@ class LocalSubspace:
             v.setflags(write=False)
             cleaned.append((str(label), v))
         object.__setattr__(self, "parties", tuple(cleaned))
+
+    @classmethod
+    def _from_checked(
+        cls,
+        parties: tuple[tuple[str, np.ndarray], ...],
+        basis_indices: tuple[tuple[int, ...], ...],
+    ) -> "LocalSubspace":
+        """Wrap read-only column slices of bases that were already validated."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "basis_indices", basis_indices)
+        return self
 
     @classmethod
     def full(cls, shape: SystemShape) -> "LocalSubspace":
@@ -300,6 +315,28 @@ def iter_candidates(shape: SystemShape) -> Iterator[tuple[tuple[int, ...], ...]]
     return itertools.product(*per_party)
 
 
+#: Most restricted-ensemble entries the screen holds at once (16 bytes each),
+#: so its working memory stays flat however large a subset-size group is.
+SCREEN_CHUNK = 1 << 14
+
+
+def _group_by_size(subsets: list[tuple[int, ...]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each subset size 1, 2, ...: the positions of the subsets of that
+    size in ``subsets`` and the subsets themselves as index rows."""
+    groups = []
+    for size in range(1, len(subsets[-1]) + 1):
+        positions = [pos for pos, idx in enumerate(subsets) if len(idx) == size]
+        groups.append((np.array(positions), np.array([subsets[pos] for pos in positions])))
+    return groups
+
+
+@dataclass
+class _ScreenCounts:
+    zero: int = 0
+    mixed: int = 0
+    product: int = 0
+
+
 class _SearchContext:
     """Shared read-only data for one search over a state."""
 
@@ -313,7 +350,7 @@ class _SearchContext:
         self.shape = rho.shape
         self.tol = tol
         self.bases = _resolve_bases(rho.shape, bases)
-        self.bases_map = dict(zip(rho.shape.labels, self.bases))
+        self.subsets = [_subset_indices(d) for d in self.shape.dims]
 
         evals, evecs = rho.eigh(tol)
         cutoff = tol.rank_rtol * max(1.0, float(evals[0]))
@@ -337,28 +374,90 @@ class _SearchContext:
         return self.ensemble[grid].reshape(rank, -1)
 
     def subspace(self, indices: tuple[tuple[int, ...], ...]) -> LocalSubspace:
-        return LocalSubspace.from_indices(
-            self.shape,
-            {label: idx for label, idx in zip(self.shape.labels, indices)},
-            bases=self.bases_map,
-        )
+        parties = []
+        for label, basis, idx in zip(self.shape.labels, self.bases, indices):
+            vecs = basis[:, list(idx)]
+            vecs.setflags(write=False)
+            parties.append((label, vecs))
+        return LocalSubspace._from_checked(tuple(parties), tuple(indices))
 
-    def survives_prune(self, indices: tuple[tuple[int, ...], ...]) -> bool:
-        """Cheap exclusion test on the restricted ensemble.
+    def candidate(self, position: int) -> tuple[tuple[int, ...], ...]:
+        """The candidate at a position of the canonical order."""
+        picks = np.unravel_index(position, [len(s) for s in self.subsets])
+        return tuple(s[int(i)] for s, i in zip(self.subsets, picks))
 
-        The projected state is pure only if the restricted ensemble has
-        rank at most one.  Candidates are skipped only when they are
-        clearly zero-weight or clearly mixed (an order of magnitude beyond
-        the thresholds), so borderline cases always fall through to the
-        exact classification in :func:`project`.
+    def screen(
+        self, require_entangled: bool, chunk: int = SCREEN_CHUNK
+    ) -> tuple[np.ndarray, _ScreenCounts]:
+        """Canonical positions of the candidates that may yield certificates.
+
+        Candidates are screened in batches of equal per-party subset sizes.
+        The unnormalized projection onto a candidate is ``A A†``, where the
+        rows of ``A`` are the restricted ensemble's components on the
+        candidate's basis states, so its eigenvalues are those of the
+        smaller Gram matrix ``A A†`` or ``A† A``.  A candidate is dropped
+        when it is clearly zero-weight or clearly mixed, an order of
+        magnitude beyond the thresholds of :func:`project`.  With
+        ``require_entangled`` it is also dropped when its top eigenvector is
+        clearly product: at every party cut the second squared Schmidt
+        coefficient is at most a tenth of ``rank_rtol``.  Borderline cases
+        fall through to :func:`project`.  Batches hold at most ``chunk``
+        ensemble entries.
         """
-        restricted = self.restricted(indices)
-        weight = float(np.sum(np.abs(restricted) ** 2))
-        if weight <= ZERO_WEIGHT * 0.1:
-            return False
-        s = np.linalg.svd(restricted, compute_uv=False)
-        residual = float(np.sum(s[1:] ** 2))
-        return residual <= 10.0 * self.tol.purity_atol * weight
+        tol = self.tol
+        dims = self.shape.dims
+        rank = self.ensemble.shape[0]
+        ensemble = np.moveaxis(self.ensemble, 0, -1)  # party axes first
+        strides = [prod(len(s) for s in self.subsets[p + 1 :]) for p in range(len(dims))]
+        by_size = [_group_by_size(subsets) for subsets in self.subsets]
+
+        counts = _ScreenCounts()
+        kept = []
+        for sizes in itertools.product(*(range(1, d + 1) for d in dims)):
+            groups = [table[k - 1] for table, k in zip(by_size, sizes)]
+            group_shape = tuple(len(positions) for positions, _ in groups)
+            width = prod(sizes)
+            step = max(1, chunk // (width * max(rank, 1)))
+            for start in range(0, prod(group_shape), step):
+                stop = min(start + step, prod(group_shape))
+                picks = np.unravel_index(np.arange(start, stop), group_shape)
+                n = stop - start
+                # Index rows broadcast to (n, sizes...): axis p + 1 for party p.
+                grid = tuple(
+                    rows[pick].reshape((n,) + tuple(k if q == p else 1 for q, k in enumerate(sizes)))
+                    for p, ((_, rows), pick) in enumerate(zip(groups, picks))
+                )
+                amps = ensemble[grid].reshape(n, width, rank)
+                weight = np.sum(np.abs(amps) ** 2, axis=(1, 2))
+                live = weight > ZERO_WEIGHT * 0.1
+                counts.zero += n - int(np.count_nonzero(live))
+                if not live.any():
+                    continue
+                amps, weight = amps[live], weight[live]
+                adjoint = np.conj(amps).transpose(0, 2, 1)
+                rank_side = rank <= width  # Gram A† A, else A A†
+                gram = adjoint @ amps if rank_side else amps @ adjoint
+                evals = np.linalg.eigvalsh(gram)
+                residual = np.sum(np.clip(evals[:, :-1], 0.0, None), axis=1)
+                pure = residual <= 10.0 * tol.purity_atol * weight
+                counts.mixed += len(pure) - int(np.count_nonzero(pure))
+                if require_entangled and pure.any():
+                    _, vecs = np.linalg.eigh(gram[pure])
+                    top = vecs[:, :, -1]
+                    if rank_side:
+                        top = (amps[pure] @ top[:, :, np.newaxis])[:, :, 0]
+                        top /= np.linalg.norm(top, axis=1, keepdims=True)
+                    product = np.all(_cut_ranks(top, sizes, 0.1 * tol.rank_rtol) <= 1, axis=1)
+                    counts.product += int(np.count_nonzero(product))
+                    pure[pure] = ~product
+                kept.append(
+                    sum(
+                        positions[pick[live][pure]] * stride
+                        for (positions, _), pick, stride in zip(groups, picks, strides)
+                    )
+                )
+        survivors = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=int)
+        return survivors, counts
 
 
 def find_dss(
@@ -374,15 +473,30 @@ def find_dss(
 ) -> list[DssCertificate]:
     """Search subsets of per-party bases for distillable subspaces.
 
-    Enumerates every product of nonempty per-party index subsets (so
-    ``prod(2^d_p - 1)`` candidates) in canonical order and returns a
+    Covers every product of nonempty per-party index subsets (so
+    ``prod(2^d_p - 1)`` candidates) and returns, in canonical order, a
     certificate for each candidate whose projection is pure, entangled
     (unless ``require_entangled`` is off) and at least ``min_signature``
-    componentwise.  ``prune`` short-circuits candidates whose projection is
-    provably zero or mixed from the state's eigenvectors alone; pruned and
-    unpruned searches return identical results.  Candidate evaluation may
-    run on ``workers`` threads; results are merged in canonical order either
-    way.
+    componentwise.
+
+    With ``prune`` on, two screens run over all candidates at once on the
+    state's significant eigenvectors, restricted to each candidate.  The
+    first drops candidates that are clearly zero-weight or clearly mixed:
+    weight at most a tenth of ``ZERO_WEIGHT``, or residual weight beyond
+    the top eigenvalue above ``10 * purity_atol`` of the weight.  The second,
+    only with ``require_entangled``, drops candidates whose top eigenvector
+    is clearly product: at every party cut its second squared Schmidt
+    coefficient is at most ``0.1 * rank_rtol``.  Both margins are ten times
+    the thresholds of :func:`project`, so borderline candidates are not
+    screened.  Every survivor is classified by :func:`project`, which
+    therefore re-verifies every returned certificate and supplies its
+    weight and signature; pruned and unpruned searches return identical
+    results.  ``prune=False`` classifies every candidate.
+
+    The classifications may run on ``workers`` threads; results keep the
+    canonical order either way.  One DEBUG record on the ``dsskit`` logger
+    gives the candidates, those screened out as zero, mixed and product,
+    those classified and the certificates.
     """
     count = candidate_count(rho.shape)
     if count > candidate_cap:
@@ -393,11 +507,15 @@ def find_dss(
             raise InvariantViolation("min_signature", "one entry per party required")
 
     ctx = _SearchContext(rho, bases, tol)
+    if prune:
+        positions, counts = ctx.screen(require_entangled)
+        candidates = [ctx.candidate(pos) for pos in positions]
+    else:
+        candidates, counts = list(iter_candidates(rho.shape)), _ScreenCounts()
 
     def evaluate(indices: tuple[tuple[int, ...], ...]) -> DssCertificate | None:
-        if prune and not ctx.survives_prune(indices):
-            return None
-        outcome = project(rho, ctx.subspace(indices), tol)
+        subspace = ctx.subspace(indices)
+        outcome = project(rho, subspace, tol)
         if outcome.classification == "pure-entangled" or (
             not require_entangled and outcome.classification == "pure-product"
         ):
@@ -405,16 +523,31 @@ def find_dss(
                 n < m for n, m in zip(outcome.signature, min_signature)
             ):
                 return None
-            return DssCertificate(ctx.subspace(indices), outcome)
+            return DssCertificate(subspace, outcome)
         return None
 
-    candidates = iter_candidates(rho.shape)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             evaluated = list(pool.map(evaluate, candidates, chunksize=64))
     else:
         evaluated = [evaluate(c) for c in candidates]
-    return [cert for cert in evaluated if cert is not None]
+    certificates = [cert for cert in evaluated if cert is not None]
+    _logger.debug(
+        "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
+        "%d classified, %d certificates",
+        count, counts.zero, counts.mixed, counts.product, len(candidates), len(certificates),
+        extra={
+            "search_stats": {
+                "candidates": count,
+                "screened_zero": counts.zero,
+                "screened_mixed": counts.mixed,
+                "screened_product": counts.product,
+                "classified": len(candidates),
+                "certificates": len(certificates),
+            }
+        },
+    )
+    return certificates
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,9 +595,9 @@ def find_purifying_subspaces(
     ctx = _SearchContext(rho, bases, tol)
     found = []
     for indices in iter_candidates(rho.shape):
-        sub = ctx.subspace(indices)
-        if len(indices) != 2 or sub.dims != (2, 2):
+        if len(indices) != 2 or any(len(idx) != 2 for idx in indices):
             continue  # concurrence undefined for this projected shape
+        sub = ctx.subspace(indices)
         outcome = project(rho, sub, tol)
         if outcome.classification != "mixed":
             continue

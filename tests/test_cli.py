@@ -4,7 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from dsskit import LocalSubspace, ProductOperator, SystemShape, fileio, tensor_power, three_qubit_example, werner
+from dsskit import (
+    LocalSubspace,
+    ProductOperator,
+    SystemShape,
+    check_rank_bound,
+    fileio,
+    find_dss,
+    tensor_power,
+    three_qubit_example,
+    werner,
+)
 from dsskit.cli import Report, main, render_report
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -48,6 +58,33 @@ def test_find_two_copies_returns_certificate(capsys, tmp_path):
     assert first["rank_bound_check"]["satisfied"]
     assert first["rank_bound_check"]["bound"] == 57
     assert abs(first["weight"] - 0.125) < 1e-9
+
+
+def test_rank_bound_checks_match_library(capsys, tmp_path):
+    # The CLI measures the n-copy rank once per run; each certificate's
+    # check must still read as check_rank_bound reports it.
+    single = three_qubit_example(0.3)
+    two = tensor_power(single, 2)
+    expected = [check_rank_bound(single, 2, cert) for cert in find_dss(two)]
+    json_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "dss", "find", "--state", "example3q", "--p", "0.3", "--copies", "2",
+        "--json", str(json_path),
+    )
+    assert code == 0
+    got = [c["rank_bound_check"] for c in json.loads(json_path.read_text())["results"]["certificates"]]
+    assert got == [{"rank": r.rank, "bound": r.bound, "satisfied": r.satisfied} for r in expected]
+
+    sub = LocalSubspace.from_indices(two.shape, {lbl: (1, 2) for lbl in "ABC"})
+    fileio.write_subspace(str(tmp_path / "sub.json"), sub)
+    code, _, _ = run_cli(
+        capsys,
+        "dss", "check", "--state", "example3q", "--p", "0.3", "--copies", "2",
+        "--subspace", str(tmp_path / "sub.json"), "--json", str(json_path),
+    )
+    assert code == 0
+    assert json.loads(json_path.read_text())["results"]["rank_bound_check"] == got[0]
 
 
 def test_dss_check_accepts_and_refuses(capsys, tmp_path):

@@ -22,7 +22,9 @@ from dsskit import (
     signature_preservation_report,
     werner,
 )
-from dsskit.states import product_basis_vector
+from dsskit.entanglement import _cut_ranks
+from dsskit.linalg import Tolerance, numerical_rank
+from dsskit.states import product_basis_vector, w_state, w_state_variant
 
 from helpers import random_invertible_contraction, random_pure_state, random_unitary
 
@@ -50,6 +52,38 @@ def test_dimension_signature_on_regrouped_locals():
     ) / np.sqrt(2)
     psi = PureState(shape, v)
     assert dimension_signature(psi) == (2, 2, 2)
+
+
+def reduced_state_signature(psi, tol):
+    """The signature from each party's reduced density matrix."""
+    return tuple(numerical_rank(psi.reduced([p.label]).mat, tol) for p in psi.shape.parties)
+
+
+def test_cut_ranks_match_reduced_state_ranks():
+    rng = np.random.default_rng(113)
+    tol = Tolerance()
+    states = [ghz_state(), w_state(), w_state_variant(), bell_state("psi-")]
+    for shape in (SystemShape.qubits("ABC"), SystemShape.of(("A", 3), ("B", 2)),
+                  SystemShape.of(("A", (2, 2)), ("B", 3))):
+        states.extend(random_pure_state(rng, shape) for _ in range(5))
+        states.append(PureState(shape, product_basis_vector(shape, (1,) * len(shape.parties))))
+    for psi in states:
+        assert dimension_signature(psi, tol) == reduced_state_signature(psi, tol)
+    stacked = np.stack([psi.amplitudes for psi in states[-6:]])
+    assert [tuple(row) for row in _cut_ranks(stacked, states[-1].shape.dims, tol.rank_rtol)] == [
+        reduced_state_signature(psi, tol) for psi in states[-6:]
+    ]
+
+
+@pytest.mark.parametrize("eps,expected", [(2e-9, (2, 2)), (5e-10, (1, 1))])
+def test_cut_ranks_near_cutoff(eps, expected):
+    # Schmidt coefficients sqrt(1 - eps), sqrt(eps), hidden by local unitaries:
+    # the reduced states' small eigenvalue sits within a factor 2 of rank_rtol.
+    rng = np.random.default_rng(127)
+    u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+    core = np.sqrt([1 - eps, 0, 0, eps]).astype(complex)
+    psi = PureState(SystemShape.qubits("AB"), np.kron(u, v) @ core)
+    assert dimension_signature(psi) == reduced_state_signature(psi, Tolerance()) == expected
 
 
 def test_schmidt_examples():

@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import fileio
 from .entanglement import (
     entanglement_of_formation,
@@ -31,7 +29,7 @@ from .entanglement import (
 from .errors import Error
 from .linalg import Tolerance, numerical_rank
 from .localops import decompose
-from .protocols import ghz_from_two_copies, run, werner_concurrence_table, werner_two_copy
+from .protocols import ghz_from_two_copies, run, werner_two_copy
 from .states import (
     DensityMatrix,
     SystemShape,
@@ -232,7 +230,6 @@ def build_parser() -> _Parser:
                       help="keep only pure entangled projections (default on)")
     find.add_argument("--min-signature", type=_int_list, default=None,
                       help="componentwise lower bound on the dimension signature, e.g. 2,2,2")
-    find.add_argument("--workers", type=int, default=1, help="candidate evaluation threads")
 
     check = dss_sub.add_parser("check", parents=[common, state_opts],
                                help="re-verify a claimed distillable subspace")
@@ -382,7 +379,6 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
         require_entangled=args.require_entangled,
         min_signature=args.min_signature,
         tol=tol,
-        workers=max(1, args.workers),
     )
     results: dict[str, Any] = {
         "search_space_dims": list(sigma.shape.dims),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .linalg import DEFAULT_TOLERANCE, Tolerance, numerical_rank
-from .localops import LocalFactor, ProductOperator, apply, apply_to_pure
+from .localops import ProductOperator, apply, apply_to_pure
 from .states import DensityMatrix, PureState, bell_state, fidelity_with_pure, filter_example
 
 # Spin-flip matrix for the two-qubit concurrence: Y (x) Y with

@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvariantViolation, SchemaError
 from .localops import LocalFactor, ProductOperator
 from .protocols import (
     Conditional,
@@ -39,6 +39,25 @@ def _require(doc: Mapping, key: str, context: str) -> Any:
     return doc[key]
 
 
+def _convert(cast: Callable, value, context: str):
+    """``cast(value)``; a value it cannot convert is a SchemaError naming ``context``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{context}: {exc}") from exc
+
+
+def _integers(values, context: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise SchemaError(f"{context}: expected a list of integers, got {values!r}")
+    return tuple(_convert(int, v, context) for v in values)
+
+
+def _reals(value) -> np.ndarray:
+    """A rectangular array of real numbers, such as the ``re`` part of a matrix."""
+    return np.asarray(value, dtype=float)
+
+
 def matrix_to_doc(mat: np.ndarray) -> dict:
     arr = np.asarray(mat, dtype=np.complex128)
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -55,15 +74,17 @@ def matrix_from_doc(doc, rows: int, cols: int, context: str) -> np.ndarray:
         mat = np.zeros((rows, cols), dtype=np.complex128)
         for i, entry in enumerate(doc):
             where = f"{context}: sparse entry {i}"
-            row = int(_require(entry, "row", where))
-            col = int(_require(entry, "col", where))
+            row = _convert(int, _require(entry, "row", where), f"{where}: row")
+            col = _convert(int, _require(entry, "col", where), f"{where}: col")
             if not (0 <= row < rows and 0 <= col < cols):
                 raise SchemaError(f"{where}: index ({row}, {col}) outside {rows}x{cols}")
-            mat[row, col] = float(entry.get("re", 0.0)) + 1j * float(entry.get("im", 0.0))
+            re = _convert(float, entry.get("re", 0.0), f"{where}: re")
+            im = _convert(float, entry.get("im", 0.0), f"{where}: im")
+            mat[row, col] = re + 1j * im
         return mat
-    re = np.asarray(_require(doc, "re", context), dtype=float)
+    re = _convert(_reals, _require(doc, "re", context), f"{context}: re")
     im_doc = doc.get("im")
-    im = np.zeros_like(re) if im_doc is None else np.asarray(im_doc, dtype=float)
+    im = np.zeros_like(re) if im_doc is None else _convert(_reals, im_doc, f"{context}: im")
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise SchemaError(
             f"{context}: expected a {rows}x{cols} matrix, got re {re.shape} / im {im.shape}"
@@ -71,10 +92,18 @@ def matrix_from_doc(doc, rows: int, cols: int, context: str) -> np.ndarray:
     return re + 1j * im
 
 
+def square_matrix_from_doc(doc, context: str) -> np.ndarray:
+    """Parse a dense square matrix document whose side is read off ``re``."""
+    re = _convert(_reals, _require(doc, "re", context), f"{context}: re")
+    if re.ndim != 2 or re.shape[0] != re.shape[1]:
+        raise SchemaError(f"{context}: matrix must be square")
+    return matrix_from_doc(doc, re.shape[0], re.shape[0], context)
+
+
 def vector_from_doc(doc, length: int, context: str) -> np.ndarray:
-    re = np.asarray(_require(doc, "re", context), dtype=float)
+    re = _convert(_reals, _require(doc, "re", context), f"{context}: re")
     im_doc = doc.get("im")
-    im = np.zeros_like(re) if im_doc is None else np.asarray(im_doc, dtype=float)
+    im = np.zeros_like(re) if im_doc is None else _convert(_reals, im_doc, f"{context}: im")
     if re.shape != (length,) or im.shape != (length,):
         raise SchemaError(f"{context}: expected a vector of length {length}")
     return re + 1j * im
@@ -89,11 +118,11 @@ def shape_from_doc(doc, context: str = "parties") -> SystemShape:
         where = f"{context}: party {i}"
         label = str(_require(entry, "label", where))
         if "dims" in entry:
-            dims = tuple(int(d) for d in entry["dims"])
-            if "dim" in entry and int(entry["dim"]) != int(np.prod(dims)):
+            dims = _integers(entry["dims"], f"{where}: dims")
+            if "dim" in entry and _convert(int, entry["dim"], f"{where}: dim") != int(np.prod(dims)):
                 raise SchemaError(f"{where}: 'dim' disagrees with product of 'dims'")
         else:
-            dims = (int(_require(entry, "dim", where)),)
+            dims = (_convert(int, _require(entry, "dim", where), f"{where}: dim"),)
         parties.append(Party(label, dims))
     return SystemShape(tuple(parties))
 
@@ -155,13 +184,11 @@ def load_operator(doc) -> ProductOperator:
         if isinstance(mat_doc, list):
             if "dim" not in entry:
                 raise SchemaError(f"{where}: sparse factors need an explicit 'dim'")
-            d = int(entry["dim"])
+            d = _convert(int, entry["dim"], f"{where}: dim")
+            mat = matrix_from_doc(mat_doc, d, d, where)
         else:
-            re = np.asarray(_require(mat_doc, "re", where), dtype=float)
-            if re.ndim != 2 or re.shape[0] != re.shape[1]:
-                raise SchemaError(f"{where}: factor matrix must be square")
-            d = re.shape[0]
-        factors.append(LocalFactor.from_matrix(party, matrix_from_doc(mat_doc, d, d, where)))
+            mat = square_matrix_from_doc(mat_doc, where)
+        factors.append(LocalFactor.from_matrix(party, mat))
     return ProductOperator(tuple(factors))
 
 
@@ -190,7 +217,7 @@ def load_subspace(doc) -> LocalSubspace:
         vecs_doc = _require(entry, "vectors", where)
         if not isinstance(vecs_doc, list) or not vecs_doc:
             raise SchemaError(f"{where}: 'vectors' must be a nonempty list")
-        first_re = np.asarray(_require(vecs_doc[0], "re", where), dtype=float)
+        first_re = _convert(_reals, _require(vecs_doc[0], "re", where), f"{where}: re")
         length = first_re.shape[0] if first_re.ndim == 1 else 0
         if length == 0:
             raise SchemaError(f"{where}: vectors must be nonempty 1-D")
@@ -248,22 +275,14 @@ def _step_from_doc(doc, base_dir: str, context: str) -> ProtocolStep:
             raise SchemaError(f"{context}: 'gates' must be a nonempty object")
         gates = {}
         for label, mat_doc in gates_doc.items():
-            re = np.asarray(_require(mat_doc, "re", f"{context}: gate {label!r}"), dtype=float)
-            if re.ndim != 2 or re.shape[0] != re.shape[1]:
-                raise SchemaError(f"{context}: gate {label!r} must be square")
-            d = re.shape[0]
-            gates[str(label)] = matrix_from_doc(mat_doc, d, d, f"{context}: gate {label!r}")
+            gates[str(label)] = square_matrix_from_doc(mat_doc, f"{context}: gate {label!r}")
         return LocalUnitary(gates)
     if kind == "measure_and_discard":
         party = str(_require(doc, "party", context))
-        subsystem = int(_require(doc, "subsystem", context))
+        subsystem = _convert(int, _require(doc, "subsystem", context), f"{context}: subsystem")
         basis = None
         if doc.get("basis") is not None:
-            re = np.asarray(_require(doc["basis"], "re", f"{context}: basis"), dtype=float)
-            if re.ndim != 2 or re.shape[0] != re.shape[1]:
-                raise SchemaError(f"{context}: measurement basis must be square")
-            d = re.shape[0]
-            basis = matrix_from_doc(doc["basis"], d, d, f"{context}: basis")
+            basis = square_matrix_from_doc(doc["basis"], f"{context}: basis")
         return MeasureAndDiscard(party, subsystem, basis)
     if kind == "conditional":
         inner = _step_from_doc(_require(doc, "step", context), base_dir, f"{context}: step")
@@ -272,16 +291,24 @@ def _step_from_doc(doc, base_dir: str, context: str) -> ProtocolStep:
             if parity not in ("odd", "even"):
                 raise SchemaError(f"{context}: parity must be 'odd' or 'even', got {parity!r}")
             positions = doc.get("outcomes")
+            if positions is not None and not (
+                isinstance(positions, list) and all(type(i) is int and i >= 0 for i in positions)
+            ):
+                raise SchemaError(f"{context}: 'outcomes' must list integer positions >= 0, got {positions!r}")
             want = 1 if parity == "odd" else 0
 
             def predicate(outcomes: tuple[int, ...], _pos=positions, _want=want) -> bool:
-                values = outcomes if _pos is None else tuple(outcomes[int(i)] for i in _pos)
+                if _pos and max(_pos) >= len(outcomes):
+                    raise InvariantViolation(
+                        "outcomes", f"outcome position {max(_pos)} is out of range for {outcomes}"
+                    )
+                values = outcomes if _pos is None else tuple(outcomes[i] for i in _pos)
                 return sum(values) % 2 == _want
 
             label = f"parity {parity}" + ("" if positions is None else f" of outcomes {positions}")
             return Conditional(predicate, inner, description=label)
         if "equals" in doc:
-            expected = tuple(int(v) for v in doc["equals"])
+            expected = _integers(doc["equals"], f"{context}: equals")
 
             def predicate(outcomes: tuple[int, ...], _want=expected) -> bool:
                 return outcomes[: len(_want)] == _want

@@ -89,6 +89,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
+def require_orthonormal(v: np.ndarray, invariant: str, message: str) -> None:
+    """Raise :class:`InvariantViolation` unless the columns of ``v`` are
+    orthonormal to 1e-9; ``invariant`` names the check for the caller."""
+    deviation = float(np.max(np.abs(dagger(v) @ v - np.eye(v.shape[1]))))
+    if deviation > 1e-9:
+        raise InvariantViolation(invariant, f"{message} (deviation {deviation:.3e})")
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the left factor most significant.
 
@@ -170,13 +178,6 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     reduced = np.einsum(subscript, m.reshape(dims + dims))
     side = prod(dims[k] for k in keep)
     return reduced.reshape(side, side)
-
-
-def is_hermitian(m, atol: float = DEFAULT_TOLERANCE.herm_atol) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - dagger(m))) <= atol)
 
 
 def eig_hermitian(m, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:

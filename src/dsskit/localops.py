@@ -23,10 +23,11 @@ from .linalg import (
     identity,
     kron_all,
     numerical_rank,
+    require_orthonormal,
     singular_values,
     svd,
 )
-from .states import DensityMatrix, PureState, SystemShape
+from .states import DensityMatrix, PureState, SystemShape, _post_select
 
 SPECTRAL_NORM_SLACK = 1e-9
 
@@ -139,12 +140,10 @@ def apply(op: ProductOperator, rho: DensityMatrix) -> tuple[DensityMatrix, float
     :class:`~dsskit.errors.ImpossibleOutcomeError` when it does not exceed
     the zero-weight threshold, carrying the raw trace.
     """
-    m = op.matrix(rho.shape)
-    out = m @ rho.mat @ dagger(m)
-    probability = float(np.real(np.trace(out)))
-    if probability <= ZERO_WEIGHT:
+    probability, out = _post_select(rho, op.matrix(rho.shape), rho.shape)
+    if out is None:
         raise ImpossibleOutcomeError(probability)
-    return DensityMatrix(rho.shape, out / probability), probability
+    return out, probability
 
 
 def apply_to_pure(op: ProductOperator, psi: PureState) -> tuple[PureState, float]:
@@ -265,9 +264,7 @@ def is_full_rank_on(
         b = np.column_stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in basis])
     if b.shape[0] != factor.dim:
         raise InvariantViolation("dimension", "basis vectors do not live in the factor's space")
-    gram = dagger(b) @ b
-    if float(np.max(np.abs(gram - np.eye(b.shape[1])))) > 1e-9:
-        raise InvariantViolation("orthonormal", "basis vectors are not orthonormal")
+    require_orthonormal(b, "orthonormal", "basis vectors are not orthonormal")
     return numerical_rank(factor.mat @ b, tol) == b.shape[1]
 
 

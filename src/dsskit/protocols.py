@@ -16,7 +16,7 @@ concurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Mapping, Sequence, Union
 
@@ -26,18 +26,19 @@ from .entanglement import concurrence
 from .errors import Error, InvariantViolation, ProtocolStepError
 from .linalg import (
     DEFAULT_TOLERANCE,
-    ZERO_WEIGHT,
     Tolerance,
     as_matrix,
     dagger,
     identity,
     kron_all,
+    require_orthonormal,
 )
 from .localops import ProductOperator
 from .states import (
     DensityMatrix,
     Party,
     SystemShape,
+    _post_select,
     bell_vectors,
     fidelity_with_pure,
     ghz_state,
@@ -120,25 +121,11 @@ class RunResult:
         return float(sum(b.probability for b in self.branches))
 
 
-def _project_branch(step: Project, branch: BranchTrace) -> tuple[list[BranchTrace], float]:
-    step.subspace._check_against(branch.state.shape)
-    p = step.subspace.projector()
-    out = p @ branch.state.mat @ p
-    weight = float(np.real(np.trace(out)))
-    if weight <= ZERO_WEIGHT:
+def _post_select_branch(m: np.ndarray, branch: BranchTrace) -> tuple[list[BranchTrace], float]:
+    """Keep the success branch of ``m``; drop the rest, or all of a zero-weight branch."""
+    weight, state = _post_select(branch.state, m, branch.state.shape)
+    if state is None:
         return [], branch.probability
-    state = DensityMatrix(branch.state.shape, out / weight)
-    kept = BranchTrace(branch.outcomes, branch.probability * weight, state, branch.shape_history)
-    return [kept], branch.probability * (1.0 - weight)
-
-
-def _filter_branch(step: Filter, branch: BranchTrace) -> tuple[list[BranchTrace], float]:
-    m = step.operator.matrix(branch.state.shape)
-    out = m @ branch.state.mat @ dagger(m)
-    weight = float(np.real(np.trace(out)))
-    if weight <= ZERO_WEIGHT:
-        return [], branch.probability
-    state = DensityMatrix(branch.state.shape, out / weight)
     kept = BranchTrace(branch.outcomes, branch.probability * weight, state, branch.shape_history)
     return [kept], branch.probability * (1.0 - weight)
 
@@ -156,8 +143,7 @@ def _unitary_branch(step: LocalUnitary, branch: BranchTrace) -> tuple[list[Branc
                 raise InvariantViolation(
                     "dimension", f"gate for party {p.label!r} must be {p.dim}x{p.dim}"
                 )
-            if float(np.max(np.abs(dagger(g) @ g - np.eye(p.dim)))) > 1e-9:
-                raise InvariantViolation("unitary", f"gate for party {p.label!r} is not unitary")
+            require_orthonormal(g, "unitary", f"gate for party {p.label!r} is not unitary")
             mats.append(g)
         else:
             mats.append(identity(p.dim))
@@ -180,8 +166,7 @@ def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[
     basis = identity(sub_dim) if step.basis is None else as_matrix(step.basis)
     if basis.shape != (sub_dim, sub_dim):
         raise InvariantViolation("dimension", f"measurement basis must be {sub_dim}x{sub_dim}")
-    if float(np.max(np.abs(dagger(basis) @ basis - np.eye(sub_dim)))) > 1e-9:
-        raise InvariantViolation("unitary", "measurement basis columns must be orthonormal")
+    require_orthonormal(basis, "unitary", "measurement basis columns must be orthonormal")
 
     before = int(np.prod(party.dims[: step.subsystem], dtype=int))
     after = int(np.prod(party.dims[step.subsystem + 1 :], dtype=int))
@@ -202,13 +187,10 @@ def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[
         bra = np.conj(basis[:, outcome]).reshape(1, sub_dim)
         local = kron_all([identity(before), bra, identity(after)])
         mats = [local if i == pi else identity(p.dim) for i, p in enumerate(shape.parties)]
-        m = kron_all(mats)
-        out = m @ branch.state.mat @ dagger(m)
-        weight = float(np.real(np.trace(out)))
-        if weight <= ZERO_WEIGHT:
+        weight, state = _post_select(branch.state, kron_all(mats), new_shape)
+        if state is None:
             lost += branch.probability * max(weight, 0.0)
             continue
-        state = DensityMatrix(new_shape, out / weight)
         branches.append(
             BranchTrace(
                 branch.outcomes + (outcome,),
@@ -222,9 +204,10 @@ def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[
 
 def _apply_step(step: ProtocolStep, branch: BranchTrace) -> tuple[list[BranchTrace], float]:
     if isinstance(step, Project):
-        return _project_branch(step, branch)
+        step.subspace._check_against(branch.state.shape)
+        return _post_select_branch(step.subspace.projector(), branch)
     if isinstance(step, Filter):
-        return _filter_branch(step, branch)
+        return _post_select_branch(step.operator.matrix(branch.state.shape), branch)
     if isinstance(step, LocalUnitary):
         return _unitary_branch(step, branch)
     if isinstance(step, MeasureAndDiscard):

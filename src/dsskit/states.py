@@ -19,6 +19,7 @@ from .errors import DimensionCapError, InvariantViolation
 from .linalg import (
     MAX_SIDE,
     DEFAULT_TOLERANCE,
+    ZERO_WEIGHT,
     Tolerance,
     as_matrix,
     as_vector,
@@ -250,6 +251,20 @@ def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
         raise InvariantViolation("dimension", "state and reference dimensions differ")
     v = psi.amplitudes
     return float(np.real(np.conj(v) @ rho.mat @ v))
+
+
+def _post_select(
+    rho: DensityMatrix, m: np.ndarray, shape: SystemShape
+) -> tuple[float, DensityMatrix | None]:
+    """Apply ``m`` and renormalize: the weight ``tr(m rho m†)`` and the state
+    ``m rho m† / weight`` on ``shape``, or None when the weight does not
+    exceed ``ZERO_WEIGHT``.  Every post-selected state update goes through
+    here; each caller keeps its own probability bookkeeping."""
+    out = m @ rho.mat @ dagger(m)
+    weight = float(np.real(np.trace(out)))
+    if weight <= ZERO_WEIGHT:
+        return weight, None
+    return weight, DensityMatrix(shape, out / weight)
 
 
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:

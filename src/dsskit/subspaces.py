@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -37,8 +36,9 @@ from .linalg import (
     identity,
     kron_all,
     numerical_rank,
+    require_orthonormal,
 )
-from .states import DensityMatrix, Party, PureState, SystemShape, tensor_power
+from .states import DensityMatrix, Party, PureState, SystemShape, _post_select, tensor_power
 
 Classification = Literal["pure-entangled", "pure-product", "mixed", "zero"]
 
@@ -71,13 +71,7 @@ class LocalSubspace:
                 raise InvariantViolation(
                     "vectors", f"party {label!r} has more vectors than its dimension"
                 )
-            gram = dagger(v) @ v
-            dev = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
-            if dev > 1e-9:
-                raise InvariantViolation(
-                    "orthonormal",
-                    f"party {label!r} vectors are not orthonormal (deviation {dev:.3e})",
-                )
+            require_orthonormal(v, "orthonormal", f"party {label!r} vectors are not orthonormal")
             v = v.copy()
             v.setflags(write=False)
             cleaned.append((str(label), v))
@@ -223,12 +217,9 @@ def project(
     is entangled when some entry of its dimension signature exceeds 1.
     """
     subspace._check_against(rho.shape)
-    b = subspace.compression()
-    compressed = dagger(b) @ rho.mat @ b
-    weight = float(np.real(np.trace(compressed)))
-    if weight <= ZERO_WEIGHT:
+    weight, state = _post_select(rho, dagger(subspace.compression()), subspace.subspace_shape())
+    if state is None:
         return ProjectionOutcome(weight=0.0, state=None, classification="zero")
-    state = DensityMatrix(subspace.subspace_shape(), compressed / weight)
     evals, evecs = state.eigh(tol)
     if float(evals[0]) >= 1.0 - tol.purity_atol:
         psi = PureState(state.shape, evecs[:, 0])
@@ -281,11 +272,7 @@ def _resolve_bases(
                     "dimension",
                     f"basis for party {p.label!r} must be {p.dim}x{p.dim}, got {b.shape}",
                 )
-            dev = float(np.max(np.abs(dagger(b) @ b - np.eye(p.dim))))
-            if dev > 1e-9:
-                raise InvariantViolation(
-                    "orthonormal", f"basis for party {p.label!r} is not orthonormal"
-                )
+            require_orthonormal(b, "orthonormal", f"basis for party {p.label!r} is not orthonormal")
             resolved.append(b)
         else:
             resolved.append(identity(p.dim))
@@ -469,7 +456,6 @@ def find_dss(
     tol: Tolerance = DEFAULT_TOLERANCE,
     prune: bool = True,
     candidate_cap: int = CANDIDATE_CAP,
-    workers: int = 1,
 ) -> list[DssCertificate]:
     """Search subsets of per-party bases for distillable subspaces.
 
@@ -493,10 +479,9 @@ def find_dss(
     weight and signature; pruned and unpruned searches return identical
     results.  ``prune=False`` classifies every candidate.
 
-    The classifications may run on ``workers`` threads; results keep the
-    canonical order either way.  One DEBUG record on the ``dsskit`` logger
-    gives the candidates, those screened out as zero, mixed and product,
-    those classified and the certificates.
+    One DEBUG record on the ``dsskit`` logger gives the candidates, those
+    screened out as zero, mixed and product, those classified and the
+    certificates.
     """
     count = candidate_count(rho.shape)
     if count > candidate_cap:
@@ -513,25 +498,17 @@ def find_dss(
     else:
         candidates, counts = list(iter_candidates(rho.shape)), _ScreenCounts()
 
-    def evaluate(indices: tuple[tuple[int, ...], ...]) -> DssCertificate | None:
+    certificates = []
+    for indices in candidates:
         subspace = ctx.subspace(indices)
         outcome = project(rho, subspace, tol)
         if outcome.classification == "pure-entangled" or (
             not require_entangled and outcome.classification == "pure-product"
         ):
-            if min_signature is not None and any(
-                n < m for n, m in zip(outcome.signature, min_signature)
+            if min_signature is None or all(
+                n >= m for n, m in zip(outcome.signature, min_signature)
             ):
-                return None
-            return DssCertificate(subspace, outcome)
-        return None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, candidates, chunksize=64))
-    else:
-        evaluated = [evaluate(c) for c in candidates]
-    certificates = [cert for cert in evaluated if cert is not None]
+                certificates.append(DssCertificate(subspace, outcome))
     _logger.debug(
         "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
         "%d classified, %d certificates",

@@ -194,6 +194,7 @@ def test_rankbound_command(capsys):
         ("rankbound", "--signature", "2,2"),  # neither dims nor state
         ("no-such-command",),
         ("dss", "find", "--state", "example3q", "--p", "5.0"),  # preset validation error
+        ("dss", "find", "--state", "bell", "--workers", "4"),  # no such option
     ],
 )
 def test_error_paths_exit_1(capsys, argv):
@@ -211,6 +212,53 @@ def test_bad_state_file_exit_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "entanglement", "--state", str(bad))
     assert code == 1
     assert "trace" in err
+
+
+SWAP = {"re": [[0.0, 1.0], [1.0, 0.0]]}
+RAGGED = {"re": [[1.0, 0.0], [0.0]]}
+
+
+@pytest.mark.parametrize(
+    "state,steps,context",
+    [
+        ({"re": [[0.5, 0.0], [0.0]]}, None, "state: matrix: re"),
+        ([{"row": "x", "col": 0, "re": 1.0}], None, "sparse entry 0: row"),
+        (None, [{"kind": "local_unitary", "gates": {"A": RAGGED}}], "gate 'A': re"),
+        (None, [{"kind": "measure_and_discard", "party": "A", "subsystem": 0,
+                 "basis": {"re": [[1.0, "x"], [0.0, 1.0]]}}], "basis: re"),
+        (None, [{"kind": "filter", "operator": {"factors": [
+            {"party": "A", "matrix": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0], [0.0, 0.0]]}},
+        ]}}], "factor 0: im"),
+    ],
+    ids=["ragged-state", "sparse-row", "gate", "measurement-basis", "operator-factor"],
+)
+def test_malformed_numbers_exit_1(capsys, tmp_path, state, steps, context):
+    argv = ["simulate", "--state", "bell"]
+    if state is not None:
+        doc = {"parties": [{"label": "A", "dim": 2}], "matrix": state}
+        (tmp_path / "state.json").write_text(json.dumps(doc))
+        argv = ["entanglement", "--state", str(tmp_path / "state.json")]
+    if steps is not None:
+        (tmp_path / "protocol.json").write_text(json.dumps({"steps": steps}))
+        argv += ["--protocol", str(tmp_path / "protocol.json")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and context in err
+    assert "Traceback" not in err
+
+
+def test_conditional_outcome_position_out_of_range_names_step(capsys, tmp_path):
+    protocol = {"steps": [
+        {"kind": "measure_and_discard", "party": "A", "subsystem": 0},
+        {"kind": "conditional", "parity": "odd", "outcomes": [3],
+         "step": {"kind": "local_unitary", "gates": {"B": SWAP}}},
+    ]}
+    (tmp_path / "protocol.json").write_text(json.dumps(protocol))
+    code, _, err = run_cli(
+        capsys, "simulate", "--protocol", str(tmp_path / "protocol.json"), "--state", "bell"
+    )
+    assert code == 1
+    assert err.startswith("error: step 1:") and "outcome position 3 is out of range" in err
 
 
 def test_tolerance_profile_env(capsys, monkeypatch):
@@ -267,22 +315,6 @@ def test_find_with_bases_file_and_min_signature(capsys, tmp_path):
         "--min-signature", "3,3,3",
     )
     assert code == 2
-
-
-def test_workers_flag_matches_sequential(capsys, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    code_a, out_a, _ = run_cli(
-        capsys, "dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2", "--json", str(a)
-    )
-    code_b, out_b, _ = run_cli(
-        capsys, "dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2",
-        "--workers", "4", "--json", str(b),
-    )
-    assert code_a == code_b == 0
-    doc_a = json.loads(a.read_text())
-    doc_b = json.loads(b.read_text())
-    assert doc_a["results"]["certificates"] == doc_b["results"]["certificates"]
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,17 @@ def test_protocol_schema_errors():
         )
 
 
+@pytest.mark.parametrize("positions", [[-1], [0.0], [True], "0", [0, "1"]])
+def test_conditional_outcome_positions_must_be_nonnegative_integers(positions):
+    doc = {"steps": [{
+        "kind": "conditional", "parity": "odd", "outcomes": positions,
+        "step": {"kind": "local_unitary", "gates": {"A": {"re": [[1.0, 0.0], [0.0, 1.0]]}}},
+    }]}
+    with pytest.raises(SchemaError) as err:
+        fileio.load_protocol(doc)
+    assert "'outcomes'" in str(err.value)
+
+
 def test_missing_protocol_reference(tmp_path):
     doc = {"steps": [{"kind": "project", "subspace": "missing.json"}]}
     with pytest.raises(SchemaError):

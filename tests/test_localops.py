@@ -273,3 +273,19 @@ def test_apply_to_pure_matches_density_route():
     dens_out, p_dens = apply(op, psi.to_density())
     assert p_pure == pytest.approx(p_dens, abs=1e-12)
     assert dens_out.allclose(pure_out.to_density(), atol=1e-10)
+
+
+def test_apply_matches_explicit_post_selection_random_complex():
+    rng = np.random.default_rng(211)
+    shape = SystemShape.of(("A", 2), ("B", 3))
+    for _ in range(10):
+        rho = random_density(rng, shape, rank=int(rng.integers(1, 7)))
+        op = ProductOperator(
+            (LocalFactor("A", random_contraction(rng, 2)), LocalFactor("B", random_contraction(rng, 3, rank=2)))
+        )
+        m = np.kron(op.factors[0].mat, op.factors[1].mat)
+        raw = m @ rho.mat @ m.conj().T
+        weight = float(np.real(np.trace(raw)))
+        out, probability = apply(op, rho)
+        assert probability == pytest.approx(weight, abs=1e-12)
+        assert np.max(np.abs(out.mat - raw / weight)) <= 1e-12

@@ -232,3 +232,53 @@ def test_parameter_validation():
         ghz_from_two_copies(0.0)
     with pytest.raises(InvariantViolation):
         werner_two_copy(1.5)
+
+
+def test_filter_and_project_steps_match_explicit_post_selection():
+    rng = np.random.default_rng(227)
+    shape = SystemShape.of(("A", 2), ("B", 3))
+    for _ in range(10):
+        rho = random_density(rng, shape, rank=int(rng.integers(1, 7)))
+        op = ProductOperator.from_parts(shape, {"B": random_contraction(rng, 3, rank=2)})
+        sub = LocalSubspace((("A", random_unitary(rng, 2)[:, :1]), ("B", random_unitary(rng, 3)[:, :2])))
+        b = np.kron(sub.parties[0][1], sub.parties[1][1])
+        for step, m in ((Filter(op), op.matrix(shape)), (Project(sub), b @ b.conj().T)):
+            raw = m @ rho.mat @ m.conj().T
+            weight = float(np.real(np.trace(raw)))
+            result = run([step], rho)
+            (branch,) = result.branches
+            assert branch.probability == pytest.approx(weight, abs=1e-12)
+            assert np.max(np.abs(branch.state.mat - raw / weight)) <= 1e-12
+            assert result.dropped_weight == pytest.approx(1.0 - weight, abs=1e-12)
+
+
+def test_zero_weight_outcomes_land_in_dropped_ledger():
+    # A reads 0 with probability q; B is |0> on that branch and |1> on the other.
+    q = 0.3
+    shape = SystemShape.qubits("AB")
+    rho = DensityMatrix.mixture(
+        shape,
+        [(q, product_basis_vector(shape, (0, 0))), (1.0 - q, product_basis_vector(shape, (1, 1)))],
+    )
+    measured = [MeasureAndDiscard("A", 0)]
+    onto_b1 = LocalSubspace.from_indices(SystemShape.qubits("B"), {"B": (1,)})
+    filter_b1 = ProductOperator.from_parts(SystemShape.qubits("B"), {"B": np.diag([0.0, 1.0])})
+    for step in (Project(onto_b1), Filter(filter_b1)):
+        result = run(measured + [Conditional(lambda o: o == (0,), step)], rho)
+        assert [b.outcomes for b in result.branches] == [(1,)]
+        assert result.dropped_weight == pytest.approx(q, abs=1e-12)
+    # An impossible measurement outcome adds nothing to the ledger.
+    pure = DensityMatrix.mixture(shape, [(1.0, product_basis_vector(shape, (0, 1)))])
+    result = run(measured, pure)
+    assert [b.outcomes for b in result.branches] == [(0,)]
+    assert result.dropped_weight == 0.0
+
+
+def test_orthonormality_checks_name_unitary():
+    rho = werner(0.8)
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    for step in (LocalUnitary({"A": skew}), MeasureAndDiscard("A", 0, skew)):
+        with pytest.raises(ProtocolStepError) as err:
+            run([step], rho)
+        assert isinstance(err.value.__cause__, InvariantViolation)
+        assert err.value.__cause__.invariant == "unitary"

@@ -266,13 +266,6 @@ def test_find_dss_min_signature():
     assert find_dss(two, min_signature=(3, 3, 3)) == []
 
 
-def test_find_dss_workers_agree():
-    two = tensor_power(three_qubit_example(0.5), 2)
-    sequential = [certificate_summary(c) for c in find_dss(two)]
-    threaded = [certificate_summary(c) for c in find_dss(two, workers=4)]
-    assert sequential == threaded
-
-
 def test_find_dss_candidate_cap():
     rho = maximally_mixed(SystemShape.of(("A", 12), ("B", 12)))
     with pytest.raises(SearchSpaceTooLarge) as err:
@@ -392,3 +385,24 @@ def test_find_purifying_subspaces_needs_reference():
         find_purifying_subspaces(rho)
     found = find_purifying_subspaces(tensor_power(werner(0.9), 2), reference=0.99)
     assert found == []
+
+
+def test_project_matches_explicit_compression_random_complex():
+    rng = np.random.default_rng(223)
+    shape = SystemShape.of(("A", 2), ("B", 3))
+    for _ in range(10):
+        rho = random_density(rng, shape, rank=int(rng.integers(1, 7)))
+        sub = LocalSubspace((("A", random_unitary(rng, 2)[:, :1]), ("B", random_unitary(rng, 3)[:, :2])))
+        b = np.kron(sub.parties[0][1], sub.parties[1][1])
+        raw = b.conj().T @ rho.mat @ b
+        weight = float(np.real(np.trace(raw)))
+        outcome = project(rho, sub)
+        assert outcome.weight == pytest.approx(weight, abs=1e-12)
+        assert np.max(np.abs(outcome.state.mat - raw / weight)) <= 1e-12
+
+
+def test_find_dss_rejects_non_orthonormal_bases():
+    rho = werner(0.9)
+    with pytest.raises(InvariantViolation) as err:
+        find_dss(rho, bases={"A": np.array([[1.0, 1.0], [0.0, 1.0]])})
+    assert err.value.invariant == "orthonormal"

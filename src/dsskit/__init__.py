@@ -85,6 +85,7 @@ from .subspaces import (
     find_dss,
     find_purifying_subspaces,
     iter_candidates,
+    power_rank,
     project,
     rank_bound,
 )

@@ -27,7 +27,7 @@ from .entanglement import (
     schmidt,
 )
 from .errors import Error
-from .linalg import Tolerance, numerical_rank
+from .linalg import Tolerance
 from .localops import decompose
 from .protocols import ghz_from_two_copies, run, werner_two_copy
 from .states import (
@@ -48,6 +48,7 @@ from .subspaces import (
     candidate_count,
     check_certificate,
     find_dss,
+    power_rank,
     rank_bound,
 )
 
@@ -322,14 +323,20 @@ def _resolve_state(args) -> tuple[DensityMatrix, dict]:
     raise CliUsageError(f"--state {name!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
 
 
-def _state_with_copies(args) -> tuple[DensityMatrix, DensityMatrix, dict]:
-    """Resolve the single-copy state and its tensor power per --copies."""
+def _single_state(args) -> tuple[DensityMatrix, dict]:
+    """Resolve the single-copy state and check --copies, recorded in the inputs."""
     single, inputs = _resolve_state(args)
     copies = getattr(args, "copies", 1)
     if copies < 1:
         raise CliUsageError(f"--copies must be >= 1, got {copies}")
     inputs["copies"] = copies
-    return single, tensor_power(single, copies), inputs
+    return single, inputs
+
+
+def _state_with_copies(args) -> tuple[DensityMatrix, DensityMatrix, dict]:
+    """Resolve the single-copy state and its tensor power per --copies."""
+    single, inputs = _single_state(args)
+    return single, tensor_power(single, inputs["copies"]), inputs
 
 
 def _subspace_doc(cert_subspace) -> dict:
@@ -386,7 +393,7 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
         "certificates_found": len(certs),
     }
     docs = []
-    rank = numerical_rank(sigma.mat, tol) if certs else None
+    rank = power_rank(single, inputs["copies"], tol) if certs else None
     for cert in certs:
         doc = _certificate_doc(cert)
         doc["rank_bound_check"] = _rank_bound_doc(rank, single.shape, inputs["copies"], cert)
@@ -414,7 +421,7 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
         }
     else:
         results = {"accepted": True, **_certificate_doc(verdict)}
-        rank = numerical_rank(sigma.mat, tol)
+        rank = power_rank(single, inputs["copies"], tol)
         results["rank_bound_check"] = _rank_bound_doc(rank, single.shape, inputs["copies"], verdict)
     return Report("dss check", inputs, results, warnings), EXIT_OK
 
@@ -563,9 +570,9 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
 def _cmd_rankbound(args, tol, warnings) -> tuple[Report, int]:
     measured = None
     if args.state:
-        single, sigma, inputs = _state_with_copies(args)
+        single, inputs = _single_state(args)
         shape = single.shape
-        measured = numerical_rank(sigma.mat, tol)
+        measured = power_rank(single, args.copies, tol)
     elif args.dims:
         shape = SystemShape.of(*((chr(ord("A") + i), d) for i, d in enumerate(args.dims)))
         inputs = {"dims": list(args.dims), "copies": args.copies}

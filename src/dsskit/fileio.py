@@ -12,6 +12,7 @@ trip reproduces every entry exactly.  Schema problems raise
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from typing import Any, Callable, Mapping
 
@@ -47,10 +48,18 @@ def _convert(cast: Callable, value, context: str):
         raise SchemaError(f"{context}: {exc}") from exc
 
 
+def _integer(value, context: str) -> int:
+    """An integer field.  Anything else, a float or a bool included, is a
+    SchemaError naming ``context``, never a truncated ``int()``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SchemaError(f"{context}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _integers(values, context: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise SchemaError(f"{context}: expected a list of integers, got {values!r}")
-    return tuple(_convert(int, v, context) for v in values)
+    return tuple(_integer(v, context) for v in values)
 
 
 def _reals(value) -> np.ndarray:
@@ -74,8 +83,8 @@ def matrix_from_doc(doc, rows: int, cols: int, context: str) -> np.ndarray:
         mat = np.zeros((rows, cols), dtype=np.complex128)
         for i, entry in enumerate(doc):
             where = f"{context}: sparse entry {i}"
-            row = _convert(int, _require(entry, "row", where), f"{where}: row")
-            col = _convert(int, _require(entry, "col", where), f"{where}: col")
+            row = _integer(_require(entry, "row", where), f"{where}: row")
+            col = _integer(_require(entry, "col", where), f"{where}: col")
             if not (0 <= row < rows and 0 <= col < cols):
                 raise SchemaError(f"{where}: index ({row}, {col}) outside {rows}x{cols}")
             re = _convert(float, entry.get("re", 0.0), f"{where}: re")
@@ -119,10 +128,10 @@ def shape_from_doc(doc, context: str = "parties") -> SystemShape:
         label = str(_require(entry, "label", where))
         if "dims" in entry:
             dims = _integers(entry["dims"], f"{where}: dims")
-            if "dim" in entry and _convert(int, entry["dim"], f"{where}: dim") != int(np.prod(dims)):
+            if "dim" in entry and _integer(entry["dim"], f"{where}: dim") != int(np.prod(dims)):
                 raise SchemaError(f"{where}: 'dim' disagrees with product of 'dims'")
         else:
-            dims = (_convert(int, _require(entry, "dim", where), f"{where}: dim"),)
+            dims = (_integer(_require(entry, "dim", where), f"{where}: dim"),)
         parties.append(Party(label, dims))
     return SystemShape(tuple(parties))
 
@@ -184,7 +193,7 @@ def load_operator(doc) -> ProductOperator:
         if isinstance(mat_doc, list):
             if "dim" not in entry:
                 raise SchemaError(f"{where}: sparse factors need an explicit 'dim'")
-            d = _convert(int, entry["dim"], f"{where}: dim")
+            d = _integer(entry["dim"], f"{where}: dim")
             mat = matrix_from_doc(mat_doc, d, d, where)
         else:
             mat = square_matrix_from_doc(mat_doc, where)
@@ -248,9 +257,12 @@ def load_bases(doc, shape: SystemShape) -> dict[str, np.ndarray]:
 
 
 def _resolve_ref(value, base_dir: str, loader: Callable, context: str):
-    """A step field may be an inline document or a path to one."""
+    """A step field may be an inline document or a path to one.  An error
+    inside it names the step, and the path of a referenced file."""
+    where = context
     if isinstance(value, str):
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
+        where = f"{context}: file {path!r}"
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 value = json.load(fh)
@@ -258,7 +270,12 @@ def _resolve_ref(value, base_dir: str, loader: Callable, context: str):
             raise SchemaError(f"{context}: cannot read referenced file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{context}: referenced file {path!r} is not valid JSON") from exc
-    return loader(value)
+    try:
+        return loader(value)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    except InvariantViolation as exc:
+        raise InvariantViolation(exc.invariant, f"{where}: {exc}") from exc
 
 
 def _step_from_doc(doc, base_dir: str, context: str) -> ProtocolStep:
@@ -279,7 +296,7 @@ def _step_from_doc(doc, base_dir: str, context: str) -> ProtocolStep:
         return LocalUnitary(gates)
     if kind == "measure_and_discard":
         party = str(_require(doc, "party", context))
-        subsystem = _convert(int, _require(doc, "subsystem", context), f"{context}: subsystem")
+        subsystem = _integer(_require(doc, "subsystem", context), f"{context}: subsystem")
         basis = None
         if doc.get("basis") is not None:
             basis = square_matrix_from_doc(doc["basis"], f"{context}: basis")
@@ -291,10 +308,10 @@ def _step_from_doc(doc, base_dir: str, context: str) -> ProtocolStep:
             if parity not in ("odd", "even"):
                 raise SchemaError(f"{context}: parity must be 'odd' or 'even', got {parity!r}")
             positions = doc.get("outcomes")
-            if positions is not None and not (
-                isinstance(positions, list) and all(type(i) is int and i >= 0 for i in positions)
-            ):
-                raise SchemaError(f"{context}: 'outcomes' must list integer positions >= 0, got {positions!r}")
+            if positions is not None:
+                positions = list(_integers(positions, f"{context}: 'outcomes'"))
+                if any(i < 0 for i in positions):
+                    raise SchemaError(f"{context}: 'outcomes' must list positions >= 0, got {positions!r}")
             want = 1 if parity == "odd" else 0
 
             def predicate(outcomes: tuple[int, ...], _pos=positions, _want=want) -> bool:

@@ -221,10 +221,16 @@ def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     norm, so near-zero matrices report rank 0 instead of being rescaled into
     full rank.
     """
-    s = singular_values(m)
+    return _rank_above_cutoff(singular_values(m), tol)
+
+
+def _rank_above_cutoff(s: np.ndarray, tol: Tolerance) -> int:
+    """The :func:`numerical_rank` cutoff applied to nonnegative values ``s``
+    (any order), for callers that know a matrix's singular values without
+    an SVD."""
     if s.size == 0:
         return 0
-    cutoff = tol.rank_rtol * max(1.0, float(s[0]))
+    cutoff = tol.rank_rtol * max(1.0, float(np.max(s)))
     return int(np.count_nonzero(s > cutoff))
 
 

@@ -4,7 +4,8 @@ Labelled system shapes, validated density matrices and pure states,
 copy-regrouped tensor powers, and the preset states used by the worked
 examples.  All value types are immutable; constructing one runs its full
 invariant check, so any ``DensityMatrix`` or ``PureState`` in circulation
-is known to be valid.
+is known to be valid.  A tensor power is checked for positivity on the
+products of the single-copy eigenvalues, which are its eigenvalues.
 """
 
 from __future__ import annotations
@@ -126,6 +127,35 @@ class SystemShape:
         return self.parties[self.party_index(label)]
 
 
+def _validated(shape: SystemShape, mat: np.ndarray, spectrum_of) -> np.ndarray:
+    """The read-only Hermitian part of ``mat`` once it passes the density
+    matrix checks: side, hermiticity, unit trace, and positivity of the
+    eigenvalues ``spectrum_of`` returns for the Hermitian part."""
+    d = shape.total_dim
+    if mat.shape != (d, d):
+        raise InvariantViolation(
+            "dimension",
+            f"matrix side {mat.shape} does not match shape total dim {d}",
+        )
+    deviation = float(np.max(np.abs(mat - dagger(mat))))
+    if deviation > DEFAULT_TOLERANCE.herm_atol:
+        raise InvariantViolation(
+            "hermitian", f"density matrix is not Hermitian (max deviation {deviation:.3e})"
+        )
+    mat = (mat + dagger(mat)) / 2.0  # kill anti-Hermitian roundoff; a fresh array
+    tr = float(np.real(np.trace(mat)))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise InvariantViolation("trace", f"trace must be 1, got {tr!r}")
+    lowest = float(np.min(spectrum_of(mat)))
+    if lowest < -DEFAULT_TOLERANCE.psd_atol:
+        raise InvariantViolation(
+            "positive-semidefinite",
+            f"density matrix has a negative eigenvalue {lowest:.3e}",
+        )
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, positive-semidefinite, unit-trace matrix over a shape.
@@ -140,31 +170,30 @@ class DensityMatrix:
     copies: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = as_matrix(self.mat)
-        d = self.shape.total_dim
-        if mat.shape != (d, d):
-            raise InvariantViolation(
-                "dimension",
-                f"matrix side {mat.shape} does not match shape total dim {d}",
-            )
-        deviation = float(np.max(np.abs(mat - dagger(mat))))
-        if deviation > DEFAULT_TOLERANCE.herm_atol:
-            raise InvariantViolation(
-                "hermitian", f"density matrix is not Hermitian (max deviation {deviation:.3e})"
-            )
-        mat = (mat + dagger(mat)) / 2.0  # kill anti-Hermitian roundoff
-        tr = float(np.real(np.trace(mat)))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvariantViolation("trace", f"trace must be 1, got {tr!r}")
-        lowest = float(np.min(np.linalg.eigvalsh(mat)))
-        if lowest < -DEFAULT_TOLERANCE.psd_atol:
-            raise InvariantViolation(
-                "positive-semidefinite",
-                f"density matrix has a negative eigenvalue {lowest:.3e}",
-            )
-        mat = mat.copy()
-        mat.setflags(write=False)
+        mat = _validated(self.shape, as_matrix(self.mat), np.linalg.eigvalsh)
         object.__setattr__(self, "mat", mat)
+
+    @classmethod
+    def _from_spectrum(
+        cls,
+        shape: SystemShape,
+        mat: np.ndarray,
+        spectrum: np.ndarray,
+        copy_base: "DensityMatrix",
+        copies: int,
+    ) -> "DensityMatrix":
+        """A state whose eigenvalues ``spectrum`` are known without a dense
+        eigendecomposition.  The side, hermiticity and trace checks run on
+        ``mat`` and the positivity check on ``spectrum``; ``mat`` must be
+        finite and within the size cap, as a tensor power of a valid state
+        is.  Private to :func:`tensor_power`: the public constructor runs
+        every check whatever ``copy_base`` says."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "shape", shape)
+        object.__setattr__(state, "mat", _validated(shape, mat, lambda _: spectrum))
+        object.__setattr__(state, "copy_base", copy_base)
+        object.__setattr__(state, "copies", copies)
+        return state
 
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityMatrix":
@@ -267,6 +296,27 @@ def _post_select(
     return weight, DensityMatrix(shape, out / weight)
 
 
+def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
+    """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted: the
+    ``n``-fold products of the eigenvalues of ``rho`` (Horn & Johnson,
+    *Topics in Matrix Analysis*, Thm 4.2.12).  Regrouping the copies is a
+    permutation similarity, so it leaves them unchanged.  Raises where
+    :func:`tensor_power` would: for ``n < 1`` and above ``MAX_SIDE``."""
+    n = int(n)
+    if n < 1:
+        raise InvariantViolation("copies", f"copies must be >= 1, got {n}")
+    total = rho.shape.total_dim**n
+    if total > MAX_SIDE:
+        raise DimensionCapError(
+            f"{n} copies give total dimension {total}, above the cap {MAX_SIDE}"
+        )
+    base = np.linalg.eigvalsh(rho.mat)
+    spectrum = base
+    for _ in range(n - 1):
+        spectrum = np.multiply.outer(spectrum, base).reshape(-1)
+    return spectrum
+
+
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     """``n`` copies of ``rho``, regrouped so each party holds all its copies.
 
@@ -274,17 +324,18 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     columns are explicitly permuted to party-major order, so party ``A``
     holds its copy-1 subsystems followed by copy-2 and so on, contiguously.
     Local subspaces of a party's enlarged space are then contiguous blocks.
+
+    The result passes the side, hermiticity and trace checks of
+    :class:`DensityMatrix` on the dense matrix, but its positivity is read
+    off the products of ``rho``'s eigenvalues (:func:`_power_spectrum`), so
+    no eigendecomposition of side ``d**n`` runs.  The matrix is the one the
+    public constructor would store.
     """
     n = int(n)
-    if n < 1:
-        raise InvariantViolation("copies", f"copies must be >= 1, got {n}")
     if n == 1:
         return rho
-    total = rho.shape.total_dim**n
-    if total > MAX_SIDE:
-        raise DimensionCapError(
-            f"{n} copies give total dimension {total}, above the cap {MAX_SIDE}"
-        )
+    spectrum = _power_spectrum(rho, n)
+    total = spectrum.size
     big = rho.mat
     for _ in range(n - 1):
         big = np.kron(big, rho.mat)
@@ -297,7 +348,9 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     mat = big.reshape(tuple(axes) * 2).transpose(perm).reshape(total, total)
 
     parties = tuple(Party(p.label, p.dims * n) for p in rho.shape.parties)
-    return DensityMatrix(SystemShape(parties), mat, copy_base=rho, copies=n)
+    return DensityMatrix._from_spectrum(
+        SystemShape(parties), mat, spectrum, copy_base=rho, copies=n
+    )
 
 
 # ---------------------------------------------------------------------------

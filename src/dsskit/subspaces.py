@@ -31,14 +31,14 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
     Tolerance,
+    _rank_above_cutoff,
     as_matrix,
     dagger,
     identity,
     kron_all,
-    numerical_rank,
     require_orthonormal,
 )
-from .states import DensityMatrix, Party, PureState, SystemShape, _post_select, tensor_power
+from .states import DensityMatrix, Party, PureState, SystemShape, _post_select, _power_spectrum
 
 Classification = Literal["pure-entangled", "pure-product", "mixed", "zero"]
 
@@ -602,6 +602,18 @@ def rank_bound(shape: SystemShape, copies: int, signature: Sequence[int]) -> int
     return shape.total_dim**copies - prod(signature) + 1
 
 
+def power_rank(rho: DensityMatrix, copies: int, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+    """Numerical rank of ``rho^(x copies)``, read off the single-copy spectrum.
+
+    Counts the n-fold products of ``rho``'s eigenvalues whose magnitude
+    exceeds ``rank_rtol * max(1, largest)``, the cutoff of
+    :func:`~dsskit.linalg.numerical_rank`; for a Hermitian matrix those
+    magnitudes are its singular values.  No tensor power is built, and the
+    copies and size checks are those of :func:`~dsskit.states.tensor_power`.
+    """
+    return _rank_above_cutoff(np.abs(_power_spectrum(rho, copies)), tol)
+
+
 @dataclass(frozen=True)
 class RankBoundReport:
     rank: int
@@ -617,13 +629,14 @@ def check_rank_bound(
 ) -> RankBoundReport:
     """Compare the measured rank of ``rho^(x copies)`` against the bound.
 
-    ``cert`` must have been produced from that tensor power.  Any genuine
-    certificate satisfies the bound; an unsatisfied report flags a
-    numerical-tolerance inconsistency rather than a counterexample.
+    ``cert`` must have been produced from that tensor power.  The rank is
+    :func:`power_rank`'s, read off the eigenvalues of ``rho`` without
+    building the tensor power.  Any genuine certificate satisfies the
+    bound; an unsatisfied report flags a numerical-tolerance inconsistency
+    rather than a counterexample.
     """
     if cert.outcome.signature is None:
         raise InvariantViolation("signature", "certificate lacks a dimension signature")
-    sigma_n = tensor_power(rho, copies)
-    rank = numerical_rank(sigma_n.mat, tol)
+    rank = power_rank(rho, copies, tol)
     bound = rank_bound(rho.shape, copies, cert.outcome.signature)
     return RankBoundReport(rank=rank, bound=bound, satisfied=rank <= bound)

@@ -229,8 +229,15 @@ RAGGED = {"re": [[1.0, 0.0], [0.0]]}
         (None, [{"kind": "filter", "operator": {"factors": [
             {"party": "A", "matrix": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0], [0.0, 0.0]]}},
         ]}}], "factor 0: im"),
+        ([{"row": 0.9, "col": 0, "re": 1.0}], None, "sparse entry 0: row: expected an integer, got 0.9"),
+        (None, [{"kind": "measure_and_discard", "party": "A", "subsystem": 0.5}],
+         "step 0: subsystem: expected an integer"),
+        (None, [{"kind": "filter", "operator": {"factors": [
+            {"party": "A", "matrix": {"re": [[1, 0], [0, "x"]]}},
+        ]}}], "step 0: operator: factor 0: re"),
     ],
-    ids=["ragged-state", "sparse-row", "gate", "measurement-basis", "operator-factor"],
+    ids=["ragged-state", "sparse-row", "gate", "measurement-basis", "operator-factor",
+         "fractional-row", "fractional-subsystem", "filter-step-context"],
 )
 def test_malformed_numbers_exit_1(capsys, tmp_path, state, steps, context):
     argv = ["simulate", "--state", "bell"]
@@ -245,6 +252,14 @@ def test_malformed_numbers_exit_1(capsys, tmp_path, state, steps, context):
     assert code == 1
     assert err.startswith("error:") and context in err
     assert "Traceback" not in err
+
+
+def test_fractional_dims_exit_1(capsys, tmp_path):
+    doc = {"parties": [{"label": "A", "dims": [2.7]}], "matrix": {"re": [[1.0, 0.0], [0.0, 0.0]]}}
+    (tmp_path / "state.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "entanglement", "--state", str(tmp_path / "state.json"))
+    assert code == 1
+    assert err == "error: state: party 0: dims: expected an integer, got 2.7\n"
 
 
 def test_conditional_outcome_position_out_of_range_names_step(capsys, tmp_path):

@@ -240,3 +240,64 @@ def test_missing_protocol_reference(tmp_path):
     doc = {"steps": [{"kind": "project", "subspace": "missing.json"}]}
     with pytest.raises(SchemaError):
         fileio.load_protocol(doc, base_dir=str(tmp_path))
+
+
+ONE_QUBIT = [{"label": "A", "dim": 2}]
+PURE_0 = {"re": [[1.0, 0.0], [0.0, 0.0]]}
+IDENTITY_GATE = {"kind": "local_unitary", "gates": {"A": {"re": [[1.0, 0.0], [0.0, 1.0]]}}}
+
+
+@pytest.mark.parametrize(
+    "load,doc,context",
+    [
+        (fileio.load_state, {"parties": ONE_QUBIT, "matrix": [{"row": 0.9, "col": 0, "re": 1.0}]},
+         "sparse entry 0: row"),
+        (fileio.load_state, {"parties": ONE_QUBIT, "matrix": [{"row": 0, "col": 0.5, "re": 1.0}]},
+         "sparse entry 0: col"),
+        (fileio.load_state, {"parties": [{"label": "A", "dims": [2.7]}], "matrix": PURE_0}, "party 0: dims"),
+        (fileio.load_state, {"parties": [{"label": "A", "dim": 2.0}], "matrix": PURE_0}, "party 0: dim"),
+        (fileio.load_state, {"parties": [{"label": "A", "dim": True}], "matrix": PURE_0}, "party 0: dim"),
+        (fileio.load_state, {"parties": [{"label": "A", "dims": [2], "dim": 2.5}], "matrix": PURE_0},
+         "party 0: dim"),
+        (fileio.load_operator, {"factors": [{"party": "A", "dim": 2.0,
+                                             "matrix": [{"row": 0, "col": 0, "re": 1.0}]}]}, "factor 0: dim"),
+        (fileio.load_protocol, {"steps": [{"kind": "measure_and_discard", "party": "A", "subsystem": 0.5}]},
+         "step 0: subsystem"),
+        (fileio.load_protocol, {"steps": [{"kind": "conditional", "equals": [0.5], "step": IDENTITY_GATE}]},
+         "step 0: equals"),
+        (fileio.load_protocol, {"steps": [{"kind": "conditional", "parity": "odd", "outcomes": [1.5],
+                                           "step": IDENTITY_GATE}]}, "step 0: 'outcomes'"),
+    ],
+    ids=["row", "col", "dims", "dim-float", "dim-bool", "dim-with-dims", "factor-dim", "subsystem",
+         "equals", "outcomes"],
+)
+def test_integer_fields_reject_non_integers(load, doc, context):
+    with pytest.raises(SchemaError) as err:
+        load(doc)
+    assert context in str(err.value) and "expected an integer" in str(err.value)
+
+
+def test_inline_step_error_names_the_step():
+    doc = {"steps": [{"kind": "filter", "operator": {"factors": [
+        {"party": "A", "matrix": {"re": [[1, 0], [0, "x"]]}}]}}]}
+    with pytest.raises(SchemaError) as err:
+        fileio.load_protocol(doc)
+    assert str(err.value).startswith("protocol: step 0: operator: factor 0: re:")
+
+
+def test_referenced_file_error_names_the_step_and_the_file(tmp_path):
+    (tmp_path / "op.json").write_text(json.dumps({"factors": [
+        {"party": "A", "matrix": {"re": [[1, 0], [0, "x"]]}}]}))
+    (tmp_path / "sub.json").write_text(json.dumps({"parties": [
+        {"label": "A", "vectors": [{"re": [1.0, 0.0]}, {"re": [1.0, 0.0]}]}]}))
+    doc = {"steps": [IDENTITY_GATE, {"kind": "filter", "operator": "op.json"}]}
+    with pytest.raises(SchemaError) as err:
+        fileio.load_protocol(doc, base_dir=str(tmp_path))
+    path = str(tmp_path / "op.json")
+    assert str(err.value).startswith(f"protocol: step 1: file {path!r}: operator: factor 0: re:")
+
+    doc = {"steps": [{"kind": "project", "subspace": "sub.json"}]}
+    with pytest.raises(InvariantViolation) as err:
+        fileio.load_protocol(doc, base_dir=str(tmp_path))
+    assert err.value.invariant == "orthonormal"
+    assert str(err.value).startswith(f"protocol: step 0: file {str(tmp_path / 'sub.json')!r}:")

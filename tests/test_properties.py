@@ -1,28 +1,40 @@
-"""Property tests of the subspace search on random low-rank and planted states.
+"""Property tests of the subspace search and of tensor powers.
 
-Each example draws a seed and builds a state on two or three parties: a
-random low-rank state, or a planted instance hiding a pure entangled state
-on a basis-aligned subspace.  Half the examples rotate the state by random
-local unitaries and search in the rotated bases, where the planted
-subspace is again basis-aligned.
+Each search example draws a seed and builds a state on two or three
+parties: a random low-rank state, or a planted instance hiding a pure
+entangled state on a basis-aligned subspace.  Half the examples rotate the
+state by random local unitaries and search in the rotated bases, where the
+planted subspace is again basis-aligned.
+
+The tensor-power examples check what is read off the single-copy spectrum
+(the rank and the positivity of the n-copy state) against the dense
+computation on the n-copy matrix.
 """
 
+import itertools
 import logging
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsskit import (
     DensityMatrix,
+    DimensionCapError,
+    InvariantViolation,
+    Party,
     SystemShape,
     find_dss,
     iter_candidates,
+    numerical_rank,
+    power_rank,
     tensor_power,
     three_qubit_example,
     werner,
 )
-from dsskit import subspaces
+from dsskit import states, subspaces
+from dsskit.cli import main
 from dsskit.linalg import ZERO_WEIGHT, Tolerance, kron_all
 from dsskit.subspaces import _SearchContext
 
@@ -116,3 +128,127 @@ def test_search_stats_logged(caplog):
     _, flat = logged_stats(caplog, two, require_entangled=False, prune=False)
     assert flat["classified"] == flat["candidates"] == 225
     assert flat["screened_zero"] == flat["screened_mixed"] == flat["screened_product"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Tensor powers from the single-copy spectrum
+# ---------------------------------------------------------------------------
+
+#: (shape, copies) pairs up to side 512 on two and three parties.
+POWER_CASES = [
+    (SystemShape.of(("A", 2), ("B", 2)), 2),
+    (SystemShape.of(("A", 2), ("B", 2)), 3),
+    (SystemShape.of(("A", 2), ("B", 3)), 2),
+    (SystemShape.of(("A", 2), ("B", 3)), 3),
+    (SystemShape.of(("A", 3), ("B", 3)), 2),
+    (SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 2),
+    (SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 3),
+]
+
+
+def state_with_spectrum(rng, shape, weights) -> DensityMatrix:
+    """``V diag(weights) V†`` for a random unitary ``V``."""
+    vectors = random_unitary(rng, shape.total_dim)
+    return DensityMatrix(shape, (vectors * weights) @ np.conj(vectors).T)
+
+
+@st.composite
+def power_instances(draw):
+    """``(state, copies, tol)``: a random low-rank state whose spectrum has
+    two planted small eigenvalues, so that some n-copy eigenvalues land at
+    10x and at 0.1x the rank cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape, copies = POWER_CASES[draw(st.integers(0, len(POWER_CASES) - 1))]
+    tol = Tolerance(rank_rtol=draw(st.sampled_from([1e-9, 1e-6])))
+    d = shape.total_dim
+    rank = draw(st.integers(1, d - 2))
+    big = rng.dirichlet(np.ones(rank))
+    scale = float(np.max(big)) ** (copies - 1)
+    planted = np.array([10.0, 0.1]) * tol.rank_rtol / scale
+    weights = np.zeros(d)
+    weights[:rank] = big * (1.0 - planted.sum())
+    weights[rank:rank + 2] = planted
+    return state_with_spectrum(rng, shape, weights), copies, tol
+
+
+def kron_permute_reference(rho: DensityMatrix, n: int) -> np.ndarray:
+    """``n`` copies by plain kron, rows and columns reordered index by index
+    from copy-major to party-major order."""
+    dims = rho.shape.dims
+    big = rho.mat
+    for _ in range(n - 1):
+        big = np.kron(big, rho.mat)
+    order = []
+    for digits in itertools.product(*(range(d) for d in dims for _ in range(n))):
+        flat = 0
+        for c in range(n):
+            for p, d in enumerate(dims):
+                flat = flat * d + digits[p * n + c]
+        order.append(flat)
+    return big[np.ix_(order, order)]
+
+
+@PROPERTY_SETTINGS
+@given(power_instances())
+def test_power_rank_equals_dense_rank(instance):
+    rho, copies, tol = instance
+    assert power_rank(rho, copies, tol) == numerical_rank(tensor_power(rho, copies).mat, tol)
+
+
+@PROPERTY_SETTINGS
+@given(power_instances())
+def test_tensor_power_matrix_is_the_kron_permute_reference(instance):
+    rho, copies, _ = instance
+    power = tensor_power(rho, copies)
+    reference = kron_permute_reference(rho, copies)
+    assert np.array_equal(power.mat, reference)
+    assert power.mat.tobytes() == DensityMatrix(power.shape, reference).mat.tobytes()
+    assert power.copy_base is rho and power.copies == copies
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("psd_atol", [1e-9, 4e-10, 3e-10, 1e-10])
+def test_power_positivity_decided_as_by_dense_eigvalsh(monkeypatch, copies, psd_atol):
+    """A base with eigenvalue -5e-10 is valid; its n-copy state has a lowest
+    eigenvalue of -3.5e-10 (n = 2) or -2.45e-10 (n = 3)."""
+    rng = np.random.default_rng(5)
+    rho = state_with_spectrum(rng, SystemShape.of(("A", 2), ("B", 2)), [0.7, 0.3 + 5e-10, 0.0, -5e-10])
+    reference = kron_permute_reference(rho, copies)
+    monkeypatch.setattr(states, "DEFAULT_TOLERANCE", Tolerance(psd_atol=psd_atol))
+
+    def accepted(build) -> bool:
+        try:
+            build()
+        except InvariantViolation as exc:
+            assert exc.invariant == "positive-semidefinite"
+            return False
+        return True
+
+    shape = SystemShape(tuple(Party(p.label, p.dims * copies) for p in rho.shape.parties))
+    structured = accepted(lambda: tensor_power(rho, copies))
+    dense = accepted(lambda: DensityMatrix(shape, reference))
+    assert structured == dense == (psd_atol > {2: 3.5e-10, 3: 2.45e-10}[copies])
+
+
+def test_public_constructor_checks_positivity_despite_copy_base():
+    rho = werner(0.9)
+    shape = tensor_power(rho, 2).shape
+    non_psd = np.diag([1.0 + 1e-3, -1e-3] + [0.0] * 14).astype(complex)
+    with pytest.raises(InvariantViolation) as err:
+        DensityMatrix(shape, non_psd, copy_base=rho, copies=2)
+    assert err.value.invariant == "positive-semidefinite"
+
+
+@pytest.mark.parametrize("copies,error", [(0, InvariantViolation), (7, DimensionCapError)])
+def test_power_rank_fails_where_tensor_power_fails(copies, error):
+    with pytest.raises(error) as dense:
+        tensor_power(werner(0.9), copies)
+    with pytest.raises(error) as structured:
+        power_rank(werner(0.9), copies)
+    assert str(structured.value) == str(dense.value)
+
+
+def test_rankbound_above_the_cap_exits_1(capsys):
+    code = main(["rankbound", "--state", "werner", "--F", "0.9", "--copies", "7", "--signature", "2,2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: 7 copies give total dimension 16384, above the cap 4096\n"

@@ -26,7 +26,6 @@ from .linalg import (
     kron_all,
     numerical_rank,
     partial_trace,
-    spectral_norm,
     svd,
 )
 from .states import (

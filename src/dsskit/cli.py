@@ -33,6 +33,7 @@ from .protocols import ghz_from_two_copies, run, werner_two_copy
 from .states import (
     DensityMatrix,
     SystemShape,
+    _power_spectrum,
     bell_state,
     filter_example,
     ghz_state,
@@ -452,18 +453,20 @@ def _cmd_decompose(args, tol, warnings) -> tuple[Report, int]:
 
 
 def _cmd_entanglement(args, tol, warnings) -> tuple[Report, int]:
-    _, rho, inputs = _state_with_copies(args)
-    results: dict[str, Any] = {"per_party_dims": list(rho.shape.dims)}
-    evals = rho.eigenvalues()
-    results["top_eigenvalue"] = float(evals[0])
-    results["pure"] = bool(evals[0] >= 1.0 - tol.purity_atol)
+    single, inputs = _single_state(args)
+    copies = inputs["copies"]
+    # The power itself is built only for a pure state.
+    top = float(_power_spectrum(single, copies).max())
+    results: dict[str, Any] = {"per_party_dims": [d**copies for d in single.shape.dims]}
+    results["top_eigenvalue"] = top
+    results["pure"] = bool(top >= 1.0 - tol.purity_atol)
     if results["pure"]:
-        psi = rho.top_eigenstate(tol)
+        psi = tensor_power(single, copies).top_eigenstate(tol)
         results["signature"] = list(dimension_signature(psi, tol))
-        if len(rho.shape.parties) == 2:
+        if len(single.shape.parties) == 2:
             results["schmidt_coefficients"] = [float(c) for c in schmidt(psi)]
-    if rho.shape.dims == (2, 2):
-        report = entanglement_of_formation(rho, tol)
+    if copies == 1 and single.shape.dims == (2, 2):
+        report = entanglement_of_formation(single, tol)
         results["concurrence"] = report.concurrence
         results["entanglement_of_formation"] = report.eof
     return Report("entanglement", inputs, results, warnings), EXIT_OK

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import DEFAULT_TOLERANCE, Tolerance, numerical_rank
+from .linalg import DEFAULT_TOLERANCE, Tolerance, above_rank_cutoff, numerical_rank
 from .localops import ProductOperator, apply, apply_to_pure
 from .states import DensityMatrix, PureState, bell_state, fidelity_with_pure, filter_example
 
@@ -35,8 +35,8 @@ def _cut_ranks(amplitudes: np.ndarray, dims: Sequence[int], rtol: float) -> np.n
     ``amplitudes`` has shape ``(..., prod(dims))``.  At each party's cut the
     amplitude tensor is reshaped to a (party) x (rest) matrix; its squared
     singular values are the eigenvalues of the party's reduced state, and
-    the rank counts those above ``rtol * max(1, largest)``, the cutoff
-    :func:`~dsskit.linalg.numerical_rank` applies to the reduced state.
+    the rank counts those :func:`~dsskit.linalg.above_rank_cutoff` keeps,
+    as :func:`~dsskit.linalg.numerical_rank` does for the reduced state.
     Returns an integer array of shape ``(..., len(dims))``.
     """
     batch = amplitudes.shape[:-1]
@@ -45,7 +45,7 @@ def _cut_ranks(amplitudes: np.ndarray, dims: Sequence[int], rtol: float) -> np.n
     for axis, d in enumerate(dims, start=len(batch)):
         cut = np.moveaxis(tensor, axis, len(batch)).reshape(batch + (d, -1))
         s2 = np.linalg.svd(cut, compute_uv=False) ** 2
-        ranks.append(np.count_nonzero(s2 > rtol * np.maximum(1.0, s2[..., :1]), axis=-1))
+        ranks.append(np.count_nonzero(above_rank_cutoff(s2, rtol), axis=-1))
     return np.stack(ranks, axis=-1)
 
 

@@ -12,13 +12,13 @@ trip reproduces every entry exactly.  Schema problems raise
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .errors import InvariantViolation, SchemaError
+from .linalg import as_int
 from .localops import LocalFactor, ProductOperator
 from .protocols import (
     Conditional,
@@ -49,11 +49,12 @@ def _convert(cast: Callable, value, context: str):
 
 
 def _integer(value, context: str) -> int:
-    """An integer field.  Anything else, a float or a bool included, is a
-    SchemaError naming ``context``, never a truncated ``int()``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SchemaError(f"{context}: expected an integer, got {value!r}")
-    return int(value)
+    """An integer field, by :func:`~dsskit.linalg.as_int`'s test; anything
+    else is a SchemaError naming ``context``."""
+    try:
+        return as_int(value, context)
+    except InvariantViolation as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def _integers(values, context: str) -> tuple[int, ...]:

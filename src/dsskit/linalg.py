@@ -14,6 +14,7 @@ the honest choice and anything larger signals a modelling mistake.
 
 from __future__ import annotations
 
+import numbers
 import string
 from dataclasses import dataclass
 from math import prod
@@ -85,6 +86,14 @@ def as_vector(v, *, cap: int = MAX_SIDE) -> np.ndarray:
     return arr
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an ``int``; anything else, a float or a bool included, is
+    an :class:`InvariantViolation` naming ``name``, never a truncated ``int()``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvariantViolation(name, f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
@@ -98,30 +107,31 @@ def require_orthonormal(v: np.ndarray, invariant: str, message: str) -> None:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
+    """Kronecker product of two matrices: ``kron_all((a, b))``."""
+    return kron_all((a, b))
 
-    Row index ``(i_a, i_b)`` maps to ``i_a * b_rows + i_b``, matching the
-    flat-index convention used for multipartite states throughout.
+
+def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
+    """Left-to-right Kronecker product of a nonempty sequence of matrices.
+
+    The left factor is most significant: row index ``(i_a, i_b)`` maps to
+    ``i_a * b_rows + i_b``, matching the flat-index convention used for
+    multipartite states throughout.  Each factor is checked once by
+    :func:`as_matrix`, and the side of the full product against
+    ``MAX_SIDE`` before any product is formed.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
+    mats = [as_matrix(m) for m in mats]
+    if not mats:
+        raise InvariantViolation("factors", "kron_all needs at least one factor")
+    rows = prod(m.shape[0] for m in mats)
+    cols = prod(m.shape[1] for m in mats)
     if rows > MAX_SIDE or cols > MAX_SIDE:
         raise DimensionCapError(
             f"kron product of shape ({rows}, {cols}) exceeds the cap {MAX_SIDE}"
         )
-    return np.kron(a, b)
-
-
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of a nonempty sequence of matrices."""
-    mats = list(mats)
-    if not mats:
-        raise InvariantViolation("factors", "kron_all needs at least one factor")
-    out = as_matrix(mats[0])
+    out = mats[0]
     for m in mats[1:]:
-        out = kron(out, m)
+        out = np.kron(out, m)
     return out
 
 
@@ -141,7 +151,7 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     ``keep`` is a caller error: the scalar trace has its own accessor.
     """
     m = as_matrix(m)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_int(d, "dims") for d in dims)
     if any(d < 1 for d in dims):
         raise InvariantViolation("dims", f"subsystem dims must be >= 1, got {dims}")
     total = prod(dims)
@@ -150,7 +160,7 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
             "shape",
             f"matrix side {m.shape} does not match product of dims {dims} = {total}",
         )
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(as_int(k, "keep") for k in keep))
     if not keep:
         raise InvariantViolation("keep", "keep set must be nonempty")
     n = len(dims)
@@ -215,28 +225,17 @@ def singular_values(m) -> np.ndarray:
 
 
 def numerical_rank(m, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Count singular values above ``rank_rtol * max(1, largest singular value)``.
-
-    The ``max(1, .)`` floor makes the cutoff absolute for matrices of small
-    norm, so near-zero matrices report rank 0 instead of being rescaled into
-    full rank.
-    """
-    return _rank_above_cutoff(singular_values(m), tol)
+    """Count singular values above ``rank_rtol * max(1, largest singular value)``,
+    the cutoff of :func:`above_rank_cutoff`."""
+    return int(np.count_nonzero(above_rank_cutoff(singular_values(m), tol.rank_rtol)))
 
 
-def _rank_above_cutoff(s: np.ndarray, tol: Tolerance) -> int:
-    """The :func:`numerical_rank` cutoff applied to nonnegative values ``s``
-    (any order), for callers that know a matrix's singular values without
-    an SVD."""
-    if s.size == 0:
-        return 0
-    cutoff = tol.rank_rtol * max(1.0, float(np.max(s)))
-    return int(np.count_nonzero(s > cutoff))
-
-
-def spectral_norm(m) -> float:
-    s = singular_values(m)
-    return float(s[0]) if s.size else 0.0
+def above_rank_cutoff(values: np.ndarray, rtol: float) -> np.ndarray:
+    """Mask of the ``values`` above ``rtol * max(1, largest)`` along the last
+    axis: the rank cutoff of every numerical rank in the package.  The floor
+    of 1 makes the cutoff absolute for small values, so a near-zero matrix
+    has rank 0 instead of being rescaled into full rank."""
+    return values > rtol * np.maximum(1.0, np.max(values, axis=-1, keepdims=True))
 
 
 def identity(n: int) -> np.ndarray:

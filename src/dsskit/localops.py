@@ -18,6 +18,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
     Tolerance,
+    above_rank_cutoff,
     as_matrix,
     dagger,
     identity,
@@ -223,8 +224,7 @@ def decompose(factor: LocalFactor | np.ndarray, tol: Tolerance = DEFAULT_TOLERAN
     if mat.shape[0] != mat.shape[1]:
         raise InvariantViolation("shape", "decompose needs a square operator")
     u, s, v = svd(mat)
-    cutoff = tol.rank_rtol * max(1.0, float(s[0]) if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff))
+    r = int(np.count_nonzero(above_rank_cutoff(s, tol.rank_rtol)))
     if r == 0:
         raise InvariantViolation("nonzero", "cannot decompose the zero operator")
     ur = u[:, :r]

@@ -273,15 +273,15 @@ def _odd_parity(outcomes: tuple[int, ...]) -> bool:
     return sum(outcomes) % 2 == 1
 
 
-def ghz_distillation_steps(two_copies_shape: SystemShape, corrected: bool = True) -> list[ProtocolStep]:
+def ghz_distillation_steps(two_copies_shape: SystemShape) -> list[ProtocolStep]:
     """The GHZ distillation pipeline on a two-copy three-qubit shape.
 
     Project each party onto span{|01>, |10>} of its two copies, rotate each
     party's second subsystem to the +/- basis, measure and discard it, and
-    (when ``corrected``) flip the phase of party A's remaining qubit on odd
-    outcome parity.  The parity convention and the choice of party A are
-    fixed here; any consistent choice gives a GHZ state up to local
-    unitaries.
+    flip the phase of party A's remaining qubit on odd outcome parity.  The
+    correction is the last step, so ``steps[:-1]`` is the uncorrected
+    pipeline.  The parity convention and the choice of party A are fixed
+    here; any consistent choice gives a GHZ state up to local unitaries.
     """
     labels = two_copies_shape.labels
     subspace = LocalSubspace.from_indices(
@@ -290,14 +290,13 @@ def ghz_distillation_steps(two_copies_shape: SystemShape, corrected: bool = True
     rotate = LocalUnitary({label: np.kron(identity(2), _HADAMARD) for label in labels})
     steps: list[ProtocolStep] = [Project(subspace), rotate]
     steps += [MeasureAndDiscard(label, 1) for label in labels]
-    if corrected:
-        steps.append(
-            Conditional(
-                _odd_parity,
-                LocalUnitary({labels[0]: _PHASE_FLIP}),
-                description=f"phase flip on {labels[0]} when outcome parity is odd",
-            )
+    steps.append(
+        Conditional(
+            _odd_parity,
+            LocalUnitary({labels[0]: _PHASE_FLIP}),
+            description=f"phase flip on {labels[0]} when outcome parity is odd",
         )
+    )
     return steps
 
 
@@ -306,31 +305,33 @@ def ghz_from_two_copies(p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> GhzDist
 
     Returns the projection success probability (p^2 / 2) and, for each of
     the eight measurement branches, the GHZ fidelity of the remaining three
-    qubits with and without the conditional phase-flip correction.
+    qubits with and without the conditional phase-flip correction.  The
+    pipeline runs once without its correction step, which is then applied
+    to each branch.
     """
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise InvariantViolation("p", f"p must lie in (0, 1], got {p}")
     two = tensor_power(three_qubit_example(p), 2)
-    corrected = run(ghz_distillation_steps(two.shape, corrected=True), two)
-    plain = run(ghz_distillation_steps(two.shape, corrected=False), two)
-    raw_by_outcome = {b.outcomes: b for b in plain.branches}
+    *steps, correction = ghz_distillation_steps(two.shape)
+    plain = run(steps, two)
 
     ghz = ghz_state()
     reports = []
-    for branch in sorted(corrected.branches, key=lambda b: b.outcomes):
-        raw = raw_by_outcome[branch.outcomes]
+    for raw in sorted(plain.branches, key=lambda b: b.outcomes):
+        (fixed,), _ = _apply_step(correction, raw)
         reports.append(
             GhzBranchReport(
-                outcomes=branch.outcomes,
-                probability=branch.probability,
-                fidelity=fidelity_with_pure(branch.state, ghz),
+                outcomes=fixed.outcomes,
+                probability=fixed.probability,
+                fidelity=fidelity_with_pure(fixed.state, ghz),
                 fidelity_uncorrected=fidelity_with_pure(raw.state, ghz),
             )
         )
+    # The correction is a unitary, so it leaves every branch probability as is.
     return GhzDistillationReport(
         p=p,
-        success_probability=corrected.success_probability,
+        success_probability=plain.success_probability,
         branches=tuple(reports),
     )
 

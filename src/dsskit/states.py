@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
     Tolerance,
+    as_int,
     as_matrix,
     as_vector,
     dagger,
@@ -48,7 +49,7 @@ class Party:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise InvariantViolation("label", f"party label must be a nonempty string, got {self.label!r}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(as_int(d, "dims") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise InvariantViolation("dims", f"party {self.label!r} has no subsystems")
@@ -64,9 +65,7 @@ def _as_party(entry) -> Party:
     if isinstance(entry, Party):
         return entry
     label, dims = entry
-    if isinstance(dims, int):
-        dims = (dims,)
-    return Party(str(label), tuple(dims))
+    return Party(str(label), (dims,) if np.ndim(dims) == 0 else tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -219,9 +218,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.mat)[::-1].copy()
 
-    def is_pure(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        return bool(self.eigenvalues()[0] >= 1.0 - tol.purity_atol)
-
     def top_eigenstate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> "PureState":
         _, v = self.eigh(tol)
         return PureState(self.shape, v[:, 0])
@@ -302,7 +298,7 @@ def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
     *Topics in Matrix Analysis*, Thm 4.2.12).  Regrouping the copies is a
     permutation similarity, so it leaves them unchanged.  Raises where
     :func:`tensor_power` would: for ``n < 1`` and above ``MAX_SIDE``."""
-    n = int(n)
+    n = as_int(n, "copies")
     if n < 1:
         raise InvariantViolation("copies", f"copies must be >= 1, got {n}")
     total = rho.shape.total_dim**n
@@ -331,7 +327,7 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     no eigendecomposition of side ``d**n`` runs.  The matrix is the one the
     public constructor would store.
     """
-    n = int(n)
+    n = as_int(n, "copies")
     if n == 1:
         return rho
     spectrum = _power_spectrum(rho, n)

@@ -31,7 +31,8 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
     Tolerance,
-    _rank_above_cutoff,
+    above_rank_cutoff,
+    as_int,
     as_matrix,
     dagger,
     identity,
@@ -80,21 +81,26 @@ class LocalSubspace:
     @classmethod
     def _from_checked(
         cls,
-        parties: tuple[tuple[str, np.ndarray], ...],
-        basis_indices: tuple[tuple[int, ...], ...],
+        labels: Sequence[str],
+        bases: Sequence[np.ndarray],
+        indices: Sequence[tuple[int, ...]],
     ) -> "LocalSubspace":
-        """Wrap read-only column slices of bases that were already validated."""
+        """Cut read-only columns ``indices`` out of per-party ``bases`` that
+        passed :func:`_resolve_bases`.  With nonempty, in-range and distinct
+        indices the columns are orthonormal, so no check runs here."""
+        parties = []
+        for label, basis, idx in zip(labels, bases, indices):
+            vecs = basis[:, list(idx)]
+            vecs.setflags(write=False)
+            parties.append((label, vecs))
         self = object.__new__(cls)
-        object.__setattr__(self, "parties", parties)
-        object.__setattr__(self, "basis_indices", basis_indices)
+        object.__setattr__(self, "parties", tuple(parties))
+        object.__setattr__(self, "basis_indices", tuple(indices))
         return self
 
     @classmethod
     def full(cls, shape: SystemShape) -> "LocalSubspace":
-        return cls(
-            tuple((p.label, identity(p.dim)) for p in shape.parties),
-            basis_indices=tuple(tuple(range(p.dim)) for p in shape.parties),
-        )
+        return cls.from_indices(shape, {})
 
     @classmethod
     def from_indices(
@@ -111,19 +117,19 @@ class LocalSubspace:
         if unknown:
             raise InvariantViolation("label", f"unknown parties {sorted(unknown)}")
         resolved = _resolve_bases(shape, bases)
-        parties = []
         recorded = []
-        for p, basis in zip(shape.parties, resolved):
-            idx = tuple(int(i) for i in indices.get(p.label, range(p.dim)))
+        for p in shape.parties:
+            idx = tuple(as_int(i, "indices") for i in indices.get(p.label, range(p.dim)))
             if not idx:
                 raise InvariantViolation("vectors", f"party {p.label!r} has an empty index set")
             if any(i < 0 or i >= p.dim for i in idx):
                 raise InvariantViolation(
                     "vectors", f"party {p.label!r} indices {idx} out of range for dim {p.dim}"
                 )
-            parties.append((p.label, basis[:, idx]))
+            if len(set(idx)) != len(idx):
+                raise InvariantViolation("orthonormal", f"party {p.label!r} repeats an index in {idx}")
             recorded.append(idx)
-        return cls(tuple(parties), basis_indices=tuple(recorded))
+        return cls._from_checked(shape.labels, resolved, recorded)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -340,8 +346,7 @@ class _SearchContext:
         self.subsets = [_subset_indices(d) for d in self.shape.dims]
 
         evals, evecs = rho.eigh(tol)
-        cutoff = tol.rank_rtol * max(1.0, float(evals[0]))
-        keep = evals > cutoff
+        keep = above_rank_cutoff(evals, tol.rank_rtol)
         weights = evals[keep]
         vectors = evecs[:, keep]
         # Express the significant eigenvectors in the supplied product basis,
@@ -359,14 +364,6 @@ class _SearchContext:
         rank = self.ensemble.shape[0]
         grid = np.ix_(range(rank), *indices)
         return self.ensemble[grid].reshape(rank, -1)
-
-    def subspace(self, indices: tuple[tuple[int, ...], ...]) -> LocalSubspace:
-        parties = []
-        for label, basis, idx in zip(self.shape.labels, self.bases, indices):
-            vecs = basis[:, list(idx)]
-            vecs.setflags(write=False)
-            parties.append((label, vecs))
-        return LocalSubspace._from_checked(tuple(parties), tuple(indices))
 
     def candidate(self, position: int) -> tuple[tuple[int, ...], ...]:
         """The candidate at a position of the canonical order."""
@@ -487,7 +484,7 @@ def find_dss(
     if count > candidate_cap:
         raise SearchSpaceTooLarge(count, candidate_cap)
     if min_signature is not None:
-        min_signature = tuple(int(m) for m in min_signature)
+        min_signature = tuple(as_int(m, "min_signature") for m in min_signature)
         if len(min_signature) != len(rho.shape.parties):
             raise InvariantViolation("min_signature", "one entry per party required")
 
@@ -500,7 +497,7 @@ def find_dss(
 
     certificates = []
     for indices in candidates:
-        subspace = ctx.subspace(indices)
+        subspace = LocalSubspace._from_checked(ctx.shape.labels, ctx.bases, indices)
         outcome = project(rho, subspace, tol)
         if outcome.classification == "pure-entangled" or (
             not require_entangled and outcome.classification == "pure-product"
@@ -547,11 +544,11 @@ def find_purifying_subspaces(
 ) -> list[PurifyingSubspace]:
     """Search for subspaces whose mixed projection has higher concurrence.
 
-    The measure is the two-qubit concurrence, so only candidates whose
-    projected state is a 2 (x) 2 two-party state are assessed; all others
-    are skipped.  ``reference`` fixes the concurrence to beat: a number, a
-    two-qubit state, or (by default) the single-copy base of a state built
-    with :func:`~dsskit.states.tensor_power`.
+    The measure is the two-qubit concurrence, so only a two-party state is
+    searched, over the candidates with two basis vectors per party, in
+    canonical order; any other state gives an empty list.  ``reference``
+    fixes the concurrence to beat: a number, a two-qubit state, or (by
+    default) the single-copy base of a :func:`~dsskit.states.tensor_power`.
     """
     if reference is None:
         if rho.copy_base is None:
@@ -569,12 +566,13 @@ def find_purifying_subspaces(
     if count > candidate_cap:
         raise SearchSpaceTooLarge(count, candidate_cap)
 
-    ctx = _SearchContext(rho, bases, tol)
+    resolved = _resolve_bases(rho.shape, bases)
+    if len(rho.shape.parties) != 2:
+        return []  # concurrence undefined for the projected shapes
+    pairs = [[idx for idx in _subset_indices(d) if len(idx) == 2] for d in rho.shape.dims]
     found = []
-    for indices in iter_candidates(rho.shape):
-        if len(indices) != 2 or any(len(idx) != 2 for idx in indices):
-            continue  # concurrence undefined for this projected shape
-        sub = ctx.subspace(indices)
+    for indices in itertools.product(*pairs):
+        sub = LocalSubspace._from_checked(rho.shape.labels, resolved, indices)
         outcome = project(rho, sub, tol)
         if outcome.classification != "mixed":
             continue
@@ -593,10 +591,10 @@ def rank_bound(shape: SystemShape, copies: int, signature: Sequence[int]) -> int
     """Largest rank of an n-copy state that can still project to a pure
     state of the given dimension signature: ``(prod dims)^n - prod(n_i) + 1``.
     """
-    copies = int(copies)
+    copies = as_int(copies, "copies")
     if copies < 1:
         raise InvariantViolation("copies", f"copies must be >= 1, got {copies}")
-    signature = tuple(int(s) for s in signature)
+    signature = tuple(as_int(s, "signature") for s in signature)
     if any(s < 1 for s in signature):
         raise InvariantViolation("signature", f"signature entries must be >= 1, got {signature}")
     return shape.total_dim**copies - prod(signature) + 1
@@ -606,12 +604,13 @@ def power_rank(rho: DensityMatrix, copies: int, tol: Tolerance = DEFAULT_TOLERAN
     """Numerical rank of ``rho^(x copies)``, read off the single-copy spectrum.
 
     Counts the n-fold products of ``rho``'s eigenvalues whose magnitude
-    exceeds ``rank_rtol * max(1, largest)``, the cutoff of
-    :func:`~dsskit.linalg.numerical_rank`; for a Hermitian matrix those
+    passes :func:`~dsskit.linalg.above_rank_cutoff`, as
+    :func:`~dsskit.linalg.numerical_rank` does; for a Hermitian matrix those
     magnitudes are its singular values.  No tensor power is built, and the
     copies and size checks are those of :func:`~dsskit.states.tensor_power`.
     """
-    return _rank_above_cutoff(np.abs(_power_spectrum(rho, copies)), tol)
+    magnitudes = np.abs(_power_spectrum(rho, copies))
+    return int(np.count_nonzero(above_rank_cutoff(magnitudes, tol.rank_rtol)))
 
 
 @dataclass(frozen=True)

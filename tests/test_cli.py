@@ -8,9 +8,11 @@ from dsskit import (
     LocalSubspace,
     ProductOperator,
     SystemShape,
+    bell_state,
     check_rank_bound,
     fileio,
     find_dss,
+    ghz_state,
     tensor_power,
     three_qubit_example,
     werner,
@@ -347,3 +349,65 @@ def test_golden_reports(capsys, name, argv):
     with open(golden, "r", encoding="utf-8") as fh:
         expected = fh.read()
     assert strip_timing(out) == expected
+
+
+JSON_GOLDENS = [
+    ("find_example3q_0.5_x2.json", 0,
+     ("dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2")),
+    ("find_example3q_0.5_x2_min222.json", 0,
+     ("dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2",
+      "--min-signature", "2,2,2")),
+    ("find_werner_0.9_x2.json", 2, ("dss", "find", "--state", "werner", "--F", "0.9", "--copies", "2")),
+    ("rankbound_state_example3q_0.5_x2.json", 0,
+     ("rankbound", "--state", "example3q", "--p", "0.5", "--copies", "2", "--signature", "2,2,2")),
+    ("rankbound_dims_222_x2.json", 0,
+     ("rankbound", "--dims", "2,2,2", "--copies", "2", "--signature", "2,2,2")),
+    ("simulate_ghz_example_0.5.json", 0, ("simulate", "ghz-example", "--p", "0.5")),
+    ("simulate_werner_example_0.8.json", 0, ("simulate", "werner-example", "--F", "0.8")),
+    ("filter_compare_0.9_grid.json", 0,
+     ("filter-compare", "--lambda", "0.9", "--grid", "0.9:0.99:0.025")),
+    ("entanglement_werner_0.9.json", 0, ("entanglement", "--state", "werner", "--F", "0.9")),
+    ("entanglement_bell.json", 0, ("entanglement", "--state", "bell")),
+]
+
+
+def json_report_without_timing(path) -> str:
+    doc = json.loads(path.read_text())
+    del doc["timing_ms"]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name,exit_code,argv", JSON_GOLDENS, ids=[g[0] for g in JSON_GOLDENS])
+def test_json_golden_reports(capsys, tmp_path, name, exit_code, argv):
+    """The full-precision --json report, minus timing, is byte-identical to the golden."""
+    json_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, *argv, "--json", str(json_path))
+    assert code == exit_code
+    with open(os.path.join(GOLDEN_DIR, "json", name), "r", encoding="utf-8") as fh:
+        expected = fh.read()
+    assert json_report_without_timing(json_path) == expected
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("state", [("werner", "--F", "0.9"), ("bell",), ("ghz",)], ids=lambda s: s[0])
+def test_entanglement_top_eigenvalue_matches_dense(capsys, tmp_path, state, copies):
+    single = {
+        "werner": lambda: werner(0.9),
+        "bell": lambda: bell_state().to_density(),
+        "ghz": lambda: ghz_state().to_density(),
+    }[state[0]]()
+    dense = float(np.max(np.linalg.eigvalsh(tensor_power(single, copies).mat)))
+    json_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "entanglement", "--state", *state, "--copies", str(copies), "--json", str(json_path)
+    )
+    assert code == 0
+    results = json.loads(json_path.read_text())["results"]
+    assert abs(results["top_eigenvalue"] - dense) <= 1e-12
+    assert results["per_party_dims"] == [d**copies for d in single.shape.dims]
+
+
+def test_entanglement_above_the_cap_exit_1(capsys):
+    code, _, err = run_cli(capsys, "entanglement", "--state", "werner", "--F", "0.9", "--copies", "7")
+    assert code == 1
+    assert err == "error: 7 copies give total dimension 16384, above the cap 4096\n"

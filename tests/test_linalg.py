@@ -232,3 +232,15 @@ def test_kron_all_chain():
     got = kron_all([I2, X, I2])
     assert got.shape == (8, 8)
     assert np.allclose(got, np.kron(np.kron(I2, X), I2))
+
+
+def test_kron_all_checks_the_full_product_against_the_cap():
+    with pytest.raises(DimensionCapError) as err:
+        kron_all([I2, I2, np.eye(2048)])
+    assert "(8192, 8192)" in str(err.value)
+
+
+def test_kron_all_rejects_a_non_finite_third_factor():
+    with pytest.raises(InvariantViolation) as err:
+        kron_all([I2, X, np.array([[1.0, np.nan], [0.0, 1.0]])])
+    assert err.value.invariant == "finite"

@@ -25,6 +25,7 @@ from dsskit import (
     InvariantViolation,
     Party,
     SystemShape,
+    decompose,
     find_dss,
     iter_candidates,
     numerical_rank,
@@ -252,3 +253,36 @@ def test_rankbound_above_the_cap_exits_1(capsys):
     code = main(["rankbound", "--state", "werner", "--F", "0.9", "--copies", "7", "--signature", "2,2"])
     assert code == 1
     assert capsys.readouterr().err == "error: 7 copies give total dimension 16384, above the cap 4096\n"
+
+
+@st.composite
+def planted_cutoff_instances(draw):
+    """``(rng, shape, weights, tol, rank)``: ``rank`` random weights, then two
+    planted at 10x and 0.1x the rank cutoff ``rank_rtol * max(1, largest)``,
+    then zeros; the weights sum to ``top``, which sits below or above 1.
+    The cutoffs stay small enough that the dropped 0.1x value is within the
+    1e-9 reconstruction check of :func:`decompose`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = SHAPES[draw(st.integers(0, len(SHAPES) - 1))]
+    tol = Tolerance(rank_rtol=draw(st.sampled_from([1e-9, 1e-10])))
+    top = draw(st.sampled_from([1.0, 4.0]))
+    rank = draw(st.integers(1, shape.total_dim - 2))
+    big = rng.dirichlet(np.ones(rank)) * top
+    planted = np.array([10.0, 0.1]) * tol.rank_rtol * max(1.0, float(np.max(big)))
+    weights = np.zeros(shape.total_dim)
+    weights[:rank] = big * (1.0 - planted.sum() / top)
+    weights[rank:rank + 2] = planted
+    return rng, shape, weights, tol, rank + 1
+
+
+@PROPERTY_SETTINGS
+@given(planted_cutoff_instances())
+def test_decompose_and_search_keep_the_numerical_rank(instance):
+    rng, shape, weights, tol, rank = instance
+    d = shape.total_dim
+    operator = random_unitary(rng, d) @ np.diag(weights) @ np.conj(random_unitary(rng, d)).T
+    assert decompose(operator, tol).retained_dim == numerical_rank(operator, tol) == rank
+    if np.isclose(weights.sum(), 1.0):
+        rho = state_with_spectrum(rng, shape, weights)
+        kept = _SearchContext(rho, None, tol).ensemble.shape[0]
+        assert kept == numerical_rank(rho.mat, tol) == rank

@@ -15,6 +15,7 @@ from dsskit import (
     ProtocolStepError,
     SystemShape,
     fidelity_with_pure,
+    ghz_distillation_steps,
     ghz_from_two_copies,
     ghz_state,
     project,
@@ -25,6 +26,7 @@ from dsskit import (
     werner_concurrence_table,
     werner_two_copy,
 )
+from dsskit.protocols import GhzBranchReport
 from dsskit.states import PureState, product_basis_vector
 
 from helpers import random_contraction, random_density, random_unitary
@@ -282,3 +284,24 @@ def test_orthonormality_checks_name_unitary():
             run([step], rho)
         assert isinstance(err.value.__cause__, InvariantViolation)
         assert err.value.__cause__.invariant == "unitary"
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
+def test_ghz_from_two_copies_equals_corrected_and_uncorrected_runs(p):
+    two = tensor_power(three_qubit_example(p), 2)
+    steps = ghz_distillation_steps(two.shape)
+    corrected, plain = run(steps, two), run(steps[:-1], two)
+    raw = {b.outcomes: b.state for b in plain.branches}
+    ghz = ghz_state()
+    expected = tuple(
+        GhzBranchReport(
+            b.outcomes,
+            b.probability,
+            fidelity_with_pure(b.state, ghz),
+            fidelity_with_pure(raw[b.outcomes], ghz),
+        )
+        for b in sorted(corrected.branches, key=lambda b: b.outcomes)
+    )
+    report = ghz_from_two_copies(p)
+    assert report.branches == expected
+    assert report.success_probability == corrected.success_probability

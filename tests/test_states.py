@@ -5,14 +5,18 @@ from dsskit import (
     DensityMatrix,
     DimensionCapError,
     InvariantViolation,
+    LocalSubspace,
     PureState,
     SystemShape,
     bell_state,
     fidelity_with_pure,
     filter_example,
+    find_dss,
     ghz_state,
     ghz_w_pair,
     maximally_mixed,
+    power_rank,
+    rank_bound,
     tensor_power,
     three_qubit_example,
     w_state,
@@ -189,3 +193,35 @@ def test_density_matrix_is_readonly():
     rho = werner(0.5)
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "call,invariant",
+    [
+        (lambda: tensor_power(werner(0.9), 2.9), "copies"),
+        (lambda: power_rank(werner(0.9), 2.0), "copies"),
+        (lambda: rank_bound(SystemShape.qubits("AB"), 2, (2.9, 2)), "signature"),
+        (lambda: rank_bound(SystemShape.qubits("AB"), 2.5, (2, 2)), "copies"),
+        (lambda: LocalSubspace.from_indices(SystemShape.qubits("AB"), {"A": (0.7, 1)}), "indices"),
+        (lambda: find_dss(werner(0.9), min_signature=(2.5, 2)), "min_signature"),
+        (lambda: Party("A", (2.7,)), "dims"),
+        (lambda: SystemShape.of(("A", 2.7)), "dims"),
+        (lambda: partial_trace(np.eye(4), (2.0, 2), [0]), "dims"),
+        (lambda: partial_trace(np.eye(4), (2, 2), [0.5]), "keep"),
+    ],
+    ids=["tensor_power", "power_spectrum", "rank_bound-signature", "rank_bound-copies",
+         "from_indices", "min_signature", "party", "shape-of", "partial_trace-dims",
+         "partial_trace-keep"],
+)
+def test_non_integer_counts_are_refused(call, invariant):
+    with pytest.raises(InvariantViolation) as err:
+        call()
+    assert err.value.invariant == invariant
+    assert "expected an integer" in str(err.value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    shape = SystemShape.of(("A", np.int64(2)), ("B", (np.int32(2),)))
+    assert shape.dims == (2, 2)
+    assert tensor_power(werner(0.9), np.int64(2)).copies == 2
+    assert rank_bound(shape, np.int64(2), (np.int64(2), 2)) == 13

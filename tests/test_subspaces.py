@@ -13,6 +13,7 @@ from dsskit import (
     candidate_count,
     check_certificate,
     check_rank_bound,
+    concurrence,
     find_dss,
     find_purifying_subspaces,
     ghz_state,
@@ -406,3 +407,61 @@ def test_find_dss_rejects_non_orthonormal_bases():
     with pytest.raises(InvariantViolation) as err:
         find_dss(rho, bases={"A": np.array([[1.0, 1.0], [0.0, 1.0]])})
     assert err.value.invariant == "orthonormal"
+
+
+def test_from_indices_refuses_a_repeated_index():
+    shape = SystemShape.qubits("AB")
+    with pytest.raises(InvariantViolation) as err:
+        LocalSubspace.from_indices(shape, {"A": (0, 0)})
+    assert err.value.invariant == "orthonormal"
+
+
+def test_from_indices_cuts_read_only_columns_of_rotated_bases():
+    rng = np.random.default_rng(31)
+    shape = SystemShape.of(("A", 3), ("B", 4))
+    bases = {"A": random_unitary(rng, 3), "B": random_unitary(rng, 4)}
+    indices = {"A": (2, 0), "B": (1, 3, 2)}
+    sub = LocalSubspace.from_indices(shape, indices, bases)
+    assert sub.basis_indices == ((2, 0), (1, 3, 2))
+    for label, vecs in sub.parties:
+        assert np.array_equal(vecs, bases[label][:, list(indices[label])])
+        assert not vecs.flags.writeable
+
+
+def test_full_equals_from_indices_with_no_selection():
+    shape = SystemShape.of(("A", 2), ("B", (2, 3)))
+    full, selected = LocalSubspace.full(shape), LocalSubspace.from_indices(shape, {})
+    assert full.basis_indices == selected.basis_indices == ((0, 1), tuple(range(6)))
+    for (la, va), (lb, vb) in zip(full.parties, selected.parties):
+        assert la == lb and np.array_equal(va, vb) and not va.flags.writeable
+
+
+def _rotation(rng, d, angle):
+    """exp(i angle H) for a random Hermitian H."""
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    return (v * np.exp(1j * angle * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("angle,reference", [(0.05, None), (1.0, 0.3)])
+def test_find_purifying_subspaces_matches_all_candidates_loop(angle, reference):
+    rng = np.random.default_rng(17)
+    two = tensor_power(werner(0.9), 2)
+    bases = {label: _rotation(rng, 4, angle) for label in two.shape.labels}
+    before = concurrence(werner(0.9)) if reference is None else reference
+    expected = []
+    for indices in iter_candidates(two.shape):
+        if any(len(idx) != 2 for idx in indices):
+            continue
+        sub = LocalSubspace.from_indices(two.shape, dict(zip(two.shape.labels, indices)), bases)
+        outcome = project(two, sub)
+        if outcome.classification == "mixed" and concurrence(outcome.state) > before:
+            expected.append((indices, outcome.weight, concurrence(outcome.state)))
+    found = find_purifying_subspaces(two, bases, reference=reference)
+    assert expected
+    assert [(f.subspace.basis_indices, f.outcome.weight, f.measure_after) for f in found] == expected
+
+
+def test_find_purifying_subspaces_three_party_power_is_empty():
+    two = tensor_power(three_qubit_example(0.5), 2)
+    assert find_purifying_subspaces(two, reference=0.0) == []

@@ -6,16 +6,23 @@ stable-ordered and diff-friendly with numbers at 12 significant digits;
 ``--json`` additionally writes the structured report.  Exit codes: 0 on
 success, 2 when ``dss find`` finds no certificate (absence is a result,
 not an error), 1 on input or validation problems.
+
+Every subcommand that reads a state (``dss find``, ``dss check``,
+``entanglement``, ``simulate`` and ``rankbound``) takes the same state
+flags: ``--state`` (a preset name or a state file), ``--p``, ``--F``,
+``--lambda`` and ``--copies``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from . import fileio
@@ -88,35 +95,13 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class Report:
-    """One command's structured result; round-trips through its dict form."""
+    """One command's structured result; ``--json`` writes its fields as a dict."""
 
     command: str
     inputs: dict
     results: dict
     warnings: list = field(default_factory=list)
     timing_ms: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "warnings": list(self.warnings),
-            "timing_ms": self.timing_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "Report":
-        return cls(
-            command=doc["command"],
-            inputs=dict(doc["inputs"]),
-            results=dict(doc["results"]),
-            warnings=list(doc["warnings"]),
-            timing_ms=float(doc["timing_ms"]),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Report) and self.to_dict() == other.to_dict()
 
 
 def _fmt_scalar(value) -> str:
@@ -134,42 +119,27 @@ def _is_scalar(value) -> bool:
 
 
 def _render_lines(value, indent: int) -> list[str]:
+    """Lines for a mapping (``key: ...``) or a sequence (``- ...``) of values."""
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, Mapping):
-        for key, val in value.items():
-            if _is_scalar(val):
-                lines.append(f"{pad}{key}: {_fmt_scalar(val)}")
-            elif isinstance(val, (list, tuple)) and all(_is_scalar(v) for v in val):
-                inline = ", ".join(_fmt_scalar(v) for v in val)
-                lines.append(f"{pad}{key}: [{inline}]")
-            elif not val:
-                lines.append(f"{pad}{key}: []" if isinstance(val, (list, tuple)) else f"{pad}{key}: {{}}")
-            else:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_lines(val, indent + 1))
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            if _is_scalar(item):
-                lines.append(f"{pad}- {_fmt_scalar(item)}")
-            elif isinstance(item, (list, tuple)) and all(_is_scalar(v) for v in item):
-                inline = ", ".join(_fmt_scalar(v) for v in item)
-                lines.append(f"{pad}- [{inline}]")
-            else:
-                lines.append(f"{pad}-")
-                lines.extend(_render_lines(item, indent + 1))
+        entries = [(f"{key}:", val) for key, val in value.items()]
     else:
-        lines.append(f"{pad}{_fmt_scalar(value)}")
+        entries = [("-", item) for item in value]
+    lines: list[str] = []
+    for head, val in entries:
+        if _is_scalar(val):
+            lines.append(f"{pad}{head} {_fmt_scalar(val)}")
+        elif isinstance(val, (list, tuple)) and all(_is_scalar(v) for v in val):
+            lines.append(f"{pad}{head} [{', '.join(_fmt_scalar(v) for v in val)}]")
+        elif not val:
+            lines.append(f"{pad}{head} {{}}")
+        else:
+            lines.append(f"{pad}{head}")
+            lines.extend(_render_lines(val, indent + 1))
     return lines
 
 
-def render_report(report: Report, fmt: str = "text") -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(report.to_dict(), indent=2)
-    if fmt != "text":
-        raise CliUsageError(f"unknown output format {fmt!r}")
+def render_report(report: Report) -> str:
     lines = [f"command: {report.command}"]
     lines.append("inputs:")
     lines.extend(_render_lines(report.inputs, 1))
@@ -200,14 +170,15 @@ def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="also write the structured report (use '-' for stdout)")
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized feature (default 0)")
-    for name in ("rank-rtol", "herm-atol", "psd-atol", "purity-atol"):
+    for tolerance in fields(Tolerance):
+        name = tolerance.name.replace("_", "-")
         common.add_argument(f"--{name}", type=float, default=None, help=f"override tolerance {name}")
     return common
 
 
-def _state_options() -> argparse.ArgumentParser:
+def _state_options(required: bool) -> argparse.ArgumentParser:
     opts = argparse.ArgumentParser(add_help=False)
-    opts.add_argument("--state", required=True, help="state file path or preset name "
+    opts.add_argument("--state", required=required, help="state file path or preset name "
                       f"({', '.join(sorted(PRESETS))})")
     opts.add_argument("--p", type=float, help="mixing weight for the example3q preset")
     opts.add_argument("--F", type=float, help="fidelity parameter for the werner preset")
@@ -216,10 +187,14 @@ def _state_options() -> argparse.ArgumentParser:
     return opts
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process.  Each subcommand names its
+    handler as the ``run`` default; parsing fills a fresh namespace per call,
+    so no parsed value outlives one :func:`main` call."""
     parser = _Parser(prog="dsskit", description=__doc__)
     common = _common_options()
-    state_opts = _state_options()
+    state_opts = _state_options(required=True)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
 
     dss = sub.add_parser("dss", help="distillable-subspace search and certificate checks")
@@ -227,6 +202,7 @@ def build_parser() -> _Parser:
 
     find = dss_sub.add_parser("find", parents=[common, state_opts],
                               help="search basis subsets for distillable subspaces")
+    find.set_defaults(run=_cmd_dss_find)
     find.add_argument("--bases", metavar="PATH", help="per-party rotated bases file")
     find.add_argument("--require-entangled", action=argparse.BooleanOptionalAction, default=True,
                       help="keep only pure entangled projections (default on)")
@@ -235,76 +211,67 @@ def build_parser() -> _Parser:
 
     check = dss_sub.add_parser("check", parents=[common, state_opts],
                                help="re-verify a claimed distillable subspace")
+    check.set_defaults(run=_cmd_dss_check)
     check.add_argument("--subspace", required=True, metavar="PATH", help="subspace file to verify")
 
     dec = sub.add_parser("decompose", parents=[common],
                          help="factor a product operator into projector, filter and unitary parts")
+    dec.set_defaults(run=_cmd_decompose)
     dec.add_argument("--operator", required=True, metavar="PATH", help="operator file")
 
-    sub.add_parser("entanglement", parents=[common, state_opts],
-                   help="signature / Schmidt / concurrence / entanglement of formation")
+    ent = sub.add_parser("entanglement", parents=[common, state_opts],
+                         help="signature / Schmidt / concurrence / entanglement of formation")
+    ent.set_defaults(run=_cmd_entanglement)
 
     fc = sub.add_parser("filter-compare", parents=[common],
                         help="entanglement of formation before and after the upgrade filter")
+    fc.set_defaults(run=_cmd_filter_compare)
     fc.add_argument("--lambda", dest="lam", type=float, required=True, help="mixing weight")
     fc.add_argument("--grid", metavar="A:B:STEP", help="also evaluate the comparison on a lambda grid")
 
-    sim = sub.add_parser("simulate", parents=[common],
-                         help="run a protocol file or a built-in worked example")
+    optional_state = _state_options(required=False)
+    sim = sub.add_parser("simulate", parents=[common, optional_state],
+                         help="run a protocol file (with --state) or a built-in worked example")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("builtin", nargs="?", choices=("ghz-example", "werner-example"),
-                     help="built-in protocol to run")
-    sim.add_argument("--p", type=float, help="mixing weight for ghz-example")
-    sim.add_argument("--F", type=float, help="fidelity for werner-example")
+                     help="built-in protocol to run: ghz-example takes --p, werner-example --F")
     sim.add_argument("--protocol", metavar="PATH", help="protocol file (with --state)")
-    sim.add_argument("--state", help="state file or preset for --protocol runs")
-    sim.add_argument("--lambda", dest="lam", type=float, help="mixing weight for the filter preset")
-    sim.add_argument("--copies", type=int, default=1)
 
-    rb = sub.add_parser("rankbound", parents=[common],
+    rb = sub.add_parser("rankbound", parents=[common, optional_state],
                         help="rank ceiling for producing a pure state of a given signature")
-    rb.add_argument("--dims", type=_int_list, help="per-party dims, e.g. 2,2,2")
-    rb.add_argument("--state", help="state file or preset (dims taken from it; measured rank reported)")
-    rb.add_argument("--p", type=float)
-    rb.add_argument("--F", type=float)
-    rb.add_argument("--lambda", dest="lam", type=float)
-    rb.add_argument("--copies", type=int, default=1)
+    rb.set_defaults(run=_cmd_rankbound)
+    rb.add_argument("--dims", type=_int_list, help="per-party dims, e.g. 2,2,2 (in place of --state)")
     rb.add_argument("--signature", type=_int_list, required=True, help="target signature, e.g. 2,2,2")
 
     return parser
 
 
 def _resolve_tolerance(args) -> tuple[Tolerance, list[str]]:
-    warnings: list[str] = []
     profile_name = os.environ.get(TOLERANCE_ENV_VAR, "default")
     if profile_name not in TOLERANCE_PROFILES:
         raise CliUsageError(
             f"{TOLERANCE_ENV_VAR}={profile_name!r} is not one of {sorted(TOLERANCE_PROFILES)}"
         )
-    base = TOLERANCE_PROFILES[profile_name]
-    fields = {}
-    for flag, attr in (
-        ("rank_rtol", "rank_rtol"),
-        ("herm_atol", "herm_atol"),
-        ("psd_atol", "psd_atol"),
-        ("purity_atol", "purity_atol"),
-    ):
-        value = getattr(args, flag, None)
-        if value is None:
-            fields[attr] = getattr(base, attr)
-        else:
+    overrides = {}
+    for tolerance in fields(Tolerance):
+        value = getattr(args, tolerance.name)
+        if value is not None:
             if not 0.0 <= value <= 1e-3:
-                raise CliUsageError(f"--{flag.replace('_', '-')} must lie in [0, 1e-3], got {value}")
-            fields[attr] = value
+                raise CliUsageError(
+                    f"--{tolerance.name.replace('_', '-')} must lie in [0, 1e-3], got {value}"
+                )
+            overrides[tolerance.name] = value
+    warnings = []
     if profile_name != "default":
         warnings.append(f"tolerance profile {profile_name!r} from {TOLERANCE_ENV_VAR}")
-    return Tolerance(**fields), warnings
+    return replace(TOLERANCE_PROFILES[profile_name], **overrides), warnings
 
 
-def _file_digest(path: str) -> str:
-    h = hashlib.sha256()
+def _file_input(path: str) -> dict:
+    """How a report records an input file: its path and a short SHA-256."""
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()[:16]
+        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return {"path": path, "sha256": digest}
 
 
 def _resolve_state(args) -> tuple[DensityMatrix, dict]:
@@ -320,17 +287,16 @@ def _resolve_state(args) -> tuple[DensityMatrix, dict]:
         return builder(args), inputs
     if os.path.exists(name):
         rho = fileio.read_state(name)
-        return rho, {"path": name, "sha256": _file_digest(name)}
+        return rho, _file_input(name)
     raise CliUsageError(f"--state {name!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
 
 
 def _single_state(args) -> tuple[DensityMatrix, dict]:
     """Resolve the single-copy state and check --copies, recorded in the inputs."""
     single, inputs = _resolve_state(args)
-    copies = getattr(args, "copies", 1)
-    if copies < 1:
-        raise CliUsageError(f"--copies must be >= 1, got {copies}")
-    inputs["copies"] = copies
+    if args.copies < 1:
+        raise CliUsageError(f"--copies must be >= 1, got {args.copies}")
+    inputs["copies"] = args.copies
     return single, inputs
 
 
@@ -379,7 +345,7 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
     bases = None
     if args.bases:
         bases = fileio.load_bases(fileio.read_json(args.bases), sigma.shape)
-        inputs["bases"] = {"path": args.bases, "sha256": _file_digest(args.bases)}
+        inputs["bases"] = _file_input(args.bases)
     count = candidate_count(sigma.shape)
     certs = find_dss(
         sigma,
@@ -411,7 +377,7 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
 def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
     single, sigma, inputs = _state_with_copies(args)
     subspace = fileio.read_subspace(args.subspace)
-    inputs["subspace"] = {"path": args.subspace, "sha256": _file_digest(args.subspace)}
+    inputs["subspace"] = _file_input(args.subspace)
     verdict = check_certificate(sigma, subspace, tol)
     if isinstance(verdict, Refusal):
         results = {
@@ -429,7 +395,7 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
 
 def _cmd_decompose(args, tol, warnings) -> tuple[Report, int]:
     op = fileio.read_operator(args.operator)
-    inputs = {"operator": {"path": args.operator, "sha256": _file_digest(args.operator)}}
+    inputs = {"operator": _file_input(args.operator)}
     factors = []
     for factor in op.factors:
         parts = decompose(factor, tol)
@@ -552,7 +518,7 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
         raise CliUsageError("simulate needs a builtin name, or both --protocol and --state")
     _, rho, inputs = _state_with_copies(args)
     steps = fileio.read_protocol(args.protocol)
-    inputs["protocol"] = {"path": args.protocol, "sha256": _file_digest(args.protocol)}
+    inputs["protocol"] = _file_input(args.protocol)
     outcome = run(steps, rho)
     results = {
         "steps": len(steps),
@@ -595,39 +561,20 @@ def _cmd_rankbound(args, tol, warnings) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(args, tol, warnings) -> tuple[Report, int]:
-    if args.command == "dss":
-        if args.dss_command == "find":
-            return _cmd_dss_find(args, tol, warnings)
-        return _cmd_dss_check(args, tol, warnings)
-    handler = {
-        "decompose": _cmd_decompose,
-        "entanglement": _cmd_entanglement,
-        "filter-compare": _cmd_filter_compare,
-        "simulate": _cmd_simulate,
-        "rankbound": _cmd_rankbound,
-    }[args.command]
-    return handler(args, tol, warnings)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
         tol, warnings = _resolve_tolerance(args)
-        report, code = _dispatch(args, tol, warnings)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Error as exc:
+        report, code = args.run(args, tol, warnings)
+    except Error as exc:  # CliUsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     report.inputs.setdefault("seed", args.seed)
     report.timing_ms = (time.perf_counter() - started) * 1000.0
-    print(render_report(report, "text"))
+    print(render_report(report))
     if args.json:
-        payload = render_report(report, "json")
+        payload = json.dumps(asdict(report), indent=2)
         if args.json == "-":
             print(payload)
         else:

@@ -135,13 +135,6 @@ def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     return out
 
 
-def trace(m) -> complex:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise InvariantViolation("shape", "trace needs a square matrix")
-    return complex(np.trace(m))
-
-
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all subsystems not listed in ``keep``.
 
@@ -239,4 +232,4 @@ def above_rank_cutoff(values: np.ndarray, rtol: float) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    return np.eye(int(n), dtype=np.complex128)
+    return np.eye(as_int(n, "n"), dtype=np.complex128)

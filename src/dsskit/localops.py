@@ -97,10 +97,6 @@ class ProductOperator:
             raise InvariantViolation("labels", f"duplicate party labels in factors: {labels}")
 
     @classmethod
-    def identity(cls, shape: SystemShape) -> "ProductOperator":
-        return cls(tuple(LocalFactor(p.label, identity(p.dim)) for p in shape.parties))
-
-    @classmethod
     def from_parts(cls, shape: SystemShape, parts: Mapping[str, np.ndarray]) -> "ProductOperator":
         """Named factors with identity filled in for every unnamed party."""
         unknown = set(parts) - set(shape.labels)

@@ -209,14 +209,8 @@ class DensityMatrix:
             mat += float(w) * np.outer(v, np.conj(v))
         return cls(shape, mat)
 
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.mat)))
-
     def eigh(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
         return eig_hermitian(self.mat, tol)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)[::-1].copy()
 
     def top_eigenstate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> "PureState":
         _, v = self.eigh(tol)
@@ -232,11 +226,6 @@ class DensityMatrix:
         red = partial_trace(self.mat, self.shape.dims, keep)
         sub = SystemShape(tuple(self.shape.parties[i] for i in keep))
         return DensityMatrix(sub, red)
-
-    def allclose(self, other: "DensityMatrix", atol: float = 1e-9) -> bool:
-        return self.shape.dims == other.shape.dims and bool(
-            np.max(np.abs(self.mat - other.mat)) <= atol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +254,6 @@ class PureState:
 
     def reduced(self, labels: Iterable[str]) -> DensityMatrix:
         return self.to_density().reduced(labels)
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
@@ -355,8 +341,8 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
 
 
 def basis_vector(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(int(dim), dtype=np.complex128)
-    v[int(index)] = 1.0
+    v = np.zeros(as_int(dim, "dim"), dtype=np.complex128)
+    v[as_int(index, "index")] = 1.0
     return v
 
 

@@ -359,12 +359,6 @@ class _SearchContext:
             (len(weights),) + self.shape.dims
         )
 
-    def restricted(self, indices: tuple[tuple[int, ...], ...]) -> np.ndarray:
-        """Ensemble components supported on the candidate index set, flattened."""
-        rank = self.ensemble.shape[0]
-        grid = np.ix_(range(rank), *indices)
-        return self.ensemble[grid].reshape(rank, -1)
-
     def candidate(self, position: int) -> tuple[tuple[int, ...], ...]:
         """The candidate at a position of the canonical order."""
         picks = np.unravel_index(position, [len(s) for s in self.subsets])
@@ -590,13 +584,23 @@ def find_purifying_subspaces(
 def rank_bound(shape: SystemShape, copies: int, signature: Sequence[int]) -> int:
     """Largest rank of an n-copy state that can still project to a pure
     state of the given dimension signature: ``(prod dims)^n - prod(n_i) + 1``.
+    The signature needs one entry per party with ``1 <= n_i <= d_i^n``.
     """
     copies = as_int(copies, "copies")
     if copies < 1:
         raise InvariantViolation("copies", f"copies must be >= 1, got {copies}")
     signature = tuple(as_int(s, "signature") for s in signature)
+    if len(signature) != len(shape.parties):
+        raise InvariantViolation(
+            "signature", f"signature needs one entry per party ({len(shape.parties)}), got {signature}"
+        )
     if any(s < 1 for s in signature):
         raise InvariantViolation("signature", f"signature entries must be >= 1, got {signature}")
+    ceilings = tuple(p.dim**copies for p in shape.parties)
+    if any(s > c for s, c in zip(signature, ceilings)):
+        raise InvariantViolation(
+            "signature", f"signature entries must not exceed the per-party dims {ceilings}, got {signature}"
+        )
     return shape.total_dim**copies - prod(signature) + 1
 
 

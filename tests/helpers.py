@@ -7,6 +7,15 @@ import numpy as np
 from dsskit import DensityMatrix, Party, PureState, SystemShape
 
 
+def trace(rho: DensityMatrix) -> float:
+    return float(np.real(np.trace(rho.mat)))
+
+
+def allclose(a: DensityMatrix, b: DensityMatrix, atol: float = 1e-9) -> bool:
+    """Same dims and every matrix entry within ``atol``."""
+    return a.shape.dims == b.shape.dims and bool(np.max(np.abs(a.mat - b.mat)) <= atol)
+
+
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)

@@ -8,6 +8,7 @@ from dsskit import (
     LocalSubspace,
     ProductOperator,
     SystemShape,
+    Tolerance,
     bell_state,
     check_rank_bound,
     fileio,
@@ -17,7 +18,8 @@ from dsskit import (
     three_qubit_example,
     werner,
 )
-from dsskit.cli import Report, main, render_report
+from dsskit import cli
+from dsskit.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -49,8 +51,7 @@ def test_find_two_copies_returns_certificate(capsys, tmp_path):
     assert code == 0
     assert "candidates: 3375" in out
     doc = json.loads(json_path.read_text())
-    report = Report.from_dict(doc)
-    assert report.command == "dss find"
+    assert doc["command"] == "dss find"
     certs = doc["results"]["certificates"]
     assert any(
         c["subspace"]["per_party_indices"] == {"A": [1, 2], "B": [1, 2], "C": [1, 2]}
@@ -197,6 +198,9 @@ def test_rankbound_command(capsys):
         ("no-such-command",),
         ("dss", "find", "--state", "example3q", "--p", "5.0"),  # preset validation error
         ("dss", "find", "--state", "bell", "--workers", "4"),  # no such option
+        ("rankbound", "--dims", "2,2", "--signature", "2,2,2"),  # one entry per party
+        ("rankbound", "--dims", "2,2", "--signature", "5,5"),  # above the dims
+        ("rankbound", "--state", "bell", "--signature", "3"),
     ],
 )
 def test_error_paths_exit_1(capsys, argv):
@@ -302,16 +306,30 @@ def test_help_lists_subcommands(capsys):
     assert "find" in out and "check" in out
 
 
-def test_report_round_trip():
-    report = Report(
-        command="demo",
-        inputs={"x": 1.5, "path": "a.json"},
-        results={"values": [1, 2, 3], "nested": {"ok": True}},
-        warnings=["w"],
-        timing_ms=12.25,
+def test_parser_is_built_once_and_leaks_no_state(capsys, monkeypatch):
+    calls = []
+
+    def recording_find_dss(sigma, bases, **kwargs):
+        calls.append(kwargs)
+        return find_dss(sigma, bases, **kwargs)
+
+    monkeypatch.setattr(cli, "find_dss", recording_find_dss)
+    plain = ("dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2")
+    code, reference, _ = run_cli(capsys, *plain)
+    assert code == 0
+    builds = cli.build_parser.cache_info().misses
+
+    code, out, _ = run_cli(
+        capsys, *plain, "--no-require-entangled", "--rank-rtol", "1e-8", "--json", "-"
     )
-    doc = json.loads(render_report(report, "json"))
-    assert Report.from_dict(doc) == report
+    assert code == 0 and '"command": "dss find"' in out
+    code, out, _ = run_cli(capsys, *plain)
+    assert code == 0
+    assert strip_timing(out) == strip_timing(reference)
+    assert "certificates_found: 24" in out and "{" not in out
+    assert calls[-1]["require_entangled"] and calls[-1]["tol"] == Tolerance()
+    assert not calls[1]["require_entangled"] and calls[1]["tol"].rank_rtol == 1e-8
+    assert cli.build_parser.cache_info().misses == builds
 
 
 def test_find_with_bases_file_and_min_signature(capsys, tmp_path):

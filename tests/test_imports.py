@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private function or class is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -6,7 +7,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dsskit"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -43,6 +45,43 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names, attribute names, imported names and string-annotation names
+    used anywhere inside ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {alias.name for alias in sub.names}
+        elif isinstance(sub, (ast.arg, ast.AnnAssign)) and sub.annotation is not None:
+            names |= _annotation_names(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns is not None:
+            names |= _annotation_names(sub.returns)
+    return names
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no other top-level
+    statement of any module references, given each module's source by name.
+    A definition's references to itself, as in recursion, do not count."""
+    statements = []
+    for module, source in sorted(sources.items()):
+        for stmt in ast.parse(source).body:
+            statements.append((module, stmt, _referenced_names(stmt)))
+    unused = []
+    for module, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not stmt.name.startswith("_") or stmt.name.startswith("__"):
+            continue
+        if not any(stmt.name in names for _, other, names in statements if other is not stmt):
+            unused.append(f"{module}: {stmt.name} (line {stmt.lineno})")
+    return unused
+
+
 def test_detector_flags_unused_and_keeps_used():
     source = (
         "from __future__ import annotations\n"
@@ -58,3 +97,26 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_detector_flags_unused_and_keeps_used():
+    sources = {
+        "a.py": (
+            "def _called_here():\n    return 1\n"
+            "def _imported_elsewhere():\n    return 2\n"
+            "def _recursive_only(n):\n    return _recursive_only(n - 1)\n"
+            "class _Annotation:\n    pass\n"
+            "class _Dead:\n    pass\n"
+            "def public(x: '_Annotation') -> int:\n    return _called_here()\n"
+        ),
+        "b.py": "from .a import _imported_elsewhere\nVALUE = _imported_elsewhere()\n",
+    }
+    assert unused_private_definitions(sources) == [
+        "a.py: _recursive_only (line 5)",
+        "a.py: _Dead (line 9)",
+    ]
+
+
+def test_no_unused_private_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unused_private_definitions(sources) == []

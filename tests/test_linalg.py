@@ -12,7 +12,7 @@ from dsskit import (
     partial_trace,
     svd,
 )
-from dsskit.linalg import as_matrix, trace
+from dsskit.linalg import as_matrix
 
 from helpers import random_unitary
 
@@ -221,11 +221,6 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
     assert err.value.invariant == "finite"
 
-
-def test_trace_accessor():
-    assert trace(np.diag([1.0, 2.0]).astype(complex)) == pytest.approx(3.0)
-    with pytest.raises(InvariantViolation):
-        trace(np.ones((2, 3), dtype=complex))
 
 
 def test_kron_all_chain():

@@ -20,11 +20,13 @@ from dsskit import (
 from dsskit.states import PureState, bell_vectors, product_basis_vector
 
 from helpers import (
+    allclose,
     random_contraction,
     random_density,
     random_invertible_contraction,
     random_pure_state,
     random_unitary,
+    trace,
 )
 
 FILTER_A = np.diag([0.5, np.sqrt(3) / 2]).astype(complex)
@@ -59,9 +61,9 @@ def test_product_operator_label_checks():
 
 def test_apply_identity():
     rho = filter_example(0.7)
-    out, probability = apply(ProductOperator.identity(rho.shape), rho)
+    out, probability = apply(ProductOperator.from_parts(rho.shape, {}), rho)
     assert probability == pytest.approx(1.0)
-    assert out.allclose(rho, atol=1e-12)
+    assert allclose(out, rho, atol=1e-12)
 
 
 def test_apply_filter_example_closed_form():
@@ -134,7 +136,7 @@ def test_apply_conserves_positivity_random():
             continue
         # DensityMatrix construction re-validates Hermiticity/PSD/trace
         assert 0.0 < probability <= 1.0 + 1e-9
-        assert out.trace() == pytest.approx(1.0)
+        assert trace(out) == pytest.approx(1.0)
 
 
 def test_decompose_unitary():
@@ -210,7 +212,7 @@ def test_pipeline_equivalence():
         projected, p1 = apply(proj_op, rho)
         staged, p2 = apply(rest_op, projected)
         assert p1 * p2 == pytest.approx(p_direct, abs=1e-12)
-        assert staged.allclose(direct, atol=1e-9)
+        assert allclose(staged, direct, atol=1e-9)
 
 
 def test_is_full_rank_on():
@@ -272,7 +274,7 @@ def test_apply_to_pure_matches_density_route():
     pure_out, p_pure = apply_to_pure(op, psi)
     dens_out, p_dens = apply(op, psi.to_density())
     assert p_pure == pytest.approx(p_dens, abs=1e-12)
-    assert dens_out.allclose(pure_out.to_density(), atol=1e-10)
+    assert allclose(dens_out, pure_out.to_density(), atol=1e-10)
 
 
 def test_apply_matches_explicit_post_selection_random_complex():

@@ -68,9 +68,16 @@ def search_instances(draw):
     return state, bases, planted
 
 
+def restricted_ensemble(ctx, indices) -> np.ndarray:
+    """The search context's ensemble components supported on the candidate
+    index set, flattened."""
+    rank = ctx.ensemble.shape[0]
+    return ctx.ensemble[np.ix_(range(rank), *indices)].reshape(rank, -1)
+
+
 def old_screen_keeps(ctx, indices) -> bool:
     """The per-candidate zero/mixed test: one SVD of the restricted ensemble."""
-    restricted = ctx.restricted(indices)
+    restricted = restricted_ensemble(ctx, indices)
     weight = float(np.sum(np.abs(restricted) ** 2))
     if weight <= ZERO_WEIGHT * 0.1:
         return False

@@ -29,7 +29,7 @@ from dsskit import (
 from dsskit.protocols import GhzBranchReport
 from dsskit.states import PureState, product_basis_vector
 
-from helpers import random_contraction, random_density, random_unitary
+from helpers import allclose, random_contraction, random_density, random_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -39,7 +39,7 @@ def test_run_empty_protocol():
     result = run([], rho)
     assert len(result.branches) == 1
     assert result.branches[0].probability == pytest.approx(1.0)
-    assert result.branches[0].state.allclose(rho)
+    assert allclose(result.branches[0].state, rho)
     assert result.dropped_weight == 0.0
 
 

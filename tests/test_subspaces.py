@@ -319,8 +319,19 @@ def test_rank_bound_values():
     assert rank_bound(SystemShape.qubits("ABC"), 2, (2, 2, 2)) == 64 - 8 + 1
     assert rank_bound(SystemShape.qubits("AB"), 1, (2, 2)) == 1
     assert rank_bound(SystemShape.qubits("AB"), 1, (1, 1)) == 4
-    with pytest.raises(InvariantViolation):
-        rank_bound(SystemShape.qubits("AB"), 1, (0, 2))
+    assert rank_bound(SystemShape.qubits("AB"), 2, (4, 4)) == 1
+
+
+@pytest.mark.parametrize(
+    "copies,signature",
+    [(1, (0, 2)), (1, (2, 2, 2)), (1, (3,)), (1, (5, 5)), (1, (3, 2)), (2, (5, 4))],
+    ids=["zero-entry", "extra-entry", "missing-entry", "above-dims", "one-above", "above-power"],
+)
+def test_rank_bound_refuses_signatures_outside_the_dims(copies, signature):
+    # One entry per party, each between 1 and the party's dim d_i^copies.
+    with pytest.raises(InvariantViolation) as err:
+        rank_bound(SystemShape.qubits("AB"), copies, signature)
+    assert err.value.invariant == "signature"
 
 
 def test_check_rank_bound_worked_example():

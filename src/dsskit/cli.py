@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from . import fileio
@@ -41,6 +41,7 @@ from .states import (
     DensityMatrix,
     SystemShape,
     _power_spectrum,
+    _power_top_eigenstate,
     bell_state,
     filter_example,
     ghz_state,
@@ -183,7 +184,7 @@ def _state_options(required: bool) -> argparse.ArgumentParser:
     opts.add_argument("--p", type=float, help="mixing weight for the example3q preset")
     opts.add_argument("--F", type=float, help="fidelity parameter for the werner preset")
     opts.add_argument("--lambda", dest="lam", type=float, help="mixing weight for the filter preset")
-    opts.add_argument("--copies", type=int, default=1, help="tensor-power copies (default 1)")
+    opts.add_argument("--copies", type=int, help="tensor-power copies (default 1)")
     return opts
 
 
@@ -294,10 +295,24 @@ def _resolve_state(args) -> tuple[DensityMatrix, dict]:
 def _single_state(args) -> tuple[DensityMatrix, dict]:
     """Resolve the single-copy state and check --copies, recorded in the inputs."""
     single, inputs = _resolve_state(args)
-    if args.copies < 1:
-        raise CliUsageError(f"--copies must be >= 1, got {args.copies}")
-    inputs["copies"] = args.copies
+    copies = _copies(args)
+    if copies < 1:
+        raise CliUsageError(f"--copies must be >= 1, got {copies}")
+    inputs["copies"] = copies
     return single, inputs
+
+
+def _copies(args) -> int:
+    """``--copies``, 1 when not given."""
+    return 1 if args.copies is None else args.copies
+
+
+def _refuse_with(context: str, **flags) -> None:
+    """A usage error naming the first of ``flags`` (flag name -> parsed value)
+    that was given, since with ``context`` it would go unread."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise CliUsageError(f"--{flag} cannot be combined with {context}")
 
 
 def _state_with_copies(args) -> tuple[DensityMatrix, DensityMatrix, dict]:
@@ -421,13 +436,14 @@ def _cmd_decompose(args, tol, warnings) -> tuple[Report, int]:
 def _cmd_entanglement(args, tol, warnings) -> tuple[Report, int]:
     single, inputs = _single_state(args)
     copies = inputs["copies"]
-    # The power itself is built only for a pure state.
+    # The power itself is never built: a pure power's top eigenvector is
+    # the regrouped kron of the single copy's.
     top = float(_power_spectrum(single, copies).max())
     results: dict[str, Any] = {"per_party_dims": [d**copies for d in single.shape.dims]}
     results["top_eigenvalue"] = top
     results["pure"] = bool(top >= 1.0 - tol.purity_atol)
     if results["pure"]:
-        psi = tensor_power(single, copies).top_eigenstate(tol)
+        psi = _power_top_eigenstate(single, copies, tol)
         results["signature"] = list(dimension_signature(psi, tol))
         if len(single.shape.parties) == 2:
             results["schmidt_coefficients"] = [float(c) for c in schmidt(psi)]
@@ -476,6 +492,9 @@ def _cmd_filter_compare(args, tol, warnings) -> tuple[Report, int]:
 
 
 def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
+    if args.builtin is not None:
+        _refuse_with(f"simulate {args.builtin}", state=args.state, protocol=args.protocol,
+                     copies=args.copies)
     if args.builtin == "ghz-example":
         if args.p is None:
             raise CliUsageError("simulate ghz-example requires --p")
@@ -539,16 +558,17 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
 def _cmd_rankbound(args, tol, warnings) -> tuple[Report, int]:
     measured = None
     if args.state:
+        _refuse_with("--state", dims=args.dims)
         single, inputs = _single_state(args)
         shape = single.shape
-        measured = power_rank(single, args.copies, tol)
+        measured = power_rank(single, inputs["copies"], tol)
     elif args.dims:
         shape = SystemShape.of(*((chr(ord("A") + i), d) for i, d in enumerate(args.dims)))
-        inputs = {"dims": list(args.dims), "copies": args.copies}
+        inputs = {"dims": list(args.dims), "copies": _copies(args)}
     else:
         raise CliUsageError("rankbound needs --dims or --state")
     inputs["signature"] = list(args.signature)
-    bound = rank_bound(shape, args.copies, args.signature)
+    bound = rank_bound(shape, inputs["copies"], args.signature)
     results: dict[str, Any] = {"bound": bound}
     if measured is not None:
         results["measured_rank"] = measured
@@ -574,7 +594,7 @@ def main(argv=None) -> int:
     report.timing_ms = (time.perf_counter() - started) * 1000.0
     print(render_report(report))
     if args.json:
-        payload = json.dumps(asdict(report), indent=2)
+        payload = json.dumps({f.name: getattr(report, f.name) for f in fields(report)}, indent=2)
         if args.json == "-":
             print(payload)
         else:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import DEFAULT_TOLERANCE, Tolerance, above_rank_cutoff, numerical_rank
+from .linalg import DEFAULT_TOLERANCE, Tolerance, above_rank_cutoff, kron_all, numerical_rank
 from .localops import ProductOperator, apply, apply_to_pure
 from .states import DensityMatrix, PureState, bell_state, fidelity_with_pure, filter_example
 
@@ -23,7 +23,7 @@ from .states import DensityMatrix, PureState, bell_state, fidelity_with_pure, fi
 # Y = [[0, -i], [i, 0]].  Complex conjugation is taken in the computational
 # basis, the standard convention for this formula.
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_SPIN_FLIP = np.kron(_Y, _Y)
+_SPIN_FLIP = kron_all((_Y, _Y))
 
 #: The local filter used by the upgrade example: (1/2)|0><0| + (sqrt(3)/2)|1><1|.
 FILTER_UPGRADE_MATRIX = np.diag([0.5, sqrt(3.0) / 2.0]).astype(np.complex128)

@@ -17,7 +17,7 @@ concurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -38,6 +38,7 @@ from .states import (
     DensityMatrix,
     Party,
     SystemShape,
+    _normalized,
     _post_select,
     bell_vectors,
     fidelity_with_pure,
@@ -153,6 +154,14 @@ def _unitary_branch(step: LocalUnitary, branch: BranchTrace) -> tuple[list[Branc
 
 
 def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[BranchTrace], float]:
+    """Split ``branch`` per outcome of the measured subsystem.
+
+    With the flat index read as ``(outer, k, inner)`` around the measured
+    subsystem of dimension ``k``, the unnormalized state of outcome ``o`` is
+    the block ``<b_o| rho |b_o>`` taken on both sides of that axis.  A
+    ``basis`` rotates the axis once, ``rho[., a, ., ., c, .]`` to
+    ``<b_a| rho |b_c>``; then each outcome's block is read off by slicing.
+    """
     shape = branch.state.shape
     pi = shape.party_index(step.party)
     party = shape.parties[pi]
@@ -162,14 +171,17 @@ def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[
             f"party {party.label!r} has subsystems {tuple(range(len(party.dims)))}, "
             f"got index {step.subsystem}",
         )
-    sub_dim = party.dims[step.subsystem]
-    basis = identity(sub_dim) if step.basis is None else as_matrix(step.basis)
-    if basis.shape != (sub_dim, sub_dim):
-        raise InvariantViolation("dimension", f"measurement basis must be {sub_dim}x{sub_dim}")
-    require_orthonormal(basis, "unitary", "measurement basis columns must be orthonormal")
-
-    before = int(np.prod(party.dims[: step.subsystem], dtype=int))
-    after = int(np.prod(party.dims[step.subsystem + 1 :], dtype=int))
+    k = party.dims[step.subsystem]
+    outer = prod(shape.dims[:pi]) * prod(party.dims[: step.subsystem])
+    inner = prod(party.dims[step.subsystem + 1 :]) * prod(shape.dims[pi + 1 :])
+    blocks = branch.state.mat.reshape(outer, k, inner, outer, k, inner)
+    if step.basis is not None:
+        basis = as_matrix(step.basis)
+        if basis.shape != (k, k):
+            raise InvariantViolation("dimension", f"measurement basis must be {k}x{k}")
+        require_orthonormal(basis, "unitary", "measurement basis columns must be orthonormal")
+        blocks = np.einsum("ba,obipcq->oaipcq", np.conj(basis), blocks)
+        blocks = np.einsum("oaipcq,cd->oaipdq", blocks, basis)
 
     remaining_dims = party.dims[: step.subsystem] + party.dims[step.subsystem + 1 :]
     if remaining_dims:
@@ -183,11 +195,10 @@ def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[
 
     branches: list[BranchTrace] = []
     lost = 0.0
-    for outcome in range(sub_dim):
-        bra = np.conj(basis[:, outcome]).reshape(1, sub_dim)
-        local = kron_all([identity(before), bra, identity(after)])
-        mats = [local if i == pi else identity(p.dim) for i, p in enumerate(shape.parties)]
-        weight, state = _post_select(branch.state, kron_all(mats), new_shape)
+    side = outer * inner
+    for outcome in range(k):
+        block = blocks[:, outcome, :, :, outcome, :].reshape(side, side)
+        weight, state = _normalized(block, new_shape)
         if state is None:
             lost += branch.probability * max(weight, 0.0)
             continue
@@ -287,7 +298,7 @@ def ghz_distillation_steps(two_copies_shape: SystemShape) -> list[ProtocolStep]:
     subspace = LocalSubspace.from_indices(
         two_copies_shape, {label: (1, 2) for label in labels}
     )
-    rotate = LocalUnitary({label: np.kron(identity(2), _HADAMARD) for label in labels})
+    rotate = LocalUnitary({label: kron_all((identity(2), _HADAMARD)) for label in labels})
     steps: list[ProtocolStep] = [Project(subspace), rotate]
     steps += [MeasureAndDiscard(label, 1) for label in labels]
     steps.append(

@@ -27,6 +27,7 @@ from .linalg import (
     as_vector,
     dagger,
     eig_hermitian,
+    kron_all,
     partial_trace,
 )
 
@@ -267,23 +268,24 @@ def fidelity_with_pure(rho: DensityMatrix, psi: PureState) -> float:
 def _post_select(
     rho: DensityMatrix, m: np.ndarray, shape: SystemShape
 ) -> tuple[float, DensityMatrix | None]:
-    """Apply ``m`` and renormalize: the weight ``tr(m rho m†)`` and the state
-    ``m rho m† / weight`` on ``shape``, or None when the weight does not
+    """Apply ``m`` and renormalize: :func:`_normalized` of ``m rho m†``."""
+    return _normalized(m @ rho.mat @ dagger(m), shape)
+
+
+def _normalized(out: np.ndarray, shape: SystemShape) -> tuple[float, DensityMatrix | None]:
+    """The weight ``tr(out)`` of an unnormalized post-selected state and the
+    state ``out / weight`` on ``shape``, or None when the weight does not
     exceed ``ZERO_WEIGHT``.  Every post-selected state update goes through
     here; each caller keeps its own probability bookkeeping."""
-    out = m @ rho.mat @ dagger(m)
     weight = float(np.real(np.trace(out)))
     if weight <= ZERO_WEIGHT:
         return weight, None
     return weight, DensityMatrix(shape, out / weight)
 
 
-def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
-    """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted: the
-    ``n``-fold products of the eigenvalues of ``rho`` (Horn & Johnson,
-    *Topics in Matrix Analysis*, Thm 4.2.12).  Regrouping the copies is a
-    permutation similarity, so it leaves them unchanged.  Raises where
-    :func:`tensor_power` would: for ``n < 1`` and above ``MAX_SIDE``."""
+def _checked_copies(rho: DensityMatrix, n: int) -> int:
+    """``n`` as a copy count of ``rho``: an integer ``>= 1`` whose power
+    stays within ``MAX_SIDE``."""
     n = as_int(n, "copies")
     if n < 1:
         raise InvariantViolation("copies", f"copies must be >= 1, got {n}")
@@ -292,6 +294,26 @@ def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
         raise DimensionCapError(
             f"{n} copies give total dimension {total}, above the cap {MAX_SIDE}"
         )
+    return n
+
+
+def _party_major(shape: SystemShape, n: int) -> tuple[tuple[int, ...], list[int], SystemShape]:
+    """How ``n`` copies over ``shape`` regroup party-major: the per-party
+    axis sizes of the copy-major kron, the axis order that puts each party's
+    copies side by side, and the regrouped shape."""
+    k = len(shape.parties)
+    order = [c * k + p for p in range(k) for c in range(n)]
+    parties = tuple(Party(p.label, p.dims * n) for p in shape.parties)
+    return shape.dims * n, order, SystemShape(parties)
+
+
+def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
+    """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted: the
+    ``n``-fold products of the eigenvalues of ``rho`` (Horn & Johnson,
+    *Topics in Matrix Analysis*, Thm 4.2.12).  Regrouping the copies is a
+    permutation similarity, so it leaves them unchanged.  Raises where
+    :func:`tensor_power` would: for ``n < 1`` and above ``MAX_SIDE``."""
+    n = _checked_copies(rho, n)
     base = np.linalg.eigvalsh(rho.mat)
     spectrum = base
     for _ in range(n - 1):
@@ -318,21 +340,32 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
         return rho
     spectrum = _power_spectrum(rho, n)
     total = spectrum.size
-    big = rho.mat
-    for _ in range(n - 1):
-        big = np.kron(big, rho.mat)
+    axes, order, shape = _party_major(rho.shape, n)
+    perm = order + [len(axes) + o for o in order]
+    big = kron_all([rho.mat] * n)
+    mat = big.reshape(axes * 2).transpose(perm).reshape(total, total)
+    return DensityMatrix._from_spectrum(shape, mat, spectrum, copy_base=rho, copies=n)
 
-    sizes = list(rho.shape.dims)
-    k = len(sizes)
-    axes = sizes * n  # copy-major axis sizes
-    order = [c * k + p for p in range(k) for c in range(n)]  # party-major
-    perm = order + [n * k + o for o in order]
-    mat = big.reshape(tuple(axes) * 2).transpose(perm).reshape(total, total)
 
-    parties = tuple(Party(p.label, p.dims * n) for p in rho.shape.parties)
-    return DensityMatrix._from_spectrum(
-        SystemShape(parties), mat, spectrum, copy_base=rho, copies=n
-    )
+def _power_top_eigenstate(
+    rho: DensityMatrix, n: int, tol: Tolerance = DEFAULT_TOLERANCE
+) -> PureState:
+    """The top eigenvector of ``tensor_power(rho, n)`` without forming the
+    power: the party-major regrouping of the ``n``-fold kron of ``rho``'s
+    top eigenvector, at eigenvalue ``l1**n``.  That eigenvalue is simple,
+    and its eigenvector unique up to phase, when ``rho``'s top eigenvalue
+    ``l1`` exceeds 1/2 (every other eigenvalue of the power is at most
+    ``l1**(n-1) * (1 - l1)``); below that this raises."""
+    n = _checked_copies(rho, n)
+    w, v = rho.eigh(tol)
+    if w[0] <= 0.5:
+        raise InvariantViolation(
+            "degenerate",
+            f"top eigenvalue {w[0]:.6g} <= 1/2 leaves the power's top eigenvector ambiguous",
+        )
+    axes, order, shape = _party_major(rho.shape, n)
+    vec = kron_all([v[:, :1]] * n).reshape(axes).transpose(order).reshape(-1)
+    return PureState(shape, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +373,29 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _index(index, dim: int) -> int:
+    """``index`` as an integer in ``0..dim-1``; a negative one does not wrap."""
+    index = as_int(index, "index")
+    if not 0 <= index < dim:
+        raise InvariantViolation("index", f"index {index} out of range 0..{dim - 1}")
+    return index
+
+
 def basis_vector(dim: int, index: int) -> np.ndarray:
     v = np.zeros(as_int(dim, "dim"), dtype=np.complex128)
-    v[as_int(index, "index")] = 1.0
+    v[_index(index, v.size)] = 1.0
     return v
 
 
 def product_basis_vector(shape: SystemShape, occupations: Sequence[int]) -> np.ndarray:
-    """Computational product vector, one occupation index per party."""
+    """Computational product vector, one occupation index per party: the
+    one-hot vector at the most-significant-first flat index."""
     if len(occupations) != len(shape.parties):
         raise InvariantViolation("occupations", "one index per party required")
-    vec = np.ones(1, dtype=np.complex128)
+    flat = 0
     for p, occ in zip(shape.parties, occupations):
-        vec = np.kron(vec, basis_vector(p.dim, occ))
-    return vec
+        flat = flat * p.dim + _index(occ, p.dim)
+    return basis_vector(shape.total_dim, flat)
 
 
 def bell_vectors() -> dict[str, np.ndarray]:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -207,6 +208,35 @@ def test_error_paths_exit_1(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("simulate", "ghz-example", "--p", "0.5", "--state", "werner", "--F", "0.9",
+          "--copies", "3", "--protocol", "nonexist.json"), "--state"),
+        (("simulate", "ghz-example", "--p", "0.5", "--protocol", "p.json"), "--protocol"),
+        (("simulate", "werner-example", "--F", "0.8", "--copies", "1"), "--copies"),
+        (("rankbound", "--dims", "2,2", "--state", "bell", "--signature", "2,2"), "--dims"),
+    ],
+    ids=["simulate-state", "simulate-protocol", "simulate-copies", "rankbound-dims"],
+)
+def test_flags_that_would_go_unread_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} cannot be combined with")
+
+
+def test_entanglement_of_four_ghz_copies_builds_no_dense_power(capsys, tmp_path):
+    json_path = tmp_path / "report.json"
+    started = time.perf_counter()
+    code, _, _ = run_cli(capsys, "entanglement", "--state", "ghz", "--copies", "4",
+                         "--json", str(json_path))
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    results = json.loads(json_path.read_text())["results"]
+    assert results["pure"] and results["per_party_dims"] == [16, 16, 16]
+    assert results["signature"] == [16, 16, 16]  # each party holds 4 copies of rank 2
 
 
 def test_bad_state_file_exit_1(capsys, tmp_path):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function or class is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+module-level private function or class is used somewhere in the package,
+and only ``linalg.py`` reaches numpy's Kronecker product."""
 
 import ast
 import pathlib
@@ -120,3 +121,43 @@ def test_private_detector_flags_unused_and_keeps_used():
 def test_no_unused_private_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unused_private_definitions(sources) == []
+
+
+def numpy_kron_uses(source: str) -> list[str]:
+    """``np.kron``/``numpy.kron`` references and ``from numpy import kron``,
+    called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "kron"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append(f"{node.value.id}.kron (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"import kron (line {node.lineno})" for a in node.names if a.name == "kron"]
+    return found
+
+
+def test_kron_detector_flags_numpy_kron_and_keeps_the_kernel():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import kron\n"
+        "from .linalg import kron_all\n"
+        "A = np.kron(np.eye(2), np.eye(2))\n"
+        "B = functools.reduce(numpy.kron, [A, A])\n"
+        "C = kron_all((A, A))\n"
+        "D = other.kron(A, A)\n"
+    )
+    assert numpy_kron_uses(source) == [
+        "import kron (line 3)",
+        "np.kron (line 5)",
+        "numpy.kron (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_only_linalg_uses_numpy_kron(path):
+    assert numpy_kron_uses(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,5 @@
-"""Property tests of the subspace search and of tensor powers.
+"""Property tests of the subspace search, of tensor powers and of the
+kernels behind local operations.
 
 Each search example draws a seed and builds a state on two or three
 parties: a random low-rank state, or a planted instance hiding a pure
@@ -7,10 +8,14 @@ state by random local unitaries and search in the rotated bases, where the
 planted subspace is again basis-aligned.
 
 The tensor-power examples check what is read off the single-copy spectrum
-(the rank and the positivity of the n-copy state) against the dense
-computation on the n-copy matrix.
+(the rank and the positivity of the n-copy state, the top eigenvector of a
+pure power) against the dense computation on the n-copy matrix.
+
+The kernel examples check ``kron_all`` against chained ``np.kron`` and the
+sliced measurement outcomes against dense padded post-selection.
 """
 
+import functools
 import itertools
 import logging
 
@@ -23,15 +28,22 @@ from dsskit import (
     DensityMatrix,
     DimensionCapError,
     InvariantViolation,
+    MeasureAndDiscard,
     Party,
     SystemShape,
+    bell_state,
     decompose,
+    dimension_signature,
     find_dss,
+    ghz_state,
     iter_candidates,
     numerical_rank,
     power_rank,
+    run,
+    schmidt,
     tensor_power,
     three_qubit_example,
+    w_state,
     werner,
 )
 from dsskit import states, subspaces
@@ -293,3 +305,96 @@ def test_decompose_and_search_keep_the_numerical_rank(instance):
         rho = state_with_spectrum(rng, shape, weights)
         kept = _SearchContext(rho, None, tol).ensemble.shape[0]
         assert kept == numerical_rank(rho.mat, tol) == rank
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("preset", [bell_state, ghz_state, w_state], ids=lambda f: f.__name__)
+def test_pure_power_top_eigenstate_matches_dense(preset, copies):
+    single = preset().to_density()
+    tol = Tolerance()
+    power = tensor_power(single, copies)
+    dense = power.top_eigenstate(tol)
+    psi = states._power_top_eigenstate(single, copies, tol)
+    assert psi.shape == power.shape
+    assert dimension_signature(psi, tol) == dimension_signature(dense, tol)
+    labels = power.shape.labels
+    cut = (labels[:1], labels[1:])
+    assert np.max(np.abs(schmidt(psi, cut) - schmidt(dense, cut))) <= 1e-12
+    assert abs(abs(np.vdot(dense.amplitudes, psi.amplitudes)) - 1.0) <= 1e-12
+
+
+def test_pure_power_top_eigenstate_refuses_an_ambiguous_top():
+    with pytest.raises(InvariantViolation) as err:
+        states._power_top_eigenstate(werner(0.5), 2)
+    assert err.value.invariant == "degenerate"
+
+
+# ---------------------------------------------------------------------------
+# Kernels of the local operations
+# ---------------------------------------------------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def kron_factors(draw):
+    """One to four random complex factors, each 1 to 4 rows by 1 to 4 columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
+    return [rng.normal(size=side) + 1j * rng.normal(size=side) for side in sides]
+
+
+@KERNEL_SETTINGS
+@given(kron_factors())
+def test_kron_all_is_chained_np_kron(factors):
+    assert np.array_equal(kron_all(factors), functools.reduce(np.kron, factors))
+
+
+#: Shapes whose parties hold one to three subsystems.
+MEASURE_SHAPES = [
+    SystemShape.of(("A", (2, 3)), ("B", 2)),
+    SystemShape.of(("A", 2), ("B", (3, 2))),
+    SystemShape.of(("A", (2, 2)), ("B", (2, 2))),
+    SystemShape.of(("A", 2), ("B", (2, 2, 2)), ("C", 3)),
+]
+
+
+@st.composite
+def measure_instances(draw):
+    """A random low-rank state and whether to measure in random unitary bases."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = MEASURE_SHAPES[draw(st.integers(0, len(MEASURE_SHAPES) - 1))]
+    return rng, random_density(rng, shape, rank=draw(st.integers(1, 3))), draw(st.booleans())
+
+
+def padded_post_selection(rho: DensityMatrix, party: int, subsystem: int, bra: np.ndarray):
+    """``(I (x) <b| (x) I) rho (...)†``, the padded operator built by plain
+    kron over every party and subsystem, and its trace."""
+    mats = []
+    for i, p in enumerate(rho.shape.parties):
+        for j, d in enumerate(p.dims):
+            mats.append(bra.reshape(1, -1) if (i, j) == (party, subsystem) else np.eye(d))
+    m = functools.reduce(np.kron, mats)
+    out = m @ rho.mat @ np.conj(m).T
+    return out, float(np.real(np.trace(out)))
+
+
+@KERNEL_SETTINGS
+@given(measure_instances())
+def test_sliced_measurement_matches_padded_post_selection(instance):
+    rng, rho, rotate = instance
+    for pi, party in enumerate(rho.shape.parties):
+        for sub, d in enumerate(party.dims):
+            basis = random_unitary(rng, d) if rotate else None
+            result = run([MeasureAndDiscard(party.label, sub, basis)], rho)
+            assert [b.outcomes for b in result.branches] == [(o,) for o in range(d)]
+            for outcome, branch in enumerate(result.branches):
+                bra = np.conj((np.eye(d) if basis is None else basis)[:, outcome])
+                out, weight = padded_post_selection(rho, pi, sub, bra)
+                expected = DensityMatrix(branch.state.shape, out / weight)
+                if basis is None:
+                    assert branch.probability == weight
+                    assert np.array_equal(branch.state.mat, expected.mat)
+                else:
+                    assert abs(branch.probability - weight) <= 1e-12
+                    assert np.max(np.abs(branch.state.mat - expected.mat)) <= 1e-12

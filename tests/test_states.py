@@ -223,6 +223,34 @@ def test_non_integer_counts_are_refused(call, invariant):
     assert "expected an integer" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: basis_vector(3, -1),
+        lambda: basis_vector(3, 3),
+        lambda: product_basis_vector(SystemShape.qubits("AB"), (-1, 0)),
+        lambda: product_basis_vector(SystemShape.qubits("AB"), (0, 2)),
+        lambda: product_basis_vector(SystemShape.of(("A", 3), ("B", 2)), (3, 0)),
+    ],
+    ids=["basis_vector-negative", "basis_vector-past-end", "product-negative",
+         "product-aliasing", "product-past-party"],
+)
+def test_out_of_range_indices_are_refused(call):
+    with pytest.raises(InvariantViolation) as err:
+        call()
+    assert err.value.invariant == "index"
+    assert "out of range" in str(err.value)
+
+
+def test_product_basis_vector_sets_the_flat_index():
+    shape = SystemShape.of(("A", 3), ("B", (2, 2)))
+    for a in range(3):
+        for b in range(4):
+            expected = np.zeros(12, dtype=complex)
+            expected[a * 4 + b] = 1.0
+            assert np.array_equal(product_basis_vector(shape, (a, b)), expected)
+
+
 def test_numpy_integer_counts_are_accepted():
     shape = SystemShape.of(("A", np.int64(2)), ("B", (np.int32(2),)))
     assert shape.dims == (2, 2)

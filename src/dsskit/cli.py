@@ -77,7 +77,7 @@ TOLERANCE_ENV_VAR = "DSSKIT_TOLERANCE_PROFILE"
 PRESETS = {
     "example3q": ("p", lambda args: three_qubit_example(args.p)),
     "werner": ("F", lambda args: werner(args.F)),
-    "filter": ("lam", lambda args: filter_example(args.lam)),
+    "filter": ("lambda", lambda args: filter_example(args.lam)),
     "ghz": (None, lambda args: ghz_state().to_density()),
     "w": (None, lambda args: w_state().to_density()),
     "w-variant": (None, lambda args: w_state_variant().to_density()),
@@ -275,18 +275,28 @@ def _file_input(path: str) -> dict:
     return {"path": path, "sha256": digest}
 
 
+def _preset_flags(args) -> dict[str, Any]:
+    """The preset parameter flags (flag name -> parsed value, None when absent)."""
+    return {"p": args.p, "F": args.F, "lambda": args.lam}
+
+
 def _resolve_state(args) -> tuple[DensityMatrix, dict]:
+    """The state ``--state`` names; a preset parameter flag it does not read
+    is a usage error."""
     name = args.state
+    flags = _preset_flags(args)
     if name in PRESETS:
-        param, builder = PRESETS[name]
+        flag, builder = PRESETS[name]
         inputs: dict[str, Any] = {"preset": name}
-        if param is not None:
-            if getattr(args, param) is None:
-                flag = {"p": "--p", "F": "--F", "lam": "--lambda"}[param]
-                raise CliUsageError(f"preset {name!r} requires {flag}")
-            inputs[param if param != "lam" else "lambda"] = getattr(args, param)
+        if flag is not None:
+            value = flags.pop(flag)
+            if value is None:
+                raise CliUsageError(f"preset {name!r} requires --{flag}")
+            inputs[flag] = value
+        _refuse_with(f"--state {name}", **flags)
         return builder(args), inputs
     if os.path.exists(name):
+        _refuse_with("a state file", **flags)
         rho = fileio.read_state(name)
         return rho, _file_input(name)
     raise CliUsageError(f"--state {name!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
@@ -313,12 +323,6 @@ def _refuse_with(context: str, **flags) -> None:
     for flag, value in flags.items():
         if value is not None:
             raise CliUsageError(f"--{flag} cannot be combined with {context}")
-
-
-def _state_with_copies(args) -> tuple[DensityMatrix, DensityMatrix, dict]:
-    """Resolve the single-copy state and its tensor power per --copies."""
-    single, inputs = _single_state(args)
-    return single, tensor_power(single, inputs["copies"]), inputs
 
 
 def _subspace_doc(cert_subspace) -> dict:
@@ -356,7 +360,8 @@ def _rank_bound_doc(rank: int, shape: SystemShape, copies: int, cert: DssCertifi
 
 
 def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
-    single, sigma, inputs = _state_with_copies(args)
+    single, inputs = _single_state(args)
+    sigma = tensor_power(single, inputs["copies"])
     bases = None
     if args.bases:
         bases = fileio.load_bases(fileio.read_json(args.bases), sigma.shape)
@@ -390,10 +395,12 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
 
 
 def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
-    single, sigma, inputs = _state_with_copies(args)
+    # The n-copy state is never built: the subspace compression and the
+    # rank both come from the single copy.
+    single, inputs = _single_state(args)
     subspace = fileio.read_subspace(args.subspace)
     inputs["subspace"] = _file_input(args.subspace)
-    verdict = check_certificate(sigma, subspace, tol)
+    verdict = check_certificate(single, subspace, tol, copies=inputs["copies"])
     if isinstance(verdict, Refusal):
         results = {
             "accepted": False,
@@ -493,8 +500,10 @@ def _cmd_filter_compare(args, tol, warnings) -> tuple[Report, int]:
 
 def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
     if args.builtin is not None:
+        unread = _preset_flags(args)
+        del unread[{"ghz-example": "p", "werner-example": "F"}[args.builtin]]
         _refuse_with(f"simulate {args.builtin}", state=args.state, protocol=args.protocol,
-                     copies=args.copies)
+                     copies=args.copies, **unread)
     if args.builtin == "ghz-example":
         if args.p is None:
             raise CliUsageError("simulate ghz-example requires --p")
@@ -535,7 +544,8 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
         return Report("simulate werner-example", {"F": args.F}, results, warnings), EXIT_OK
     if not args.protocol or not args.state:
         raise CliUsageError("simulate needs a builtin name, or both --protocol and --state")
-    _, rho, inputs = _state_with_copies(args)
+    single, inputs = _single_state(args)
+    rho = tensor_power(single, inputs["copies"])
     steps = fileio.read_protocol(args.protocol)
     inputs["protocol"] = _file_input(args.protocol)
     outcome = run(steps, rho)
@@ -563,6 +573,7 @@ def _cmd_rankbound(args, tol, warnings) -> tuple[Report, int]:
         shape = single.shape
         measured = power_rank(single, inputs["copies"], tol)
     elif args.dims:
+        _refuse_with("--dims", **_preset_flags(args))
         shape = SystemShape.of(*((chr(ord("A") + i), d) for i, d in enumerate(args.dims)))
         inputs = {"dims": list(args.dims), "copies": _copies(args)}
     else:

@@ -39,6 +39,7 @@ from .states import (
     Party,
     SystemShape,
     _normalized,
+    _party_major,
     _post_select,
     bell_vectors,
     fidelity_with_pure,
@@ -384,13 +385,15 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
     Bell basis; for F above the separability threshold its concurrence
     exceeds the single-copy value ``max(0, 2F - 1)``.  The combined entry is
     the concurrence of the weight-averaged post-selection ensemble over the
-    two subspaces.
+    two subspaces.  Each projection is taken from ``werner(F)`` at two
+    copies (:func:`~dsskit.subspaces.project`), so the 16x16 two-copy state
+    is never built.
     """
     F = float(F)
     if not 0.0 <= F <= 1.0:
         raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
     single = werner(F)
-    two = tensor_power(single, 2)
+    two_copy_shape = _party_major(single.shape, 2)[2]
     before = concurrence(single, tol)
 
     reports = []
@@ -398,8 +401,8 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
     combined = np.zeros((4, 4), dtype=np.complex128)
     sub_shape = None
     for name, idx in WERNER_SUBSPACE_INDICES.items():
-        subspace = LocalSubspace.from_indices(two.shape, {"A": idx, "B": idx})
-        outcome = project(two, subspace, tol)
+        subspace = LocalSubspace.from_indices(two_copy_shape, {"A": idx, "B": idx})
+        outcome = project(single, subspace, tol, copies=2)
         offdiag = _bell_offdiagonal(outcome.state)
         reports.append(
             WernerSubspaceReport(

@@ -4,8 +4,9 @@ Labelled system shapes, validated density matrices and pure states,
 copy-regrouped tensor powers, and the preset states used by the worked
 examples.  All value types are immutable; constructing one runs its full
 invariant check, so any ``DensityMatrix`` or ``PureState`` in circulation
-is known to be valid.  A tensor power is checked for positivity on the
-products of the single-copy eigenvalues, which are its eigenvalues.
+is known to be valid.  A tensor power is checked on the single copy: its
+trace is the copy's trace to the n-th power, and its positivity is read
+off the products of the single-copy eigenvalues, which are its eigenvalues.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Party:
 
     ``dims`` lists the party's subsystems in order (a single entry for a
     plain party; one entry per copy after :func:`tensor_power`).  The local
-    dimension is their product.
+    dimension is their product, computed once at construction.
     """
 
     label: str
@@ -56,10 +57,12 @@ class Party:
             raise InvariantViolation("dims", f"party {self.label!r} has no subsystems")
         if any(d < 1 for d in dims):
             raise InvariantViolation("dims", f"party {self.label!r} has a subsystem of dim < 1: {dims}")
+        # Not a dataclass field, so repr, == and hash ignore it.
+        object.__setattr__(self, "_dim", prod(dims))
 
     @property
     def dim(self) -> int:
-        return prod(self.dims)
+        return self._dim
 
 
 def _as_party(entry) -> Party:
@@ -74,7 +77,8 @@ class SystemShape:
     """Ordered list of parties; fixes the tensor factorization of a state.
 
     Flat indices are most-significant-first in party order (and, within a
-    party, in subsystem order).
+    party, in subsystem order).  The per-party and total dimensions are
+    computed once at construction.
     """
 
     parties: tuple[Party, ...]
@@ -87,6 +91,10 @@ class SystemShape:
         labels = [p.label for p in parties]
         if len(set(labels)) != len(labels):
             raise InvariantViolation("labels", f"party labels must be unique, got {labels}")
+        # Not dataclass fields, so repr, == and hash ignore them.
+        dims = tuple(p.dim for p in parties)
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_total_dim", prod(dims))
         if self.total_dim > MAX_SIDE:
             raise DimensionCapError(
                 f"total dimension {self.total_dim} exceeds the cap {MAX_SIDE}"
@@ -111,11 +119,11 @@ class SystemShape:
     @property
     def dims(self) -> tuple[int, ...]:
         """Per-party local dimensions."""
-        return tuple(p.dim for p in self.parties)
+        return self._dims
 
     @property
     def total_dim(self) -> int:
-        return prod(self.dims)
+        return self._total_dim
 
     def party_index(self, label: str) -> int:
         for i, p in enumerate(self.parties):
@@ -127,10 +135,10 @@ class SystemShape:
         return self.parties[self.party_index(label)]
 
 
-def _validated(shape: SystemShape, mat: np.ndarray, spectrum_of) -> np.ndarray:
+def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
     """The read-only Hermitian part of ``mat`` once it passes the density
     matrix checks: side, hermiticity, unit trace, and positivity of the
-    eigenvalues ``spectrum_of`` returns for the Hermitian part."""
+    eigenvalues of the Hermitian part."""
     d = shape.total_dim
     if mat.shape != (d, d):
         raise InvariantViolation(
@@ -143,17 +151,24 @@ def _validated(shape: SystemShape, mat: np.ndarray, spectrum_of) -> np.ndarray:
             "hermitian", f"density matrix is not Hermitian (max deviation {deviation:.3e})"
         )
     mat = (mat + dagger(mat)) / 2.0  # kill anti-Hermitian roundoff; a fresh array
-    tr = float(np.real(np.trace(mat)))
+    _require_unit_trace(float(np.real(np.trace(mat))))
+    _require_psd(np.linalg.eigvalsh(mat))
+    mat.setflags(write=False)
+    return mat
+
+
+def _require_unit_trace(tr: float) -> None:
     if abs(tr - 1.0) > TRACE_ATOL:
         raise InvariantViolation("trace", f"trace must be 1, got {tr!r}")
-    lowest = float(np.min(spectrum_of(mat)))
+
+
+def _require_psd(spectrum: np.ndarray) -> None:
+    lowest = float(np.min(spectrum))
     if lowest < -DEFAULT_TOLERANCE.psd_atol:
         raise InvariantViolation(
             "positive-semidefinite",
             f"density matrix has a negative eigenvalue {lowest:.3e}",
         )
-    mat.setflags(write=False)
-    return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,27 +185,22 @@ class DensityMatrix:
     copies: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = _validated(self.shape, as_matrix(self.mat), np.linalg.eigvalsh)
+        mat = _validated(self.shape, as_matrix(self.mat))
         object.__setattr__(self, "mat", mat)
 
     @classmethod
-    def _from_spectrum(
-        cls,
-        shape: SystemShape,
-        mat: np.ndarray,
-        spectrum: np.ndarray,
-        copy_base: "DensityMatrix",
-        copies: int,
+    def _power_of(
+        cls, shape: SystemShape, mat: np.ndarray, copy_base: "DensityMatrix", copies: int
     ) -> "DensityMatrix":
-        """A state whose eigenvalues ``spectrum`` are known without a dense
-        eigendecomposition.  The side, hermiticity and trace checks run on
-        ``mat`` and the positivity check on ``spectrum``; ``mat`` must be
-        finite and within the size cap, as a tensor power of a valid state
-        is.  Private to :func:`tensor_power`: the public constructor runs
-        every check whatever ``copy_base`` says."""
+        """The tensor power ``mat`` of ``copy_base``, stored read-only with no
+        dense pass: :func:`_power_checks` has passed on the single copy, and
+        the kron of an exactly Hermitian matrix (as every stored ``mat`` is)
+        is exactly Hermitian.  Private to :func:`tensor_power`: the public
+        constructor runs every check whatever ``copy_base`` says."""
+        mat.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "shape", shape)
-        object.__setattr__(state, "mat", _validated(shape, mat, lambda _: spectrum))
+        object.__setattr__(state, "mat", mat)
         object.__setattr__(state, "copy_base", copy_base)
         object.__setattr__(state, "copies", copies)
         return state
@@ -321,6 +331,26 @@ def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
     return spectrum
 
 
+def _power_checks(rho: DensityMatrix, n: int) -> int:
+    """``n`` as a copy count of ``rho`` once ``rho``'s ``n``-th tensor power
+    passes the density matrix checks, all made on the single copy.
+
+    ``n`` must be an integer ``>= 1`` whose power stays within
+    ``MAX_SIDE``.  The power's trace, ``tr(rho)**n``, must be 1 to
+    ``TRACE_ATOL``; a copy inside that margin can leave its power outside.
+    Its eigenvalues, the products :func:`_power_spectrum` gives, must pass
+    the positivity check against ``DEFAULT_TOLERANCE.psd_atol``.
+    Hermiticity needs no check: ``rho.mat`` is exactly Hermitian, and so is
+    every Kronecker product of it, entry by entry.  Nothing of side
+    ``d**n`` is allocated.  :func:`tensor_power` runs these checks, and so
+    does :func:`~dsskit.subspaces.project` before :func:`_power_sandwich`.
+    """
+    n = _checked_copies(rho, n)
+    _require_unit_trace(float(np.real(np.trace(rho.mat))) ** n)
+    _require_psd(_power_spectrum(rho, n))
+    return n
+
+
 def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     """``n`` copies of ``rho``, regrouped so each party holds all its copies.
 
@@ -329,22 +359,54 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     holds its copy-1 subsystems followed by copy-2 and so on, contiguously.
     Local subspaces of a party's enlarged space are then contiguous blocks.
 
-    The result passes the side, hermiticity and trace checks of
-    :class:`DensityMatrix` on the dense matrix, but its positivity is read
-    off the products of ``rho``'s eigenvalues (:func:`_power_spectrum`), so
-    no eigendecomposition of side ``d**n`` runs.  The matrix is the one the
-    public constructor would store.
+    The result is checked by :func:`_power_checks` on the single copy, so
+    no dense pass and no eigendecomposition of side ``d**n`` runs.  The
+    matrix is the one the public constructor would store.  A projection of
+    the power, ``project(rho, subspace, copies=n)``, needs no power at all.
     """
     n = as_int(n, "copies")
     if n == 1:
         return rho
-    spectrum = _power_spectrum(rho, n)
-    total = spectrum.size
+    n = _power_checks(rho, n)
     axes, order, shape = _party_major(rho.shape, n)
     perm = order + [len(axes) + o for o in order]
+    total = shape.total_dim
     big = kron_all([rho.mat] * n)
     mat = big.reshape(axes * 2).transpose(perm).reshape(total, total)
-    return DensityMatrix._from_spectrum(shape, mat, spectrum, copy_base=rho, copies=n)
+    return DensityMatrix._power_of(shape, mat, copy_base=rho, copies=n)
+
+
+def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
+    """``b† σ b`` for ``σ = tensor_power(rho, n)``, without forming ``σ``.
+
+    ``b`` is a ``d**n x k`` matrix whose rows follow ``σ``'s party-major
+    order, e.g. a subspace compression.  Its rows are regrouped copy-major
+    once; then ``rho`` acts on each copy's axis in turn, ``n`` contractions
+    of length ``d`` (the mixed-product property of the Kronecker product,
+    Horn & Johnson, *Topics in Matrix Analysis*, ch. 4): ``O(n d**(n+1) k)``
+    work and ``O(d**n k)`` memory, against ``d**(2n)`` for ``σ``.  ``n``
+    must have passed :func:`_power_checks`.
+
+    Each contraction is a sum of elementwise products, earlier copies times
+    the next copy as in :func:`~dsskit.linalg.kron_all`.  So when ``b``'s
+    columns are computational basis vectors each entry is the very product
+    ``σ`` holds, and the result is bit-equal to the dense ``b† σ b``.
+    """
+    dims = rho.shape.dims
+    d, k = rho.shape.total_dim, b.shape[1]
+    party_major = [dp for dp in dims for _ in range(n)] + [k]
+    to_copy_major = [p * n + c for c in range(n) for p in range(len(dims))] + [len(dims) * n]
+    b = b.reshape(party_major).transpose(to_copy_major).reshape(-1, k)
+    x = b.reshape(d, -1)
+    for _ in range(n):
+        # Contract the leading copy axis, then rotate it to the back so the
+        # next copy leads and every product runs over a long inner axis.
+        acc = x[:1] * rho.mat[:, :1]
+        for j in range(1, d):
+            acc += x[j : j + 1] * rho.mat[:, j : j + 1]
+        x = acc.T.reshape(d, -1)
+    # The rotations have brought the column axis to the front.
+    return dagger(b) @ x.reshape(k, -1).T
 
 
 def _power_top_eigenstate(

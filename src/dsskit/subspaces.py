@@ -39,7 +39,17 @@ from .linalg import (
     kron_all,
     require_orthonormal,
 )
-from .states import DensityMatrix, Party, PureState, SystemShape, _post_select, _power_spectrum
+from .states import (
+    DensityMatrix,
+    Party,
+    PureState,
+    SystemShape,
+    _normalized,
+    _post_select,
+    _power_checks,
+    _power_sandwich,
+    _power_spectrum,
+)
 
 Classification = Literal["pure-entangled", "pure-product", "mixed", "zero"]
 
@@ -151,17 +161,19 @@ class LocalSubspace:
     def subspace_shape(self) -> SystemShape:
         return SystemShape(tuple(Party(label, (v.shape[1],)) for label, v in self.parties))
 
-    def _check_against(self, shape: SystemShape) -> None:
+    def _check_against(self, shape: SystemShape, copies: int = 1) -> None:
+        """Raise unless the subspace has ``shape``'s parties in order, each
+        of local dimension ``dim**copies`` (its ``copies``-fold power)."""
         if self.labels != shape.labels:
             raise InvariantViolation(
                 "labels",
                 f"subspace parties {self.labels} do not match state parties {shape.labels}",
             )
         for (label, v), p in zip(self.parties, shape.parties):
-            if v.shape[0] != p.dim:
+            if v.shape[0] != p.dim**copies:
                 raise InvariantViolation(
                     "dimension",
-                    f"party {label!r} vectors have length {v.shape[0]}, local dim is {p.dim}",
+                    f"party {label!r} vectors have length {v.shape[0]}, local dim is {p.dim**copies}",
                 )
 
 
@@ -213,17 +225,35 @@ class Refusal:
 
 
 def project(
-    rho: DensityMatrix, subspace: LocalSubspace, tol: Tolerance = DEFAULT_TOLERANCE
+    rho: DensityMatrix,
+    subspace: LocalSubspace,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    *,
+    copies: int = 1,
 ) -> ProjectionOutcome:
-    """Project ``rho`` onto the subspace and classify the outcome.
+    """Project ``rho``, or its ``copies``-th tensor power, onto the subspace
+    and classify the outcome.
 
     The projection is compressed to subspace coordinates (matrix elements
     between the subspace product vectors).  It is classified pure when the
     top eigenvalue fraction reaches ``1 - purity_atol``; a pure projection
     is entangled when some entry of its dimension signature exceeds 1.
+
+    With ``copies > 1`` the subspace lives on the party-major shape of
+    :func:`~dsskit.states.tensor_power`, and the power is never formed: it
+    passes the same checks on the single copy, and its compression is
+    contracted copy by copy from ``rho`` (:func:`~dsskit.states._power_sandwich`;
+    bit-equal to the dense one on computational basis vectors, equal to
+    roundoff otherwise).  The classification that follows is the same.
     """
-    subspace._check_against(rho.shape)
-    weight, state = _post_select(rho, dagger(subspace.compression()), subspace.subspace_shape())
+    if copies == 1:
+        subspace._check_against(rho.shape)
+        weight, state = _post_select(rho, dagger(subspace.compression()), subspace.subspace_shape())
+    else:
+        copies = _power_checks(rho, copies)
+        subspace._check_against(rho.shape, copies)
+        out = _power_sandwich(rho, copies, subspace.compression())
+        weight, state = _normalized(out, subspace.subspace_shape())
     if state is None:
         return ProjectionOutcome(weight=0.0, state=None, classification="zero")
     evals, evecs = state.eigh(tol)
@@ -238,15 +268,21 @@ def project(
 
 
 def check_certificate(
-    rho: DensityMatrix, subspace: LocalSubspace, tol: Tolerance = DEFAULT_TOLERANCE
+    rho: DensityMatrix,
+    subspace: LocalSubspace,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    *,
+    copies: int = 1,
 ) -> DssCertificate | Refusal:
-    """Independently re-verify a claimed distillable subspace.
+    """Independently re-verify a claimed distillable subspace of ``rho``,
+    or of its ``copies``-th tensor power.
 
     Returns a certificate when the projection is pure and entangled, else a
     :class:`Refusal` naming the failed test.  Absence of a certificate is a
-    result, not an error.
+    result, not an error.  For a power, :func:`project` works from the
+    single copy, so no matrix of the power's side is built.
     """
-    outcome = project(rho, subspace, tol)
+    outcome = project(rho, subspace, tol, copies=copies)
     if outcome.classification == "zero":
         return Refusal("zero-weight", outcome)
     if outcome.classification == "mixed":

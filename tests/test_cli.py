@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+import dsskit
 from dsskit import (
     LocalSubspace,
+    Party,
     ProductOperator,
     SystemShape,
     Tolerance,
@@ -18,6 +20,7 @@ from dsskit import (
     tensor_power,
     three_qubit_example,
     werner,
+    werner_two_copy,
 )
 from dsskit import cli
 from dsskit.cli import main
@@ -218,13 +221,67 @@ def test_error_paths_exit_1(capsys, argv):
         (("simulate", "ghz-example", "--p", "0.5", "--protocol", "p.json"), "--protocol"),
         (("simulate", "werner-example", "--F", "0.8", "--copies", "1"), "--copies"),
         (("rankbound", "--dims", "2,2", "--state", "bell", "--signature", "2,2"), "--dims"),
+        (("simulate", "ghz-example", "--p", "0.5", "--F", "0.9"), "--F"),
+        (("simulate", "werner-example", "--F", "0.8", "--lambda", "0.3"), "--lambda"),
+        (("entanglement", "--state", "bell", "--lambda", "0.3"), "--lambda"),
+        (("dss", "find", "--state", "werner", "--F", "0.9", "--p", "0.5"), "--p"),
+        (("rankbound", "--dims", "2,2", "--F", "0.9", "--signature", "2,2"), "--F"),
     ],
-    ids=["simulate-state", "simulate-protocol", "simulate-copies", "rankbound-dims"],
+    ids=["simulate-state", "simulate-protocol", "simulate-copies", "rankbound-dims",
+         "ghz-example-F", "werner-example-lambda", "bell-lambda", "werner-p", "dims-F"],
 )
 def test_flags_that_would_go_unread_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {flag} cannot be combined with")
+
+
+def test_preset_flags_with_a_state_file_are_usage_errors(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    fileio.write_state(str(path), werner(0.9))
+    code, out, err = run_cli(capsys, "entanglement", "--state", str(path), "--p", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: --p cannot be combined with a state file")
+
+
+def test_dss_check_of_four_copies_builds_no_dense_power(capsys, tmp_path):
+    """Side 4096: the dense power alone would take 268 MB."""
+    p = 0.6
+    shape = SystemShape(tuple(Party(label, (2,) * 4) for label in "ABC"))
+    # Copies 1 and 2 span {|01>, |10>} at every party; copies 3 and 4 hold |0>.
+    subspace = LocalSubspace.from_indices(shape, {label: (4, 8) for label in "ABC"})
+    fileio.write_subspace(str(tmp_path / "sub.json"), subspace)
+    json_path = tmp_path / "report.json"
+    started = time.perf_counter()
+    code, _, _ = run_cli(
+        capsys, "dss", "check", "--state", "example3q", "--p", str(p), "--copies", "4",
+        "--subspace", str(tmp_path / "sub.json"), "--json", str(json_path),
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    results = json.loads(json_path.read_text())["results"]
+    assert results["accepted"] and results["signature"] == [2, 2, 2]
+    assert abs(results["weight"] - p * p / 2 * (p / 2) ** 2) <= 1e-12
+    assert results["rank_bound_check"] == {"rank": 16, "bound": 4096 - 8 + 1, "satisfied": True}
+
+
+def test_dss_check_and_werner_example_never_build_a_power(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tensor_power called")
+
+    for module in (dsskit, dsskit.states, dsskit.subspaces, dsskit.protocols, cli):
+        monkeypatch.setattr(module, "tensor_power", refuse, raising=False)
+    shape = SystemShape(tuple(Party(label, (2,) * 3) for label in "ABC"))
+    subspace = LocalSubspace.from_indices(shape, {label: (2, 4) for label in "ABC"})
+    fileio.write_subspace(str(tmp_path / "sub.json"), subspace)
+    code, out, _ = run_cli(
+        capsys, "dss", "check", "--state", "example3q", "--p", "0.6", "--copies", "3",
+        "--subspace", str(tmp_path / "sub.json"),
+    )
+    assert code == 0 and "accepted: true" in out
+    assert werner_two_copy(0.8).subspaces[0].weight > 0
+    code, out, _ = run_cli(capsys, "simulate", "werner-example", "--F", "0.8")
+    assert code == 0 and "combined_concurrence" in out
 
 
 def test_entanglement_of_four_ghz_copies_builds_no_dense_power(capsys, tmp_path):
@@ -416,6 +473,15 @@ JSON_GOLDENS = [
      ("filter-compare", "--lambda", "0.9", "--grid", "0.9:0.99:0.025")),
     ("entanglement_werner_0.9.json", 0, ("entanglement", "--state", "werner", "--F", "0.9")),
     ("entanglement_bell.json", 0, ("entanglement", "--state", "bell")),
+    ("check_example3q_0.5_x2.json", 0,
+     ("dss", "check", "--state", "example3q", "--p", "0.5", "--copies", "2",
+      "--subspace", "subspace_x2_certificate.json")),
+    ("check_example3q_0.6_x3.json", 0,
+     ("dss", "check", "--state", "example3q", "--p", "0.6", "--copies", "3",
+      "--subspace", "subspace_x3_certificate.json")),
+    ("check_example3q_0.5_x2_mixed.json", 0,
+     ("dss", "check", "--state", "example3q", "--p", "0.5", "--copies", "2",
+      "--subspace", "subspace_x2_mixed.json")),
 ]
 
 
@@ -426,8 +492,11 @@ def json_report_without_timing(path) -> str:
 
 
 @pytest.mark.parametrize("name,exit_code,argv", JSON_GOLDENS, ids=[g[0] for g in JSON_GOLDENS])
-def test_json_golden_reports(capsys, tmp_path, name, exit_code, argv):
-    """The full-precision --json report, minus timing, is byte-identical to the golden."""
+def test_json_golden_reports(capsys, tmp_path, monkeypatch, name, exit_code, argv):
+    """The full-precision --json report, minus timing, is byte-identical to the golden.
+    Input files named in ``argv`` sit next to the goldens, so a report records
+    the same relative path wherever the repository is checked out."""
+    monkeypatch.chdir(os.path.join(GOLDEN_DIR, "json"))
     json_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, *argv, "--json", str(json_path))
     assert code == exit_code

@@ -9,7 +9,9 @@ planted subspace is again basis-aligned.
 
 The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
-pure power) against the dense computation on the n-copy matrix.
+pure power) against the dense computation on the n-copy matrix, and the
+projection of a power contracted copy by copy from the single copy against
+the projection of the dense power.
 
 The kernel examples check ``kron_all`` against chained ``np.kron`` and the
 sliced measurement outcomes against dense padded post-selection.
@@ -18,6 +20,7 @@ sliced measurement outcomes against dense padded post-selection.
 import functools
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from dsskit import (
     DensityMatrix,
     DimensionCapError,
     InvariantViolation,
+    LocalSubspace,
     MeasureAndDiscard,
     Party,
     SystemShape,
@@ -39,6 +43,7 @@ from dsskit import (
     iter_candidates,
     numerical_rank,
     power_rank,
+    project,
     run,
     schmidt,
     tensor_power,
@@ -327,6 +332,118 @@ def test_pure_power_top_eigenstate_refuses_an_ambiguous_top():
     with pytest.raises(InvariantViolation) as err:
         states._power_top_eigenstate(werner(0.5), 2)
     assert err.value.invariant == "degenerate"
+
+
+# ---------------------------------------------------------------------------
+# Projections of a tensor power, contracted from the single copy
+# ---------------------------------------------------------------------------
+
+#: (shape, copies) pairs up to side 512, one copy included.
+PROJECTION_CASES = [(SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 1)] + POWER_CASES
+
+
+@st.composite
+def power_projection_instances(draw):
+    """``(state, copies, subspace, computational)``: a random state of rank
+    1 to 3 with a planted spectrum, and a product subspace of its n-copy
+    shape with 1 to 3 vectors per party, cut from the computational basis or
+    from random isometries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape, copies = PROJECTION_CASES[draw(st.integers(0, len(PROJECTION_CASES) - 1))]
+    weights = np.zeros(shape.total_dim)
+    rank = int(rng.choice([1, 1, 2, 3]))  # pure in half the examples
+    weights[:rank] = rng.dirichlet(np.ones(rank))
+    rho = state_with_spectrum(rng, shape, weights)
+    power_shape = tensor_power(rho, copies).shape
+    sizes = [min(int(rng.choice([1, 2, 2, 3])), p.dim) for p in power_shape.parties]
+    computational = bool(rng.integers(2))
+    if computational:
+        subspace = LocalSubspace.from_indices(power_shape, {
+            p.label: sorted(rng.choice(p.dim, size=m, replace=False))
+            for p, m in zip(power_shape.parties, sizes)
+        })
+    else:
+        subspace = LocalSubspace(tuple(
+            (p.label, random_unitary(rng, p.dim)[:, :m]) for p, m in zip(power_shape.parties, sizes)
+        ))
+    return rho, copies, subspace, computational
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(power_projection_instances())
+def test_power_projection_matches_the_dense_power(instance):
+    rho, copies, subspace, computational = instance
+    got = project(rho, subspace, copies=copies)
+    want = project(tensor_power(rho, copies), subspace)
+    assert got.classification == want.classification
+    assert got.signature == want.signature
+    if computational:
+        assert got.weight == want.weight
+        assert np.array_equal(got.state.mat, want.state.mat)
+    else:
+        assert abs(got.weight - want.weight) <= 1e-12
+        assert np.max(np.abs(got.state.mat - want.state.mat)) <= 1e-12
+
+
+def test_power_projection_refuses_what_tensor_power_refuses():
+    rho = werner(0.9)
+    two = tensor_power(rho, 2)
+    full = LocalSubspace.full(two.shape)
+    for copies, error in [(0, InvariantViolation), (7, DimensionCapError)]:
+        with pytest.raises(error) as dense:
+            tensor_power(rho, copies)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as structured:
+                project(rho, full, copies=copies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(structured.value) == str(dense.value)
+        assert peak < 1 << 20  # a 16384-side power would take 4 GiB
+    relabelled = LocalSubspace.full(SystemShape.of(("A", 4), ("C", 4)))
+    one_copy = LocalSubspace.full(rho.shape)
+    for subspace, invariant in [(relabelled, "labels"), (one_copy, "dimension")]:
+        with pytest.raises(InvariantViolation) as dense:
+            project(two, subspace)
+        with pytest.raises(InvariantViolation) as structured:
+            project(rho, subspace, copies=2)
+        assert structured.value.invariant == dense.value.invariant == invariant
+        assert str(structured.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@pytest.mark.parametrize("excess", [0.4e-9, 0.9e-9])
+def test_power_trace_decided_as_by_the_dense_power(copies, excess):
+    """A copy whose trace is ``1 + excess`` is valid; its n-copy trace
+    ``(1 + excess)**n`` passes the 1e-9 margin only for 0.4e-9 at 2 copies."""
+    rng = np.random.default_rng(11)
+    base = state_with_spectrum(rng, SystemShape.of(("A", 2), ("B", 2)), [0.6, 0.3, 0.1, 0.0])
+    rho = DensityMatrix(base.shape, base.mat * (1.0 + excess))
+    shape = SystemShape(tuple(Party(p.label, p.dims * copies) for p in rho.shape.parties))
+    subspace = LocalSubspace.from_indices(shape, {"A": (0, 3), "B": (0, 3)})
+
+    def accepted(build) -> bool:
+        try:
+            build()
+        except InvariantViolation as exc:
+            assert exc.invariant == "trace"
+            return False
+        return True
+
+    dense = accepted(lambda: DensityMatrix(shape, kron_permute_reference(rho, copies)))
+    assert accepted(lambda: tensor_power(rho, copies)) == dense
+    assert accepted(lambda: project(rho, subspace, copies=copies)) == dense
+    assert dense == (excess * copies < 1e-9)
+
+
+def test_tensor_power_is_exactly_hermitian():
+    """``tensor_power`` runs no hermiticity pass: the kron of an exactly
+    Hermitian copy is exactly Hermitian."""
+    rng = np.random.default_rng(3)
+    for shape, copies in POWER_CASES:
+        power = tensor_power(random_density(rng, shape, rank=3), copies)
+        assert np.array_equal(power.mat, np.conj(power.mat).T)
 
 
 # ---------------------------------------------------------------------------

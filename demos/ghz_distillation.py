@@ -11,7 +11,7 @@ measuring it away, and applying a phase flip on odd outcome parity hands
 the three parties an exact GHZ state.
 """
 
-from dsskit import find_dss, ghz_from_two_copies, tensor_power, three_qubit_example
+from dsskit import find_dss, ghz_from_two_copies, three_qubit_example
 
 P = 0.5
 
@@ -22,9 +22,8 @@ def main():
     certs = find_dss(sigma)
     print(f"  distillable subspaces found: {len(certs)}")
 
-    two = tensor_power(sigma, 2)
     print("\nTwo copies (each party now holds a 4-dimensional space):")
-    certs = find_dss(two)
+    certs = find_dss(sigma, copies=2)
     print(f"  distillable subspaces found: {len(certs)}")
     minimal = min(certs, key=lambda c: sum(len(i) for i in c.subspace.basis_indices))
     print(f"  minimal certificate: per-party indices {minimal.subspace.basis_indices}")

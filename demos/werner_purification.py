@@ -9,7 +9,7 @@ are not distillable subspaces), but the entanglement improves, which is
 the purification half of the story.
 """
 
-from dsskit import find_purifying_subspaces, tensor_power, werner, werner_concurrence_table, werner_two_copy
+from dsskit import find_purifying_subspaces, werner, werner_concurrence_table, werner_two_copy
 
 F = 0.9
 
@@ -28,7 +28,7 @@ def main():
 
     print("\nThe same subspaces emerge from the generic search for")
     print("concurrence-improving projections:")
-    found = find_purifying_subspaces(tensor_power(werner(F), 2))
+    found = find_purifying_subspaces(werner(F), copies=2)
     for item in found:
         print(
             f"  indices {item.subspace.basis_indices}: "

@@ -40,6 +40,7 @@ from .protocols import ghz_from_two_copies, run, werner_two_copy
 from .states import (
     DensityMatrix,
     SystemShape,
+    _power_shape,
     _power_spectrum,
     _power_top_eigenstate,
     bell_state,
@@ -361,21 +362,22 @@ def _rank_bound_doc(rank: int, shape: SystemShape, copies: int, cert: DssCertifi
 
 def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
     single, inputs = _single_state(args)
-    sigma = tensor_power(single, inputs["copies"])
+    shape = _power_shape(single, inputs["copies"])
     bases = None
     if args.bases:
-        bases = fileio.load_bases(fileio.read_json(args.bases), sigma.shape)
+        bases = fileio.load_bases(fileio.read_json(args.bases), shape)
         inputs["bases"] = _file_input(args.bases)
-    count = candidate_count(sigma.shape)
+    count = candidate_count(shape)
     certs = find_dss(
-        sigma,
+        single,
         bases,
+        copies=inputs["copies"],
         require_entangled=args.require_entangled,
         min_signature=args.min_signature,
         tol=tol,
     )
     results: dict[str, Any] = {
-        "search_space_dims": list(sigma.shape.dims),
+        "search_space_dims": list(shape.dims),
         "candidates": count,
         "certificates_found": len(certs),
     }
@@ -450,7 +452,7 @@ def _cmd_entanglement(args, tol, warnings) -> tuple[Report, int]:
     results["top_eigenvalue"] = top
     results["pure"] = bool(top >= 1.0 - tol.purity_atol)
     if results["pure"]:
-        psi = _power_top_eigenstate(single, copies, tol)
+        psi = _power_top_eigenstate(single, copies)
         results["signature"] = list(dimension_signature(psi, tol))
         if len(single.shape.parties) == 2:
             results["schmidt_coefficients"] = [float(c) for c in schmidt(psi)]
@@ -507,7 +509,7 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
     if args.builtin == "ghz-example":
         if args.p is None:
             raise CliUsageError("simulate ghz-example requires --p")
-        report = ghz_from_two_copies(args.p, tol)
+        report = ghz_from_two_copies(args.p)
         results = {
             "success_probability": report.success_probability,
             "all_branches_corrected": report.all_corrected,

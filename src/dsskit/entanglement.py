@@ -134,7 +134,7 @@ def concurrence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> float
     but stays Hermitian-friendly numerically.
     """
     _require_two_qubits(rho)
-    evals, evecs = rho.eigh(tol)
+    evals, evecs = rho.eigh()
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ np.conj(evecs).T
     lam = np.linalg.svd(root @ _SPIN_FLIP @ np.conj(root), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))

@@ -39,8 +39,8 @@ from .states import (
     Party,
     SystemShape,
     _normalized,
-    _party_major,
     _post_select,
+    _power_shape,
     bell_vectors,
     fidelity_with_pure,
     ghz_state,
@@ -312,7 +312,7 @@ def ghz_distillation_steps(two_copies_shape: SystemShape) -> list[ProtocolStep]:
     return steps
 
 
-def ghz_from_two_copies(p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> GhzDistillationReport:
+def ghz_from_two_copies(p: float) -> GhzDistillationReport:
     """Distill a GHZ state from two copies of ``p [GHZ] + (1-p) [|011>]``.
 
     Returns the projection success probability (p^2 / 2) and, for each of
@@ -393,7 +393,7 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
     if not 0.0 <= F <= 1.0:
         raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
     single = werner(F)
-    two_copy_shape = _party_major(single.shape, 2)[2]
+    two_copy_shape = _power_shape(single, 2)
     before = concurrence(single, tol)
 
     reports = []

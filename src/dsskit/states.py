@@ -4,14 +4,14 @@ Labelled system shapes, validated density matrices and pure states,
 copy-regrouped tensor powers, and the preset states used by the worked
 examples.  All value types are immutable; constructing one runs its full
 invariant check, so any ``DensityMatrix`` or ``PureState`` in circulation
-is known to be valid.  A tensor power is checked on the single copy: its
-trace is the copy's trace to the n-th power, and its positivity is read
-off the products of the single-copy eigenvalues, which are its eigenvalues.
+is known to be valid.  A tensor power is a plain state, checked on the
+single copy: its trace is the copy's trace to the n-th power, and its
+positivity is read off the products of the single-copy eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod, sqrt
 from typing import Iterable, Sequence
 
@@ -22,7 +22,6 @@ from .linalg import (
     MAX_SIDE,
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
-    Tolerance,
     as_int,
     as_matrix,
     as_vector,
@@ -174,35 +173,25 @@ def _require_psd(spectrum: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, positive-semidefinite, unit-trace matrix over a shape.
-
-    ``copy_base``/``copies`` record provenance when the state was built by
-    :func:`tensor_power`; they take no part in validation or comparison.
-    """
+    It records no provenance: whoever needs a power's single copy holds it."""
 
     shape: SystemShape
     mat: np.ndarray
-    copy_base: "DensityMatrix | None" = field(default=None, repr=False, compare=False)
-    copies: int = field(default=1, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _validated(self.shape, as_matrix(self.mat))
         object.__setattr__(self, "mat", mat)
 
     @classmethod
-    def _power_of(
-        cls, shape: SystemShape, mat: np.ndarray, copy_base: "DensityMatrix", copies: int
-    ) -> "DensityMatrix":
-        """The tensor power ``mat`` of ``copy_base``, stored read-only with no
-        dense pass: :func:`_power_checks` has passed on the single copy, and
-        the kron of an exactly Hermitian matrix (as every stored ``mat`` is)
-        is exactly Hermitian.  Private to :func:`tensor_power`: the public
-        constructor runs every check whatever ``copy_base`` says."""
+    def _power_of(cls, shape: SystemShape, mat: np.ndarray) -> "DensityMatrix":
+        """A tensor power ``mat``, stored read-only with no dense pass:
+        :func:`_power_checks` has passed on the single copy, and the kron of
+        an exactly Hermitian matrix (as every stored ``mat`` is) is exactly
+        Hermitian.  Private to :func:`tensor_power`."""
         mat.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "shape", shape)
         object.__setattr__(state, "mat", mat)
-        object.__setattr__(state, "copy_base", copy_base)
-        object.__setattr__(state, "copies", copies)
         return state
 
     @classmethod
@@ -220,11 +209,11 @@ class DensityMatrix:
             mat += float(w) * np.outer(v, np.conj(v))
         return cls(shape, mat)
 
-    def eigh(self, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
-        return eig_hermitian(self.mat, tol)
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return eig_hermitian(self.mat)
 
-    def top_eigenstate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> "PureState":
-        _, v = self.eigh(tol)
+    def top_eigenstate(self) -> "PureState":
+        _, v = self.eigh()
         return PureState(self.shape, v[:, 0])
 
     def reduced(self, labels: Iterable[str]) -> "DensityMatrix":
@@ -317,6 +306,11 @@ def _party_major(shape: SystemShape, n: int) -> tuple[tuple[int, ...], list[int]
     return shape.dims * n, order, SystemShape(parties)
 
 
+def _power_shape(rho: DensityMatrix, n: int) -> SystemShape:
+    """The shape of ``tensor_power(rho, n)``, with its copies and cap errors; nothing built."""
+    return _party_major(rho.shape, _checked_copies(rho, n))[2]
+
+
 def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
     """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted: the
     ``n``-fold products of the eigenvalues of ``rho`` (Horn & Johnson,
@@ -361,8 +355,10 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
 
     The result is checked by :func:`_power_checks` on the single copy, so
     no dense pass and no eigendecomposition of side ``d**n`` runs.  The
-    matrix is the one the public constructor would store.  A projection of
-    the power, ``project(rho, subspace, copies=n)``, needs no power at all.
+    matrix is the one the public constructor would store, with no link back
+    to ``rho``.  The library's functions take ``(rho, copies=n)`` instead:
+    ``project`` builds no power, and the searches build it only once their
+    candidate cap holds.
     """
     n = as_int(n, "copies")
     if n == 1:
@@ -373,7 +369,7 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     total = shape.total_dim
     big = kron_all([rho.mat] * n)
     mat = big.reshape(axes * 2).transpose(perm).reshape(total, total)
-    return DensityMatrix._power_of(shape, mat, copy_base=rho, copies=n)
+    return DensityMatrix._power_of(shape, mat)
 
 
 def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
@@ -409,9 +405,7 @@ def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
     return dagger(b) @ x.reshape(k, -1).T
 
 
-def _power_top_eigenstate(
-    rho: DensityMatrix, n: int, tol: Tolerance = DEFAULT_TOLERANCE
-) -> PureState:
+def _power_top_eigenstate(rho: DensityMatrix, n: int) -> PureState:
     """The top eigenvector of ``tensor_power(rho, n)`` without forming the
     power: the party-major regrouping of the ``n``-fold kron of ``rho``'s
     top eigenvector, at eigenvalue ``l1**n``.  That eigenvalue is simple,
@@ -419,7 +413,7 @@ def _power_top_eigenstate(
     ``l1`` exceeds 1/2 (every other eigenvalue of the power is at most
     ``l1**(n-1) * (1 - l1)``); below that this raises."""
     n = _checked_copies(rho, n)
-    w, v = rho.eigh(tol)
+    w, v = rho.eigh()
     if w[0] <= 0.5:
         raise InvariantViolation(
             "degenerate",

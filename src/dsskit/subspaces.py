@@ -48,7 +48,9 @@ from .states import (
     _post_select,
     _power_checks,
     _power_sandwich,
+    _power_shape,
     _power_spectrum,
+    tensor_power,
 )
 
 Classification = Literal["pure-entangled", "pure-product", "mixed", "zero"]
@@ -256,7 +258,7 @@ def project(
         weight, state = _normalized(out, subspace.subspace_shape())
     if state is None:
         return ProjectionOutcome(weight=0.0, state=None, classification="zero")
-    evals, evecs = state.eigh(tol)
+    evals, evecs = state.eigh()
     if float(evals[0]) >= 1.0 - tol.purity_atol:
         psi = PureState(state.shape, evecs[:, 0])
         signature = dimension_signature(psi, tol)
@@ -381,7 +383,7 @@ class _SearchContext:
         self.bases = _resolve_bases(rho.shape, bases)
         self.subsets = [_subset_indices(d) for d in self.shape.dims]
 
-        evals, evecs = rho.eigh(tol)
+        evals, evecs = rho.eigh()
         keep = above_rank_cutoff(evals, tol.rank_rtol)
         weights = evals[keep]
         vectors = evecs[:, keep]
@@ -478,19 +480,22 @@ def find_dss(
     rho: DensityMatrix,
     bases: Mapping[str, np.ndarray] | None = None,
     *,
+    copies: int = 1,
     require_entangled: bool = True,
     min_signature: Sequence[int] | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
     prune: bool = True,
     candidate_cap: int = CANDIDATE_CAP,
 ) -> list[DssCertificate]:
-    """Search subsets of per-party bases for distillable subspaces.
+    """Search subsets of per-party bases of ``rho^(x copies)`` for DSS.
 
     Covers every product of nonempty per-party index subsets (so
-    ``prod(2^d_p - 1)`` candidates) and returns, in canonical order, a
-    certificate for each candidate whose projection is pure, entangled
-    (unless ``require_entangled`` is off) and at least ``min_signature``
-    componentwise.
+    ``prod(2^(d_p^n) - 1)`` candidates for ``n`` copies) and returns, in
+    canonical order, a certificate for each candidate whose projection is
+    pure, entangled (unless ``require_entangled`` is off) and at least
+    ``min_signature`` componentwise.  ``bases`` are keyed on the power's
+    parties, of local dimension ``d_p^n``; the cap is checked on its shape
+    before :func:`~dsskit.states.tensor_power` builds it.
 
     With ``prune`` on, two screens run over all candidates at once on the
     state's significant eigenvectors, restricted to each candidate.  The
@@ -510,7 +515,7 @@ def find_dss(
     screened out as zero, mixed and product, those classified and the
     certificates.
     """
-    count = candidate_count(rho.shape)
+    count = candidate_count(_power_shape(rho, copies))
     if count > candidate_cap:
         raise SearchSpaceTooLarge(count, candidate_cap)
     if min_signature is not None:
@@ -518,6 +523,7 @@ def find_dss(
         if len(min_signature) != len(rho.shape.parties):
             raise InvariantViolation("min_signature", "one entry per party required")
 
+    rho = tensor_power(rho, copies)
     ctx = _SearchContext(rho, bases, tol)
     if prune:
         positions, counts = ctx.screen(require_entangled)
@@ -568,34 +574,32 @@ def find_purifying_subspaces(
     rho: DensityMatrix,
     bases: Mapping[str, np.ndarray] | None = None,
     *,
+    copies: int = 1,
     reference: DensityMatrix | float | None = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
     candidate_cap: int = CANDIDATE_CAP,
 ) -> list[PurifyingSubspace]:
-    """Search for subspaces whose mixed projection has higher concurrence.
+    """Search ``rho^(x copies)`` for subspaces whose mixed projection has
+    higher concurrence.
 
     The measure is the two-qubit concurrence, so only a two-party state is
-    searched, over the candidates with two basis vectors per party, in
-    canonical order; any other state gives an empty list.  ``reference``
-    fixes the concurrence to beat: a number, a two-qubit state, or (by
-    default) the single-copy base of a :func:`~dsskit.states.tensor_power`.
+    searched, over the candidates with two basis vectors per party (of the
+    power's local bases), in canonical order; any other state gives an empty
+    list.  ``reference`` fixes the concurrence to beat: a number, a
+    two-qubit state, or (by default) ``rho``, the single copy.  As in
+    :func:`find_dss`, the cap is checked before the power is built.
     """
-    if reference is None:
-        if rho.copy_base is None:
-            raise InvariantViolation(
-                "reference",
-                "pass reference= (a state or a concurrence); the state is not a tracked tensor power",
-            )
-        reference = rho.copy_base
+    reference = rho if reference is None else reference
     if isinstance(reference, DensityMatrix):
         measure_before = concurrence(reference, tol)
     else:
         measure_before = float(reference)
 
-    count = candidate_count(rho.shape)
+    count = candidate_count(_power_shape(rho, copies))
     if count > candidate_cap:
         raise SearchSpaceTooLarge(count, candidate_cap)
 
+    rho = tensor_power(rho, copies)
     resolved = _resolve_bases(rho.shape, bases)
     if len(rho.shape.parties) != 2:
         return []  # concurrence undefined for the projected shapes

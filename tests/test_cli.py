@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,28 @@ def test_dss_check_and_werner_example_never_build_a_power(capsys, tmp_path, monk
     assert werner_two_copy(0.8).subspaces[0].weight > 0
     code, out, _ = run_cli(capsys, "simulate", "werner-example", "--F", "0.8")
     assert code == 0 and "combined_concurrence" in out
+
+
+@pytest.mark.parametrize("copies,message", [
+    ("3", "error: search would enumerate 16581375 candidate subspaces (cap 1000000)"),
+    ("4", "error: search would enumerate 281462092005375 candidate subspaces (cap 1000000)"),
+    ("5", "error: 5 copies give total dimension 32768, above the cap 4096"),
+])
+def test_find_refuses_above_the_cap_before_building_the_power(capsys, copies, message):
+    # At 3 copies the refused power and its kron took 8.6 MB before the cap
+    # was checked; at 4 the power alone would take 256 MiB.
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(
+            capsys, "dss", "find", "--state", "example3q", "--p", "0.5", "--copies", copies
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err.startswith(message)
+    assert peak < 1 << 20
 
 
 def test_entanglement_of_four_ghz_copies_builds_no_dense_power(capsys, tmp_path):

@@ -1,11 +1,16 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and only ``linalg.py`` reaches numpy's Kronecker product."""
+only ``linalg.py`` reaches numpy's Kronecker product, only the CLI's
+``simulate`` handler builds a tensor power, and a state carries nothing
+but its shape and matrix."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
+
+from dsskit import DensityMatrix
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dsskit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -161,3 +166,45 @@ def test_kron_detector_flags_numpy_kron_and_keeps_the_kernel():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"], ids=lambda p: p.name)
 def test_only_linalg_uses_numpy_kron(path):
     assert numpy_kron_uses(path.read_text(encoding="utf-8")) == []
+
+
+def references_outside(source: str, name: str, allowed: str) -> list[str]:
+    """Uses of ``name`` (``name`` or ``module.name``, called or not) in any
+    top-level statement but the function ``allowed``; imports do not count."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == allowed:
+            continue
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name
+            ):
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_reference_detector_flags_uses_outside_the_allowed_function():
+    source = (
+        "from .states import tensor_power\n"
+        "def _cmd_simulate(args):\n    return tensor_power(args.rho, 2)\n"
+        "def _cmd_dss_find(args):\n    return tensor_power(args.rho, 2)\n"
+        "def helper(rho):\n    return states.tensor_power(rho, 3)\n"
+        "POWER = tensor_power\n"
+        "def power_rank(rho):\n    return rho\n"
+    )
+    assert references_outside(source, "tensor_power", "_cmd_simulate") == [
+        "tensor_power (line 5)",
+        "tensor_power (line 7)",
+        "tensor_power (line 8)",
+    ]
+
+
+def test_only_simulate_builds_a_tensor_power_in_the_cli():
+    """``simulate --protocol`` evolves the n-copy state; every other command
+    hands the single copy and ``copies`` to the library."""
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert references_outside(source, "tensor_power", "_cmd_simulate") == []
+
+
+def test_density_matrix_holds_only_its_shape_and_matrix():
+    assert [f.name for f in dataclasses.fields(DensityMatrix)] == ["shape", "mat"]

@@ -11,7 +11,8 @@ The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
 pure power) against the dense computation on the n-copy matrix, and the
 projection of a power contracted copy by copy from the single copy against
-the projection of the dense power.
+the projection of the dense power.  The searches handed the single copy and
+``copies`` are checked against the same searches of the built power.
 
 The kernel examples check ``kron_all`` against chained ``np.kron`` and the
 sliced measurement outcomes against dense padded post-selection.
@@ -39,6 +40,7 @@ from dsskit import (
     decompose,
     dimension_signature,
     find_dss,
+    find_purifying_subspaces,
     ghz_state,
     iter_candidates,
     numerical_rank,
@@ -228,7 +230,6 @@ def test_tensor_power_matrix_is_the_kron_permute_reference(instance):
     reference = kron_permute_reference(rho, copies)
     assert np.array_equal(power.mat, reference)
     assert power.mat.tobytes() == DensityMatrix(power.shape, reference).mat.tobytes()
-    assert power.copy_base is rho and power.copies == copies
 
 
 @pytest.mark.parametrize("copies", [2, 3])
@@ -255,12 +256,11 @@ def test_power_positivity_decided_as_by_dense_eigvalsh(monkeypatch, copies, psd_
     assert structured == dense == (psd_atol > {2: 3.5e-10, 3: 2.45e-10}[copies])
 
 
-def test_public_constructor_checks_positivity_despite_copy_base():
-    rho = werner(0.9)
-    shape = tensor_power(rho, 2).shape
+def test_public_constructor_checks_positivity_on_a_power_shape():
+    shape = tensor_power(werner(0.9), 2).shape
     non_psd = np.diag([1.0 + 1e-3, -1e-3] + [0.0] * 14).astype(complex)
     with pytest.raises(InvariantViolation) as err:
-        DensityMatrix(shape, non_psd, copy_base=rho, copies=2)
+        DensityMatrix(shape, non_psd)
     assert err.value.invariant == "positive-semidefinite"
 
 
@@ -318,8 +318,8 @@ def test_pure_power_top_eigenstate_matches_dense(preset, copies):
     single = preset().to_density()
     tol = Tolerance()
     power = tensor_power(single, copies)
-    dense = power.top_eigenstate(tol)
-    psi = states._power_top_eigenstate(single, copies, tol)
+    dense = power.top_eigenstate()
+    psi = states._power_top_eigenstate(single, copies)
     assert psi.shape == power.shape
     assert dimension_signature(psi, tol) == dimension_signature(dense, tol)
     labels = power.shape.labels
@@ -444,6 +444,77 @@ def test_tensor_power_is_exactly_hermitian():
     for shape, copies in POWER_CASES:
         power = tensor_power(random_density(rng, shape, rank=3), copies)
         assert np.array_equal(power.mat, np.conj(power.mat).T)
+
+
+# ---------------------------------------------------------------------------
+# Searches of a tensor power, handed the single copy and the copy count
+# ---------------------------------------------------------------------------
+
+#: (shape, copies) pairs up to side 64.  Unpruned searches run only up to
+#: 225 candidates, and the 3375-candidate case only on mixed states, so no
+#: example classifies thousands of candidates.
+SEARCH_POWER_CASES = [
+    (SystemShape.of(("A", 2), ("B", 2)), 1),
+    (SystemShape.of(("A", 2), ("B", 3)), 1),
+    (SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 1),
+    (SystemShape.of(("A", 2), ("B", 2)), 2),
+    (SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 2),
+]
+
+
+@st.composite
+def search_power_instances(draw):
+    """``(state, copies, bases, prune)``: a state of rank 1 to 3 with a
+    planted spectrum, its copy count, random bases of the power's parties
+    in half the examples, and whether the search prunes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape, copies = SEARCH_POWER_CASES[draw(st.integers(0, len(SEARCH_POWER_CASES) - 1))]
+    large = int(np.prod([2 ** (d**copies) - 1 for d in shape.dims])) > 225
+    weights = np.zeros(shape.total_dim)
+    rank = draw(st.integers(2 if large else 1, 3))
+    weights[:rank] = rng.dirichlet(np.ones(rank))
+    rho = state_with_spectrum(rng, shape, weights)
+    bases = None
+    if draw(st.booleans()):
+        bases = {p.label: random_unitary(rng, p.dim) for p in states._power_shape(rho, copies).parties}
+    prune = large or draw(st.booleans())
+    return rho, copies, bases, prune
+
+
+def search_record(certs) -> list:
+    """Each certificate's summary with its exact weight and projected matrix."""
+    return [(certificate_summary(c), c.outcome.weight, c.outcome.state.mat.tobytes()) for c in certs]
+
+
+@PROPERTY_SETTINGS
+@given(search_power_instances(), st.booleans())
+def test_search_of_copies_equals_search_of_the_built_power(instance, require_entangled):
+    rho, copies, bases, prune = instance
+    options = {"require_entangled": require_entangled, "prune": prune}
+    got = find_dss(rho, bases, copies=copies, **options)
+    want = find_dss(tensor_power(rho, copies), bases, **options)
+    assert search_record(got) == search_record(want)
+
+
+def purifying_record(found) -> list:
+    """Each found subspace's indices, exact weight, projected matrix and
+    concurrences."""
+    return [
+        (f.subspace.basis_indices, f.outcome.weight, f.outcome.state.mat.tobytes(),
+         f.measure_before, f.measure_after)
+        for f in found
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(0.3, 1.0), st.booleans())
+def test_purifying_search_of_copies_equals_search_of_the_built_power(F, rotated):
+    rho = werner(F)
+    rng = np.random.default_rng(int(F * 1e6))
+    bases = {label: random_unitary(rng, 4) for label in "AB"} if rotated else None
+    got = find_purifying_subspaces(rho, bases, copies=2)
+    want = find_purifying_subspaces(tensor_power(rho, 2), bases, reference=rho)
+    assert purifying_record(got) == purifying_record(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dsskit import (
+    DimensionCapError,
     DssCertificate,
     InvariantViolation,
     LocalSubspace,
@@ -274,6 +277,48 @@ def test_find_dss_candidate_cap():
     assert err.value.count == (2**12 - 1) ** 2
 
 
+def raised_with_peak(error, call):
+    """The ``error`` that ``call()`` raises, and the traced peak allocation
+    in bytes until then."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as err:
+            call()
+        return err.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("copies,count", [(3, 16_581_375), (4, 281_462_092_005_375)])
+def test_find_dss_refuses_above_the_cap_before_building_the_power(copies, count):
+    # The refused powers would take 4 MiB (side 512) and 256 MiB (side 4096).
+    err, peak = raised_with_peak(
+        SearchSpaceTooLarge, lambda: find_dss(three_qubit_example(0.5), copies=copies)
+    )
+    assert err.count == count
+    assert peak < 1 << 20
+
+
+def test_searches_keep_the_tensor_power_errors():
+    rho = werner(0.9)
+    for copies, error in [(0, InvariantViolation), (7, DimensionCapError)]:
+        with pytest.raises(error) as dense:
+            tensor_power(rho, copies)
+        for search in (find_dss, find_purifying_subspaces):
+            err, peak = raised_with_peak(error, lambda: search(rho, copies=copies))
+            assert str(err) == str(dense.value)
+            assert peak < 1 << 20
+
+
+def test_find_purifying_subspaces_refuses_above_the_cap_before_building_the_power():
+    # werner(0.9) at 5 copies: dims (32, 32), and a 16 MiB power.
+    err, peak = raised_with_peak(
+        SearchSpaceTooLarge, lambda: find_purifying_subspaces(werner(0.9), copies=5)
+    )
+    assert err.count == (2**32 - 1) ** 2
+    assert peak < 1 << 20
+
+
 def test_find_dss_rotated_bases():
     # A Bell state is product in the magic bases u (x) v from its Schmidt
     # vectors; rotated bases expose subspaces the computational search misses.
@@ -369,8 +414,7 @@ def test_rank_bound_never_violated_on_planted_instances():
 
 
 def test_find_purifying_subspaces_werner():
-    two = tensor_power(werner(0.9), 2)
-    found = find_purifying_subspaces(two)  # reference from the tracked base copy
+    found = find_purifying_subspaces(werner(0.9), copies=2)  # reference: the single copy
     index_sets = {f.subspace.basis_indices for f in found}
     assert ((1, 2), (1, 2)) in index_sets
     assert ((0, 3), (0, 3)) in index_sets
@@ -380,23 +424,21 @@ def test_find_purifying_subspaces_werner():
 
 
 def test_find_purifying_subspaces_maximal_reference():
-    two = tensor_power(werner(1.0), 2)
-    assert find_purifying_subspaces(two) == []
+    assert find_purifying_subspaces(werner(1.0), copies=2) == []
 
 
 def test_find_purifying_subspaces_product_state():
     shape = SystemShape.qubits("AB")
     rho = DensityMatrix.mixture(shape, [(1.0, product_basis_vector(shape, (0, 1)))])
-    two = tensor_power(rho, 2)
-    assert find_purifying_subspaces(two) == []
+    assert find_purifying_subspaces(rho, copies=2) == []
 
 
-def test_find_purifying_subspaces_needs_reference():
+def test_find_purifying_subspaces_default_reference_is_the_single_copy():
     rho = werner(0.9)
-    with pytest.raises(InvariantViolation):
-        find_purifying_subspaces(rho)
-    found = find_purifying_subspaces(tensor_power(werner(0.9), 2), reference=0.99)
-    assert found == []
+    found = find_purifying_subspaces(rho, copies=2)
+    assert found
+    assert all(f.measure_before == concurrence(rho) for f in found)
+    assert find_purifying_subspaces(rho, copies=2, reference=0.99) == []
 
 
 def test_project_matches_explicit_compression_random_complex():
@@ -468,7 +510,7 @@ def test_find_purifying_subspaces_matches_all_candidates_loop(angle, reference):
         outcome = project(two, sub)
         if outcome.classification == "mixed" and concurrence(outcome.state) > before:
             expected.append((indices, outcome.weight, concurrence(outcome.state)))
-    found = find_purifying_subspaces(two, bases, reference=reference)
+    found = find_purifying_subspaces(werner(0.9), bases, copies=2, reference=reference)
     assert expected
     assert [(f.subspace.basis_indices, f.outcome.weight, f.measure_after) for f in found] == expected
 

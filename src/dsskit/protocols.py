@@ -38,6 +38,7 @@ from .states import (
     DensityMatrix,
     Party,
     SystemShape,
+    _hermitian_part,
     _normalized,
     _post_select,
     _power_shape,
@@ -150,7 +151,7 @@ def _unitary_branch(step: LocalUnitary, branch: BranchTrace) -> tuple[list[Branc
         else:
             mats.append(identity(p.dim))
     u = kron_all(mats)
-    state = DensityMatrix(shape, u @ branch.state.mat @ dagger(u))
+    state = DensityMatrix._derived(shape, _hermitian_part(u @ branch.state.mat @ dagger(u)))
     return [BranchTrace(branch.outcomes, branch.probability, state, branch.shape_history)], 0.0
 
 
@@ -418,7 +419,7 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
         total_weight += outcome.weight
         sub_shape = outcome.state.shape
 
-    combined_state = DensityMatrix(sub_shape, combined / total_weight)
+    combined_state = DensityMatrix._derived(sub_shape, combined / total_weight)
     return WernerPurificationReport(
         F=F,
         concurrence_before=before,

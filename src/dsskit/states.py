@@ -2,11 +2,13 @@
 
 Labelled system shapes, validated density matrices and pure states,
 copy-regrouped tensor powers, and the preset states used by the worked
-examples.  All value types are immutable; constructing one runs its full
-invariant check, so any ``DensityMatrix`` or ``PureState`` in circulation
-is known to be valid.  A tensor power is a plain state, checked on the
-single copy: its trace is the copy's trace to the n-th power, and its
-positivity is read off the products of the single-copy eigenvalues.
+examples.  All value types are immutable.  A matrix from outside the
+library (the public constructor, ``mixture``, the file loader) runs the
+full check; a state derived from a checked one (a projection, an outcome,
+a reduced state, a power) is stored unchecked by ``DensityMatrix._derived``
+and keeps the invariants to roundoff over its weight: a projection of
+weight 9e-12 can hold an eigenvalue of -3.6e-8.  A power is checked on the
+single copy, its trace as tr(rho)**n, its spectrum as eigenvalue products.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     dagger,
-    eig_hermitian,
     kron_all,
     partial_trace,
 )
@@ -134,6 +135,11 @@ class SystemShape:
         return self.parties[self.party_index(label)]
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m†)/2``: fresh, exactly Hermitian, rid of a product's roundoff."""
+    return (m + dagger(m)) / 2.0
+
+
 def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
     """The read-only Hermitian part of ``mat`` once it passes the density
     matrix checks: side, hermiticity, unit trace, and positivity of the
@@ -149,7 +155,7 @@ def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
         raise InvariantViolation(
             "hermitian", f"density matrix is not Hermitian (max deviation {deviation:.3e})"
         )
-    mat = (mat + dagger(mat)) / 2.0  # kill anti-Hermitian roundoff; a fresh array
+    mat = _hermitian_part(mat)
     _require_unit_trace(float(np.real(np.trace(mat))))
     _require_psd(np.linalg.eigvalsh(mat))
     mat.setflags(write=False)
@@ -172,22 +178,20 @@ def _require_psd(spectrum: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian, positive-semidefinite, unit-trace matrix over a shape.
-    It records no provenance: whoever needs a power's single copy holds it."""
+    """A Hermitian, positive-semidefinite, unit-trace matrix over a shape; built
+    directly, it is checked (see the module docstring).  No provenance."""
 
     shape: SystemShape
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _validated(self.shape, as_matrix(self.mat))
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", _validated(self.shape, as_matrix(self.mat)))
 
     @classmethod
-    def _power_of(cls, shape: SystemShape, mat: np.ndarray) -> "DensityMatrix":
-        """A tensor power ``mat``, stored read-only with no dense pass:
-        :func:`_power_checks` has passed on the single copy, and the kron of
-        an exactly Hermitian matrix (as every stored ``mat`` is) is exactly
-        Hermitian.  Private to :func:`tensor_power`."""
+    def _derived(cls, shape: SystemShape, mat: np.ndarray) -> "DensityMatrix":
+        """The one store-only constructor: a state derived from a checked one,
+        stored read-only unchecked.  ``mat`` must be exactly Hermitian, as
+        :func:`_power_checks` assumes; see :func:`_hermitian_part`."""
         mat.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "shape", shape)
@@ -196,8 +200,9 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityMatrix":
+        # A fused complex multiply leaves v_i v_j* and v_j v_i* inexact conjugates.
         v = psi.amplitudes
-        return cls(psi.shape, np.outer(v, np.conj(v)))
+        return cls._derived(psi.shape, _hermitian_part(np.outer(v, np.conj(v))))
 
     @classmethod
     def mixture(cls, shape: SystemShape, terms: Iterable[tuple[float, np.ndarray]]) -> "DensityMatrix":
@@ -210,7 +215,9 @@ class DensityMatrix:
         return cls(shape, mat)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return eig_hermitian(self.mat)
+        """Eigenvalues descending, eigenvectors as columns; ``mat`` is exactly Hermitian."""
+        w, v = np.linalg.eigh(self.mat)
+        return w[::-1].copy(), v[:, ::-1].copy()
 
     def top_eigenstate(self) -> "PureState":
         _, v = self.eigh()
@@ -225,7 +232,7 @@ class DensityMatrix:
             raise InvariantViolation("label", f"unknown parties {sorted(missing)}")
         red = partial_trace(self.mat, self.shape.dims, keep)
         sub = SystemShape(tuple(self.shape.parties[i] for i in keep))
-        return DensityMatrix(sub, red)
+        return DensityMatrix._derived(sub, red)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,11 +282,12 @@ def _normalized(out: np.ndarray, shape: SystemShape) -> tuple[float, DensityMatr
     """The weight ``tr(out)`` of an unnormalized post-selected state and the
     state ``out / weight`` on ``shape``, or None when the weight does not
     exceed ``ZERO_WEIGHT``.  Every post-selected state update goes through
-    here; each caller keeps its own probability bookkeeping."""
+    here; each caller keeps its own probability bookkeeping.  The state is
+    stored unchecked, as the division scales ``out``'s roundoff by 1/weight."""
     weight = float(np.real(np.trace(out)))
     if weight <= ZERO_WEIGHT:
         return weight, None
-    return weight, DensityMatrix(shape, out / weight)
+    return weight, DensityMatrix._derived(shape, _hermitian_part(out / weight))
 
 
 def _checked_copies(rho: DensityMatrix, n: int) -> int:
@@ -369,7 +377,7 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     total = shape.total_dim
     big = kron_all([rho.mat] * n)
     mat = big.reshape(axes * 2).transpose(perm).reshape(total, total)
-    return DensityMatrix._power_of(shape, mat)
+    return DensityMatrix._derived(shape, mat)
 
 
 def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
@@ -555,4 +563,4 @@ def filter_example(lam: float) -> DensityMatrix:
 
 def maximally_mixed(shape: SystemShape) -> DensityMatrix:
     d = shape.total_dim
-    return DensityMatrix(shape, np.eye(d, dtype=np.complex128) / d)
+    return DensityMatrix._derived(shape, np.eye(d, dtype=np.complex128) / d)

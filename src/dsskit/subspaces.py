@@ -586,8 +586,9 @@ def find_purifying_subspaces(
     searched, over the candidates with two basis vectors per party (of the
     power's local bases), in canonical order; any other state gives an empty
     list.  ``reference`` fixes the concurrence to beat: a number, a
-    two-qubit state, or (by default) ``rho``, the single copy.  As in
-    :func:`find_dss`, the cap is checked before the power is built.
+    two-qubit state, or (by default) ``rho``, the single copy, to beat by the
+    absolute margin ``tol.purity_atol`` (a projection handing back a copy
+    ties it to an ulp).  As in :func:`find_dss`, the cap is checked first.
     """
     reference = rho if reference is None else reference
     if isinstance(reference, DensityMatrix):
@@ -611,7 +612,7 @@ def find_purifying_subspaces(
         if outcome.classification != "mixed":
             continue
         measure_after = concurrence(outcome.state, tol)
-        if measure_after > measure_before:
+        if measure_after > measure_before + tol.purity_atol:
             found.append(PurifyingSubspace(sub, outcome, measure_before, measure_after))
     return found
 

@@ -11,6 +11,7 @@ from dsskit import (
     LocalSubspace,
     Party,
     ProductOperator,
+    PureState,
     SystemShape,
     Tolerance,
     bell_state,
@@ -174,6 +175,50 @@ def test_simulate_protocol_file(capsys, tmp_path):
     )
     assert code == 0
     assert "success_probability: 1" in out
+
+
+def write_near_orthogonal_inputs(tmp_path) -> None:
+    """A pure product state, search bases whose first party-A vector lies
+    3e-6 away from orthogonal to the A factor, the subspace on that vector
+    and a protocol projecting onto it: projections of weight ~9e-12."""
+    shape = SystemShape.qubits("AB")
+    u = np.array([np.cos(0.7), np.sin(0.7)], dtype=complex)
+    v = np.array([np.cos(1.1), np.sin(1.1)], dtype=complex)
+    a = np.array([-u[1], u[0]]) + 3e-6 * u
+    a /= np.linalg.norm(a)
+    a2 = u - np.vdot(a, u) * a
+    a2 /= np.linalg.norm(a2)
+    rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
+    rho = PureState(shape, np.kron(u, v)).to_density()
+    fileio.write_state(str(tmp_path / "state.json"), rho)
+    bases = LocalSubspace((("A", np.column_stack([a, a2])), ("B", rot)))
+    fileio.write_subspace(str(tmp_path / "bases.json"), bases)
+    fileio.write_subspace(str(tmp_path / "sub.json"), LocalSubspace((("A", a[:, None]), ("B", rot))))
+    protocol = {"steps": [{"kind": "project", "subspace": "sub.json"}]}
+    (tmp_path / "protocol.json").write_text(json.dumps(protocol))
+
+
+def test_near_zero_weight_projections_are_results_not_errors(capsys, tmp_path):
+    """Renormalizing a weight near 1e-11 magnifies roundoff past the
+    hermiticity margin; derived states are not checked again, so these
+    commands report instead of failing."""
+    write_near_orthogonal_inputs(tmp_path)
+    state, sub = str(tmp_path / "state.json"), str(tmp_path / "sub.json")
+    code, out, err = run_cli(capsys, "dss", "check", "--state", state, "--subspace", sub)
+    assert (code, err) == (0, "")
+    assert "accepted: false" in out and "refusal: product" in out
+
+    bases = str(tmp_path / "bases.json")
+    code, out, err = run_cli(
+        capsys, "dss", "find", "--state", state, "--bases", bases, "--no-require-entangled"
+    )
+    assert (code, err) == (0, "")
+    assert "certificates_found: 9" in out
+
+    protocol = str(tmp_path / "protocol.json")
+    code, out, err = run_cli(capsys, "simulate", "--protocol", protocol, "--state", state)
+    assert (code, err) == (0, "")
+    assert "success_probability: 8.99998939507e-12" in out
 
 
 def test_rankbound_command(capsys):

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 only ``linalg.py`` reaches numpy's Kronecker product, only the CLI's
-``simulate`` handler builds a tensor power, and a state carries nothing
-but its shape and matrix."""
+``simulate`` handler builds a tensor power, only ``mixture`` and the file
+loader call the checking ``DensityMatrix`` constructor, and a state carries
+nothing but its shape and matrix."""
 
 import ast
 import dataclasses
@@ -204,6 +205,67 @@ def test_only_simulate_builds_a_tensor_power_in_the_cli():
     hands the single copy and ``copies`` to the library."""
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert references_outside(source, "tensor_power", "_cmd_simulate") == []
+
+
+def public_constructor_calls(source: str) -> list[str]:
+    """The enclosing scope of each call of the public ``DensityMatrix``
+    constructor: ``DensityMatrix(...)``, ``module.DensityMatrix(...)``, or
+    ``cls(...)`` in a method of the class ``DensityMatrix``."""
+    found = []
+
+    def visit(node, scope, in_density_matrix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    public = func.id == "DensityMatrix" or (in_density_matrix and func.id == "cls")
+                else:
+                    public = getattr(func, "attr", None) == "DensityMatrix"
+                if public:
+                    found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + (child.name,), child.name == "DensityMatrix")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), in_density_matrix)
+            else:
+                visit(child, scope, in_density_matrix)
+
+    visit(ast.parse(source), (), False)
+    return found
+
+
+def test_constructor_detector_flags_public_calls_and_keeps_the_store_only_one():
+    source = (
+        "from . import states\n"
+        "class DensityMatrix:\n"
+        "    @classmethod\n"
+        "    def mixture(cls, shape, mat):\n        return cls(shape, mat)\n"
+        "    @classmethod\n"
+        "    def _derived(cls, shape, mat):\n        return object.__new__(cls)\n"
+        "    def reduced(self):\n        return DensityMatrix._derived(self.shape, self.mat)\n"
+        "class PureState:\n"
+        "    @classmethod\n"
+        "    def of(cls, v):\n        return cls(v)\n"
+        "def load_state(doc):\n    return states.DensityMatrix(doc.shape, doc.mat)\n"
+        "MIXED = DensityMatrix(SHAPE, EYE)\n"
+    )
+    assert public_constructor_calls(source) == [
+        "DensityMatrix.mixture (line 5)",
+        "load_state (line 16)",
+        "<module> (line 17)",
+    ]
+
+
+def test_only_mixture_and_load_state_check_a_density_matrix():
+    """A matrix from outside the library is checked by the public
+    constructor; every state the library derives is stored through
+    ``DensityMatrix._derived``."""
+    calls = [
+        f"{path.name}: {call.split(' (')[0]}"
+        for path in SOURCES
+        for call in public_constructor_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert calls == ["fileio.py: load_state", "states.py: DensityMatrix.mixture"]
 
 
 def test_density_matrix_holds_only_its_shape_and_matrix():

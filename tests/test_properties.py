@@ -3,9 +3,11 @@ kernels behind local operations.
 
 Each search example draws a seed and builds a state on two or three
 parties: a random low-rank state, or a planted instance hiding a pure
-entangled state on a basis-aligned subspace.  Half the examples rotate the
-state by random local unitaries and search in the rotated bases, where the
-planted subspace is again basis-aligned.
+entangled state on a basis-aligned subspace.  Half of those examples rotate
+the state by random local unitaries and search in the rotated bases, where
+the planted subspace is again basis-aligned.  A third kind searches a pure
+product state in bases that hold near-zero-weight projections, whose
+renormalization magnifies roundoff.
 
 The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
@@ -33,14 +35,19 @@ from dsskit import (
     DimensionCapError,
     InvariantViolation,
     LocalSubspace,
+    LocalUnitary,
     MeasureAndDiscard,
     Party,
+    ProductOperator,
+    PureState,
     SystemShape,
+    apply,
     bell_state,
     decompose,
     dimension_signature,
     find_dss,
     find_purifying_subspaces,
+    ghz_distillation_steps,
     ghz_state,
     iter_candidates,
     numerical_rank,
@@ -58,7 +65,14 @@ from dsskit.cli import main
 from dsskit.linalg import ZERO_WEIGHT, Tolerance, kron_all
 from dsskit.subspaces import _SearchContext
 
-from helpers import certificate_summary, planted_instance, random_density, random_unitary
+from helpers import (
+    certificate_summary,
+    planted_instance,
+    random_density,
+    random_invertible_contraction,
+    random_pure_vector,
+    random_unitary,
+)
 
 SHAPES = [
     SystemShape.of(("A", 2), ("B", 2), ("C", 2)),
@@ -70,11 +84,33 @@ SHAPES = [
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
 
+def near_orthogonal_instance(rng: np.random.Generator, gap: float):
+    """A pure product state and search bases whose first party-A column lies
+    ``gap`` away from orthogonal to the A factor, the other parties' bases
+    rotated at random.  Candidates on that column have weights near
+    ``gap**2``, so renormalizing them magnifies the roundoff by ``1/gap**2``."""
+    shape = SHAPES[rng.integers(len(SHAPES))]
+    factors = [random_pure_vector(rng, p.dim) for p in shape.parties]
+    state = PureState(shape, kron_all(f[:, None] for f in factors)[:, 0]).to_density()
+    u, d = factors[0], shape.dims[0]
+    w = random_pure_vector(rng, d)
+    w -= np.vdot(u, w) * u
+    first = w / np.linalg.norm(w) + gap * u
+    columns = np.column_stack([first, random_unitary(rng, d)[:, 1:]])
+    bases = {p.label: random_unitary(rng, p.dim) for p in shape.parties[1:]}
+    bases[shape.labels[0]] = np.linalg.qr(columns)[0]
+    return state, bases
+
+
 @st.composite
 def search_instances(draw):
-    """``(state, bases, planted)``; ``planted`` is None for low-rank states."""
+    """``(state, bases, planted)``; ``planted`` is None but for planted
+    instances.  A near-orthogonal instance comes with its own bases."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["planted", "random", "near-orthogonal"]))
+    if kind == "near-orthogonal":
+        return (*near_orthogonal_instance(rng, 10 ** draw(st.floats(-6, -4))), None)
+    if kind == "planted":
         state, planted = planted_instance(rng)
     else:
         shape = SHAPES[draw(st.integers(0, len(SHAPES) - 1))]
@@ -437,13 +473,27 @@ def test_power_trace_decided_as_by_the_dense_power(copies, excess):
     assert dense == (excess * copies < 1e-9)
 
 
-def test_tensor_power_is_exactly_hermitian():
-    """``tensor_power`` runs no hermiticity pass: the kron of an exactly
-    Hermitian copy is exactly Hermitian."""
+def test_stored_states_are_exactly_hermitian():
+    """Derived states are stored with no hermiticity check, and
+    ``_power_checks`` relies on every stored ``mat`` equalling its conjugate
+    transpose exactly: tensor powers, protocol branches, projections onto
+    rotated subspaces, filters, unitaries, pure states and reduced states."""
     rng = np.random.default_rng(3)
-    for shape, copies in POWER_CASES:
-        power = tensor_power(random_density(rng, shape, rank=3), copies)
-        assert np.array_equal(power.mat, np.conj(power.mat).T)
+    stored = [tensor_power(random_density(rng, shape, rank=3), copies) for shape, copies in POWER_CASES]
+    two = tensor_power(three_qubit_example(0.5), 2)
+    stored += [branch.state for branch in run(ghz_distillation_steps(two.shape), two).branches]
+    for shape in SHAPES:
+        rho = random_density(rng, shape, rank=2)
+        sub = LocalSubspace(tuple((p.label, random_unitary(rng, p.dim)[:, :2]) for p in shape.parties))
+        op = ProductOperator.from_parts(
+            shape, {p.label: random_invertible_contraction(rng, p.dim) for p in shape.parties}
+        )
+        rotate = LocalUnitary({p.label: random_unitary(rng, p.dim) for p in shape.parties})
+        psi = PureState(shape, random_pure_vector(rng, shape.total_dim)).to_density()
+        stored += [project(rho, sub).state, apply(op, rho)[0], run([rotate], rho).branches[0].state, psi]
+        stored += [psi.reduced(shape.labels[:1]), rho.reduced(shape.labels[1:])]
+    for state in stored:
+        assert np.array_equal(state.mat, np.conj(state.mat).T)
 
 
 # ---------------------------------------------------------------------------

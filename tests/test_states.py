@@ -79,6 +79,15 @@ def test_pure_state_norm():
     assert err.value.invariant == "norm"
 
 
+def test_pure_state_inside_the_norm_margin_converts_to_a_density_matrix():
+    """The density matrix of an accepted pure state is derived, not checked
+    again: its trace, the squared norm, may sit outside the trace margin."""
+    psi = PureState(SystemShape.qubits("AB"), np.array([1.0 + 0.9e-9, 0.0, 0.0, 0.0]))
+    rho = psi.to_density()
+    assert trace(rho) == pytest.approx((1.0 + 0.9e-9) ** 2, abs=1e-15)
+    assert abs(trace(rho) - 1.0) > 1e-9
+
+
 def test_werner_extremes():
     pure = werner(1.0)
     assert fidelity_with_pure(pure, bell_state("phi+")) == pytest.approx(1.0)

@@ -415,9 +415,9 @@ def test_rank_bound_never_violated_on_planted_instances():
 
 def test_find_purifying_subspaces_werner():
     found = find_purifying_subspaces(werner(0.9), copies=2)  # reference: the single copy
-    index_sets = {f.subspace.basis_indices for f in found}
-    assert ((1, 2), (1, 2)) in index_sets
-    assert ((0, 3), (0, 3)) in index_sets
+    # Projections that hand back a single copy tie the reference to an ulp
+    # and are not listed.
+    assert [f.subspace.basis_indices for f in found] == [((1, 2), (1, 2)), ((0, 3), (0, 3))]
     for f in found:
         assert f.measure_after > f.measure_before
         assert f.measure_before == pytest.approx(0.8, abs=1e-9)

@@ -38,8 +38,6 @@ from .states import (
     fidelity_with_pure,
     filter_example,
     ghz_state,
-    ghz_w_pair,
-    maximally_mixed,
     tensor_power,
     three_qubit_example,
     w_state,
@@ -54,7 +52,6 @@ from .localops import (
     apply,
     apply_to_pure,
     decompose,
-    is_full_rank_on,
     rank_preservation_report,
 )
 from .entanglement import (
@@ -83,7 +80,6 @@ from .subspaces import (
     check_rank_bound,
     find_dss,
     find_purifying_subspaces,
-    iter_candidates,
     power_rank,
     project,
     rank_bound,

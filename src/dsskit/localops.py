@@ -9,7 +9,7 @@ the property suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .linalg import (
     identity,
     kron_all,
     numerical_rank,
-    require_orthonormal,
     singular_values,
     svd,
 )
@@ -242,26 +241,6 @@ def decompose(factor: LocalFactor | np.ndarray, tol: Tolerance = DEFAULT_TOLERAN
             "reconstruction", f"decomposition residual {residual:.3e} exceeds 1e-9"
         )
     return result
-
-
-def is_full_rank_on(
-    factor: LocalFactor,
-    basis: Iterable[np.ndarray] | np.ndarray,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> bool:
-    """Whether the factor restricted to span(basis) has full numerical rank.
-
-    ``basis`` is an orthonormal list of vectors (or a matrix with the
-    vectors as columns) in the factor's space.
-    """
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        b = np.asarray(basis, dtype=np.complex128)
-    else:
-        b = np.column_stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in basis])
-    if b.shape[0] != factor.dim:
-        raise InvariantViolation("dimension", "basis vectors do not live in the factor's space")
-    require_orthonormal(b, "orthonormal", "basis vectors are not orthonormal")
-    return numerical_rank(factor.mat @ b, tol) == b.shape[1]
 
 
 @dataclass(frozen=True)

@@ -527,11 +527,6 @@ def w_state_variant() -> PureState:
     return PureState(shape, v)
 
 
-def ghz_w_pair() -> tuple[PureState, PureState]:
-    """The (GHZ, W-variant) pair of inequivalent three-qubit states."""
-    return ghz_state(), w_state_variant()
-
-
 def three_qubit_example(p: float) -> DensityMatrix:
     """``p [GHZ] + (1-p) [|011>]`` on three qubits.
 
@@ -560,7 +555,3 @@ def filter_example(lam: float) -> DensityMatrix:
     psi = sqrt(3.0) / 2.0 * product_basis_vector(shape, (0, 0)) + 0.5 * product_basis_vector(shape, (1, 1))
     return DensityMatrix.mixture(shape, [(lam, psi), (1.0 - lam, product_basis_vector(shape, (0, 1)))])
 
-
-def maximally_mixed(shape: SystemShape) -> DensityMatrix:
-    d = shape.total_dim
-    return DensityMatrix._derived(shape, np.eye(d, dtype=np.complex128) / d)

@@ -13,6 +13,10 @@ The search family is restricted to subsets of supplied per-party bases
 problem with no exact algorithm; basis subsets are exact, certifiable and
 cover every worked example.  Callers can widen the family by supplying
 rotated bases.
+
+Both searches run one pipeline over canonical candidate positions: a
+source of positions, an optional screen, and the classification of each
+remaining candidate by :func:`project`.  Only their keep tests differ.
 """
 
 from __future__ import annotations
@@ -335,30 +339,9 @@ def candidate_count(shape: SystemShape) -> int:
     return prod((1 << d) - 1 for d in shape.dims)
 
 
-def iter_candidates(shape: SystemShape) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Candidate per-party index subsets in canonical order.
-
-    The order is lexicographic over (party position, subset bitmask
-    ascending) with the first party most significant, so searches are
-    deterministic however they are scheduled.
-    """
-    per_party = [_subset_indices(d) for d in shape.dims]
-    return itertools.product(*per_party)
-
-
 #: Most restricted-ensemble entries the screen holds at once (16 bytes each),
 #: so its working memory stays flat however large a subset-size group is.
 SCREEN_CHUNK = 1 << 14
-
-
-def _group_by_size(subsets: list[tuple[int, ...]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each subset size 1, 2, ...: the positions of the subsets of that
-    size in ``subsets`` and the subsets themselves as index rows."""
-    groups = []
-    for size in range(1, len(subsets[-1]) + 1):
-        positions = [pos for pos, idx in enumerate(subsets) if len(idx) == size]
-        groups.append((np.array(positions), np.array([subsets[pos] for pos in positions])))
-    return groups
 
 
 @dataclass
@@ -369,38 +352,55 @@ class _ScreenCounts:
 
 
 class _SearchContext:
-    """Shared read-only data for one search over a state."""
+    """One search over ``rho^(x copies)``: the cap check on the power's
+    shape, the power, the resolved bases and each party's index subsets.
+
+    A candidate is named by its canonical position: lexicographic over
+    (party, subset bitmask ascending), the first party most significant.
+    """
 
     def __init__(
         self,
         rho: DensityMatrix,
+        copies: int,
         bases: Mapping[str, np.ndarray] | None,
         tol: Tolerance,
+        candidate_cap: int,
     ):
-        self.rho = rho
-        self.shape = rho.shape
+        self.count = candidate_count(_power_shape(rho, copies))
+        if self.count > candidate_cap:
+            raise SearchSpaceTooLarge(self.count, candidate_cap)
+        self.rho = tensor_power(rho, copies)
+        self.shape = self.rho.shape
         self.tol = tol
-        self.bases = _resolve_bases(rho.shape, bases)
+        self.bases = _resolve_bases(self.shape, bases)
         self.subsets = [_subset_indices(d) for d in self.shape.dims]
+        # by_size[p][k - 1]: the positions of party p's subsets of size k
+        # among its subsets, and those subsets as index rows.
+        self.by_size = []
+        for subsets in self.subsets:
+            sizes = np.array([len(idx) for idx in subsets])
+            groups = [np.flatnonzero(sizes == k) for k in range(1, len(subsets[-1]) + 1)]
+            self.by_size.append([(pos, np.array([subsets[i] for i in pos])) for pos in groups])
 
-        evals, evecs = rho.eigh()
-        keep = above_rank_cutoff(evals, tol.rank_rtol)
+    def group(self, sizes: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
+        """The candidates whose subset for party ``p`` has ``sizes[p]``
+        elements: per party, those subsets as index rows, and the canonical
+        positions as an array of one axis per party (ascending in C order)."""
+        groups = [table[k - 1] for table, k in zip(self.by_size, sizes)]
+        picks = np.ix_(*(pos for pos, _ in groups))
+        return [rows for _, rows in groups], np.ravel_multi_index(picks, [len(s) for s in self.subsets])
+
+    def ensemble(self) -> np.ndarray:
+        """The power's significant eigenvectors, scaled by sqrt(weight), in
+        the product basis with one axis per party: restricting the party axes
+        to a candidate's index sets reads off its unnormalized ensemble."""
+        evals, evecs = self.rho.eigh()
+        keep = above_rank_cutoff(evals, self.tol.rank_rtol)
         weights = evals[keep]
-        vectors = evecs[:, keep]
-        # Express the significant eigenvectors in the supplied product basis,
-        # scaled by sqrt(weight): restricting their components to a candidate
-        # index set then reads off the unnormalized projected ensemble.
-        change = kron_all(self.bases)
-        coords = dagger(change) @ vectors
+        coords = dagger(kron_all(self.bases)) @ evecs[:, keep]
         scaled = coords * np.sqrt(weights)[np.newaxis, :]
-        self.ensemble = np.ascontiguousarray(scaled.T).reshape(
-            (len(weights),) + self.shape.dims
-        )
-
-    def candidate(self, position: int) -> tuple[tuple[int, ...], ...]:
-        """The candidate at a position of the canonical order."""
-        picks = np.unravel_index(position, [len(s) for s in self.subsets])
-        return tuple(s[int(i)] for s, i in zip(self.subsets, picks))
+        return np.ascontiguousarray(scaled.T).reshape((len(weights),) + self.shape.dims)
 
     def screen(
         self, require_entangled: bool, chunk: int = SCREEN_CHUNK
@@ -422,26 +422,23 @@ class _SearchContext:
         """
         tol = self.tol
         dims = self.shape.dims
-        rank = self.ensemble.shape[0]
-        ensemble = np.moveaxis(self.ensemble, 0, -1)  # party axes first
-        strides = [prod(len(s) for s in self.subsets[p + 1 :]) for p in range(len(dims))]
-        by_size = [_group_by_size(subsets) for subsets in self.subsets]
+        ensemble = np.moveaxis(self.ensemble(), 0, -1)  # party axes first
+        rank = ensemble.shape[-1]
 
         counts = _ScreenCounts()
         kept = []
         for sizes in itertools.product(*(range(1, d + 1) for d in dims)):
-            groups = [table[k - 1] for table, k in zip(by_size, sizes)]
-            group_shape = tuple(len(positions) for positions, _ in groups)
+            rows, positions = self.group(sizes)
             width = prod(sizes)
             step = max(1, chunk // (width * max(rank, 1)))
-            for start in range(0, prod(group_shape), step):
-                stop = min(start + step, prod(group_shape))
-                picks = np.unravel_index(np.arange(start, stop), group_shape)
+            for start in range(0, positions.size, step):
+                stop = min(start + step, positions.size)
+                picks = np.unravel_index(np.arange(start, stop), positions.shape)
                 n = stop - start
                 # Index rows broadcast to (n, sizes...): axis p + 1 for party p.
                 grid = tuple(
-                    rows[pick].reshape((n,) + tuple(k if q == p else 1 for q, k in enumerate(sizes)))
-                    for p, ((_, rows), pick) in enumerate(zip(groups, picks))
+                    party_rows[pick].reshape((n,) + tuple(k if q == p else 1 for q, k in enumerate(sizes)))
+                    for p, (party_rows, pick) in enumerate(zip(rows, picks))
                 )
                 amps = ensemble[grid].reshape(n, width, rank)
                 weight = np.sum(np.abs(amps) ** 2, axis=(1, 2))
@@ -466,14 +463,18 @@ class _SearchContext:
                     product = np.all(_cut_ranks(top, sizes, 0.1 * tol.rank_rtol) <= 1, axis=1)
                     counts.product += int(np.count_nonzero(product))
                     pure[pure] = ~product
-                kept.append(
-                    sum(
-                        positions[pick[live][pure]] * stride
-                        for (positions, _), pick, stride in zip(groups, picks, strides)
-                    )
-                )
+                kept.append(positions.ravel()[start:stop][live][pure])
         survivors = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=int)
         return survivors, counts
+
+    def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
+        """Each candidate at ``positions``, in that order: its subspace cut
+        from the bases, and the :func:`project` outcome of the power on it."""
+        picks = np.unravel_index(np.asarray(positions, dtype=int), [len(s) for s in self.subsets])
+        for pick in zip(*picks):
+            indices = tuple(s[i] for s, i in zip(self.subsets, pick))
+            subspace = LocalSubspace._from_checked(self.shape.labels, self.bases, indices)
+            yield subspace, project(self.rho, subspace, self.tol)
 
 
 def find_dss(
@@ -497,44 +498,35 @@ def find_dss(
     parties, of local dimension ``d_p^n``; the cap is checked on its shape
     before :func:`~dsskit.states.tensor_power` builds it.
 
-    With ``prune`` on, two screens run over all candidates at once on the
-    state's significant eigenvectors, restricted to each candidate.  The
-    first drops candidates that are clearly zero-weight or clearly mixed:
-    weight at most a tenth of ``ZERO_WEIGHT``, or residual weight beyond
-    the top eigenvalue above ``10 * purity_atol`` of the weight.  The second,
-    only with ``require_entangled``, drops candidates whose top eigenvector
-    is clearly product: at every party cut its second squared Schmidt
-    coefficient is at most ``0.1 * rank_rtol``.  Both margins are ten times
-    the thresholds of :func:`project`, so borderline candidates are not
-    screened.  Every survivor is classified by :func:`project`, which
-    therefore re-verifies every returned certificate and supplies its
-    weight and signature; pruned and unpruned searches return identical
-    results.  ``prune=False`` classifies every candidate.
+    The search takes every candidate position, screens them, and classifies
+    what is left by :func:`project`, which re-verifies every returned
+    certificate and supplies its weight and signature.  The screen runs over
+    all candidates at once on the state's significant eigenvectors,
+    restricted to each candidate.  It drops candidates that are clearly
+    zero-weight or clearly mixed: weight at most a tenth of ``ZERO_WEIGHT``,
+    or residual weight beyond the top eigenvalue above ``10 * purity_atol``
+    of the weight.  With ``require_entangled`` it also drops candidates whose
+    top eigenvector is clearly product: at every party cut its second
+    squared Schmidt coefficient is at most ``0.1 * rank_rtol``.  Both margins
+    are ten times the thresholds of :func:`project`, so pruned and unpruned
+    searches return identical results.  ``prune=False`` runs no screen.
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
     screened out as zero, mixed and product, those classified and the
     certificates.
     """
-    count = candidate_count(_power_shape(rho, copies))
-    if count > candidate_cap:
-        raise SearchSpaceTooLarge(count, candidate_cap)
+    ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
     if min_signature is not None:
         min_signature = tuple(as_int(m, "min_signature") for m in min_signature)
         if len(min_signature) != len(rho.shape.parties):
             raise InvariantViolation("min_signature", "one entry per party required")
 
-    rho = tensor_power(rho, copies)
-    ctx = _SearchContext(rho, bases, tol)
     if prune:
         positions, counts = ctx.screen(require_entangled)
-        candidates = [ctx.candidate(pos) for pos in positions]
     else:
-        candidates, counts = list(iter_candidates(rho.shape)), _ScreenCounts()
-
+        positions, counts = range(ctx.count), _ScreenCounts()
     certificates = []
-    for indices in candidates:
-        subspace = LocalSubspace._from_checked(ctx.shape.labels, ctx.bases, indices)
-        outcome = project(rho, subspace, tol)
+    for subspace, outcome in ctx.classify(positions):
         if outcome.classification == "pure-entangled" or (
             not require_entangled and outcome.classification == "pure-product"
         ):
@@ -545,14 +537,14 @@ def find_dss(
     _logger.debug(
         "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
         "%d classified, %d certificates",
-        count, counts.zero, counts.mixed, counts.product, len(candidates), len(certificates),
+        ctx.count, counts.zero, counts.mixed, counts.product, len(positions), len(certificates),
         extra={
             "search_stats": {
-                "candidates": count,
+                "candidates": ctx.count,
                 "screened_zero": counts.zero,
                 "screened_mixed": counts.mixed,
                 "screened_product": counts.product,
-                "classified": len(candidates),
+                "classified": len(positions),
                 "certificates": len(certificates),
             }
         },
@@ -583,32 +575,27 @@ def find_purifying_subspaces(
     higher concurrence.
 
     The measure is the two-qubit concurrence, so only a two-party state is
-    searched, over the candidates with two basis vectors per party (of the
-    power's local bases), in canonical order; any other state gives an empty
-    list.  ``reference`` fixes the concurrence to beat: a number, a
-    two-qubit state, or (by default) ``rho``, the single copy, to beat by the
-    absolute margin ``tol.purity_atol`` (a projection handing back a copy
-    ties it to an ulp).  As in :func:`find_dss`, the cap is checked first.
+    searched; any other state gives an empty list.  The pipeline is that of
+    :func:`find_dss` with no screen, over the candidates with two vectors of
+    the power's local bases per party, in canonical order.  ``reference``
+    fixes the concurrence to beat: a number, a two-qubit state, or (by
+    default) ``rho``, the single copy, which must then be a two-qubit state.
+    A mixed projection is kept when it beats the reference by the absolute
+    margin ``tol.purity_atol`` (one handing back a copy ties it to an ulp).
+    As in :func:`find_dss`, the cap is checked first.
     """
+    ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
+    if len(ctx.shape.parties) != 2 or 1 in ctx.shape.dims:
+        return []  # concurrence undefined for the projected shapes
     reference = rho if reference is None else reference
     if isinstance(reference, DensityMatrix):
         measure_before = concurrence(reference, tol)
     else:
         measure_before = float(reference)
 
-    count = candidate_count(_power_shape(rho, copies))
-    if count > candidate_cap:
-        raise SearchSpaceTooLarge(count, candidate_cap)
-
-    rho = tensor_power(rho, copies)
-    resolved = _resolve_bases(rho.shape, bases)
-    if len(rho.shape.parties) != 2:
-        return []  # concurrence undefined for the projected shapes
-    pairs = [[idx for idx in _subset_indices(d) if len(idx) == 2] for d in rho.shape.dims]
+    _, positions = ctx.group((2, 2))
     found = []
-    for indices in itertools.product(*pairs):
-        sub = LocalSubspace._from_checked(rho.shape.labels, resolved, indices)
-        outcome = project(rho, sub, tol)
+    for sub, outcome in ctx.classify(positions.ravel()):
         if outcome.classification != "mixed":
             continue
         measure_after = concurrence(outcome.state, tol)

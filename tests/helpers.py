@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 import numpy as np
 
 from dsskit import DensityMatrix, Party, PureState, SystemShape
@@ -14,6 +17,11 @@ def trace(rho: DensityMatrix) -> float:
 def allclose(a: DensityMatrix, b: DensityMatrix, atol: float = 1e-9) -> bool:
     """Same dims and every matrix entry within ``atol``."""
     return a.shape.dims == b.shape.dims and bool(np.max(np.abs(a.mat - b.mat)) <= atol)
+
+
+def maximally_mixed(shape: SystemShape) -> DensityMatrix:
+    d = shape.total_dim
+    return DensityMatrix(shape, np.eye(d, dtype=np.complex128) / d)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -89,6 +97,17 @@ def partial_trace_oracle(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]
                 total += mat[flat_index(row, dims), flat_index(col, dims)]
             out[flat_index(row_kept, kept_dims), flat_index(col_kept, kept_dims)] = total
     return out
+
+
+def iter_candidates(shape: SystemShape) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The flat search oracle: every candidate's per-party index subsets in
+    canonical order, lexicographic over (party position, subset bitmask
+    ascending) with the first party most significant."""
+    per_party = [
+        [tuple(i for i in range(d) if (mask >> i) & 1) for mask in range(1, 1 << d)]
+        for d in shape.dims
+    ]
+    return itertools.product(*per_party)
 
 
 # ---------------------------------------------------------------------------

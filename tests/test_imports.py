@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-only ``linalg.py`` reaches numpy's Kronecker product, only the CLI's
+every name the package exports has a user or a reason to stay, only ``linalg.py`` reaches numpy's Kronecker product, only the CLI's
 ``simulate`` handler builds a tensor power, only ``mixture`` and the file
 loader call the checking ``DensityMatrix`` constructor, and a state carries
 nothing but its shape and matrix."""
@@ -8,12 +8,14 @@ nothing but its shape and matrix."""
 import ast
 import dataclasses
 import pathlib
+import re
 
 import pytest
 
 from dsskit import DensityMatrix
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dsskit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dsskit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -127,6 +129,78 @@ def test_private_detector_flags_unused_and_keeps_used():
 def test_no_unused_private_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unused_private_definitions(sources) == []
+
+
+def exports_without_users(init_source: str, modules: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Names that ``init_source`` imports and nothing uses, sorted.  A
+    package module uses a name when one of its top-level statements, other
+    than the name's own definition, references it.  ``users`` maps other
+    file names to their text: a ``.py`` file uses the names it references,
+    any other file the names it contains as words."""
+    exported = {
+        alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for source in modules.values():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            used |= _referenced_names(stmt) - own
+    for name, text in users.items():
+        if name.endswith(".py"):
+            used |= _referenced_names(ast.parse(text))
+        else:
+            used |= set(re.findall(r"\w+", text))
+    return sorted(exported - used)
+
+
+#: Exported names with no user in the package, README, demos or acceptance
+#: tests, each with the reason it stays.
+UNUSED_EXPORTS_KEPT = {
+    "eig_hermitian": "the checked eigensolver for raw matrices and the only reader of "
+    "herm_atol, kept until ROADMAP item 4 decides that tolerance; perfbench traces it",
+}
+
+
+def test_export_detector_flags_names_without_users():
+    init = (
+        "from .a import Result, helper, by_readme, by_demo, unused, recursive, CONSTANT\n"
+    )
+    modules = {
+        "a.py": (
+            "CONSTANT = 3\n"
+            "class Result:\n    pass\n"
+            "def helper() -> 'Result':\n    return Result()\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def by_readme():\n    pass\n"
+            "def by_demo():\n    pass\n"
+            "def unused():\n    return CONSTANT\n"
+        ),
+        "b.py": "from .a import helper\nVALUE = helper()\n",
+    }
+    users = {
+        "README.md": "Call `by_readme()` first, then `recursively()`.\n",
+        "demo.py": "import dsskit as dk\ndk.by_demo()\n",
+    }
+    assert exports_without_users(init, modules, users) == ["recursive", "unused"]
+
+
+def test_every_export_has_a_user():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    users = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("demos/*.py"))]
+    }
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert exports_without_users(init, modules, users) == sorted(UNUSED_EXPORTS_KEPT)
 
 
 def numpy_kron_uses(source: str) -> list[str]:

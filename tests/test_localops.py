@@ -12,7 +12,6 @@ from dsskit import (
     apply_to_pure,
     decompose,
     filter_example,
-    is_full_rank_on,
     numerical_rank,
     rank_preservation_report,
     three_qubit_example,
@@ -213,22 +212,6 @@ def test_pipeline_equivalence():
         staged, p2 = apply(rest_op, projected)
         assert p1 * p2 == pytest.approx(p_direct, abs=1e-12)
         assert allclose(staged, direct, atol=1e-9)
-
-
-def test_is_full_rank_on():
-    identity = LocalFactor("A", np.eye(2, dtype=complex))
-    basis = np.eye(2, dtype=complex)
-    assert is_full_rank_on(identity, basis)
-
-    proj0 = LocalFactor("A", np.diag([1.0, 0.0]).astype(complex))
-    assert not is_full_rank_on(proj0, basis)
-
-    filt = LocalFactor("A", FILTER_A)
-    assert is_full_rank_on(filt, basis)
-
-    with pytest.raises(InvariantViolation) as err:
-        is_full_rank_on(identity, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
-    assert err.value.invariant == "orthonormal"
 
 
 def test_rank_preservation_invertible():

@@ -49,7 +49,6 @@ from dsskit import (
     find_purifying_subspaces,
     ghz_distillation_steps,
     ghz_state,
-    iter_candidates,
     numerical_rank,
     power_rank,
     project,
@@ -67,6 +66,7 @@ from dsskit.subspaces import _SearchContext
 
 from helpers import (
     certificate_summary,
+    iter_candidates,
     planted_instance,
     random_density,
     random_invertible_contraction,
@@ -123,31 +123,34 @@ def search_instances(draw):
     return state, bases, planted
 
 
-def restricted_ensemble(ctx, indices) -> np.ndarray:
+def restricted_ensemble(ensemble, indices) -> np.ndarray:
     """The search context's ensemble components supported on the candidate
     index set, flattened."""
-    rank = ctx.ensemble.shape[0]
-    return ctx.ensemble[np.ix_(range(rank), *indices)].reshape(rank, -1)
+    rank = ensemble.shape[0]
+    return ensemble[np.ix_(range(rank), *indices)].reshape(rank, -1)
 
 
-def old_screen_keeps(ctx, indices) -> bool:
+def old_screen_keeps(ensemble, tol, indices) -> bool:
     """The per-candidate zero/mixed test: one SVD of the restricted ensemble."""
-    restricted = restricted_ensemble(ctx, indices)
+    restricted = restricted_ensemble(ensemble, indices)
     weight = float(np.sum(np.abs(restricted) ** 2))
     if weight <= ZERO_WEIGHT * 0.1:
         return False
     s = np.linalg.svd(restricted, compute_uv=False)
-    return float(np.sum(s[1:] ** 2)) <= 10.0 * ctx.tol.purity_atol * weight
+    return float(np.sum(s[1:] ** 2)) <= 10.0 * tol.purity_atol * weight
 
 
 @PROPERTY_SETTINGS
 @given(search_instances(), st.sampled_from([1, 5, subspaces.SCREEN_CHUNK]))
 def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance, chunk):
     state, bases, _ = instance
-    ctx = _SearchContext(state, bases, Tolerance())
+    ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     positions, counts = ctx.screen(require_entangled=False, chunk=chunk)
-    kept = [ctx.candidate(pos) for pos in positions]
-    expected = [c for c in iter_candidates(state.shape) if old_screen_keeps(ctx, c)]
+    ensemble = ctx.ensemble()
+    expected = [
+        pos for pos, c in enumerate(iter_candidates(state.shape)) if old_screen_keeps(ensemble, ctx.tol, c)
+    ]
+    kept = positions.tolist()
     assert kept == expected
     assert counts.product == 0
     assert counts.zero + counts.mixed + len(kept) == subspaces.candidate_count(state.shape)
@@ -344,7 +347,7 @@ def test_decompose_and_search_keep_the_numerical_rank(instance):
     assert decompose(operator, tol).retained_dim == numerical_rank(operator, tol) == rank
     if np.isclose(weights.sum(), 1.0):
         rho = state_with_spectrum(rng, shape, weights)
-        kept = _SearchContext(rho, None, tol).ensemble.shape[0]
+        kept = _SearchContext(rho, 1, None, tol, subspaces.CANDIDATE_CAP).ensemble().shape[0]
         assert kept == numerical_rank(rho.mat, tol) == rank
 
 

@@ -13,8 +13,6 @@ from dsskit import (
     filter_example,
     find_dss,
     ghz_state,
-    ghz_w_pair,
-    maximally_mixed,
     power_rank,
     rank_bound,
     tensor_power,
@@ -26,7 +24,7 @@ from dsskit import (
 from dsskit.linalg import identity, numerical_rank, partial_trace
 from dsskit.states import Party, basis_vector, product_basis_vector
 
-from helpers import random_density, trace
+from helpers import maximally_mixed, random_density, trace
 
 
 def test_shape_basics():
@@ -128,7 +126,7 @@ def test_filter_example():
 
 
 def test_ghz_w_presets():
-    ghz, w_var = ghz_w_pair()
+    ghz, w_var = ghz_state(), w_state_variant()
     assert abs(np.vdot(ghz.amplitudes, w_var.amplitudes)) <= 1e-12
     for psi in (ghz, w_var, w_state()):
         for label in "ABC":
@@ -188,12 +186,6 @@ def test_reduced_unknown_party():
 def test_fidelity_dimension_check():
     with pytest.raises(InvariantViolation):
         fidelity_with_pure(werner(0.5), ghz_state())
-
-
-def test_maximally_mixed():
-    rho = maximally_mixed(SystemShape.qubits("AB"))
-    assert trace(rho) == pytest.approx(1.0)
-    assert numerical_rank(rho.mat) == 4
 
 
 def test_density_matrix_is_readonly():

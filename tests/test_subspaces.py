@@ -20,17 +20,24 @@ from dsskit import (
     find_dss,
     find_purifying_subspaces,
     ghz_state,
-    iter_candidates,
-    maximally_mixed,
     project,
     rank_bound,
     tensor_power,
     three_qubit_example,
     werner,
 )
+from dsskit.linalg import DEFAULT_TOLERANCE
 from dsskit.states import DensityMatrix, PureState, product_basis_vector
+from dsskit.subspaces import CANDIDATE_CAP, _SearchContext
 
-from helpers import certificate_summary, planted_instance, random_density, random_unitary
+from helpers import (
+    certificate_summary,
+    iter_candidates,
+    maximally_mixed,
+    planted_instance,
+    random_density,
+    random_unitary,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +241,17 @@ def test_iter_candidates_canonical_order():
         ((1,), (0,)),
     ]
     assert got[-1] == ((0, 1), (0, 1))
+
+    # The search context numbers candidates in the same order, and its
+    # (2, 2) size group is the oracle's two-by-two candidates.
+    rho = random_density(np.random.default_rng(5), SystemShape.of(("A", 2), ("B", 3)))
+    ctx = _SearchContext(rho, 1, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    oracle = list(iter_candidates(rho.shape))
+    assert [sub.basis_indices for sub, _ in ctx.classify(range(ctx.count))] == oracle
+    _, pairs = ctx.group((2, 2))
+    assert pairs.ravel().tolist() == [
+        pos for pos, c in enumerate(oracle) if all(len(idx) == 2 for idx in c)
+    ]
 
 
 def test_find_dss_single_copy_empty():
@@ -455,11 +473,25 @@ def test_project_matches_explicit_compression_random_complex():
         assert np.max(np.abs(outcome.state.mat - raw / weight)) <= 1e-12
 
 
-def test_find_dss_rejects_non_orthonormal_bases():
-    rho = werner(0.9)
+@pytest.mark.parametrize(
+    "bases,invariant,message",
+    [
+        ({"Z": np.eye(2)}, "label", "unknown parties in bases: ['Z']"),
+        ({"A": np.eye(3)}, "dimension", "basis for party 'A' must be 2x2, got (3, 3)"),
+        (
+            {"A": np.array([[1.0, 1.0], [0.0, 1.0]])},
+            "orthonormal",
+            "basis for party 'A' is not orthonormal (deviation 1.000e+00)",
+        ),
+    ],
+    ids=["unknown-party", "wrong-shape", "non-orthonormal"],
+)
+@pytest.mark.parametrize("search", [find_dss, find_purifying_subspaces], ids=lambda f: f.__name__)
+def test_searches_reject_bad_bases(search, bases, invariant, message):
     with pytest.raises(InvariantViolation) as err:
-        find_dss(rho, bases={"A": np.array([[1.0, 1.0], [0.0, 1.0]])})
-    assert err.value.invariant == "orthonormal"
+        search(werner(0.9), bases=bases)
+    assert err.value.invariant == invariant
+    assert str(err.value) == message
 
 
 def test_from_indices_refuses_a_repeated_index():
@@ -513,6 +545,15 @@ def test_find_purifying_subspaces_matches_all_candidates_loop(angle, reference):
     found = find_purifying_subspaces(werner(0.9), bases, copies=2, reference=reference)
     assert expected
     assert [(f.subspace.basis_indices, f.outcome.weight, f.measure_after) for f in found] == expected
+
+
+def test_find_purifying_subspaces_default_reference_needs_two_parties_first():
+    # The party count is checked before the default reference's concurrence.
+    assert find_purifying_subspaces(three_qubit_example(0.5)) == []
+    shape = SystemShape.of(("A", 2), ("B", 3))
+    with pytest.raises(InvariantViolation) as err:
+        find_purifying_subspaces(random_density(np.random.default_rng(3), shape))
+    assert err.value.invariant == "shape"
 
 
 def test_find_purifying_subspaces_three_party_power_is_empty():

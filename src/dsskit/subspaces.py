@@ -21,7 +21,6 @@ remaining candidate by :func:`project`.  Only their keep tests differ.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from math import prod
@@ -29,7 +28,7 @@ from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .entanglement import _cut_ranks, concurrence, dimension_signature, is_entangled_signature
+from .entanglement import concurrence, dimension_signature, is_entangled_signature
 from .errors import InvariantViolation, SearchSpaceTooLarge
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -329,19 +328,11 @@ def _resolve_bases(
 
 def _subset_indices(dim: int) -> list[tuple[int, ...]]:
     """All nonempty index subsets of range(dim), by ascending bitmask."""
-    out = []
-    for mask in range(1, 1 << dim):
-        out.append(tuple(i for i in range(dim) if (mask >> i) & 1))
-    return out
+    return [tuple(i for i in range(dim) if (mask >> i) & 1) for mask in range(1, 1 << dim)]
 
 
 def candidate_count(shape: SystemShape) -> int:
     return prod((1 << d) - 1 for d in shape.dims)
-
-
-#: Most restricted-ensemble entries the screen holds at once (16 bytes each),
-#: so its working memory stays flat however large a subset-size group is.
-SCREEN_CHUNK = 1 << 14
 
 
 @dataclass
@@ -349,6 +340,15 @@ class _ScreenCounts:
     zero: int = 0
     mixed: int = 0
     product: int = 0
+
+
+def _contract(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum the leading axes of ``tensor``, one per matrix, against the rows
+    of ``mats``: ``out[..., i_1, ..., i_m] = sum tensor[t_1, ..., t_m, ...]
+    * prod mats[j][i_j, t_j]``.  The axes left over come first."""
+    for m in mats:
+        tensor = np.tensordot(tensor, m, axes=(0, 1))
+    return tensor
 
 
 class _SearchContext:
@@ -375,21 +375,17 @@ class _SearchContext:
         self.tol = tol
         self.bases = _resolve_bases(self.shape, bases)
         self.subsets = [_subset_indices(d) for d in self.shape.dims]
-        # by_size[p][k - 1]: the positions of party p's subsets of size k
-        # among its subsets, and those subsets as index rows.
-        self.by_size = []
-        for subsets in self.subsets:
-            sizes = np.array([len(idx) for idx in subsets])
-            groups = [np.flatnonzero(sizes == k) for k in range(1, len(subsets[-1]) + 1)]
-            self.by_size.append([(pos, np.array([subsets[i] for i in pos])) for pos in groups])
+        # members[p][i, a] is 1.0 when party p's i-th subset holds index a.
+        self.members = [
+            np.array([[a in idx for a in range(len(s[-1]))] for idx in s], float) for s in self.subsets
+        ]
+        self.sizes = [m.sum(axis=1) for m in self.members]
 
-    def group(self, sizes: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
-        """The candidates whose subset for party ``p`` has ``sizes[p]``
-        elements: per party, those subsets as index rows, and the canonical
-        positions as an array of one axis per party (ascending in C order)."""
-        groups = [table[k - 1] for table, k in zip(self.by_size, sizes)]
-        picks = np.ix_(*(pos for pos, _ in groups))
-        return [rows for _, rows in groups], np.ravel_multi_index(picks, [len(s) for s in self.subsets])
+    def group(self, sizes: Sequence[int]) -> np.ndarray:
+        """The canonical positions, ascending, of the candidates whose subset
+        for party ``p`` has ``sizes[p]`` elements."""
+        picks = np.ix_(*(np.flatnonzero(s == k) for s, k in zip(self.sizes, sizes)))
+        return np.ravel_multi_index(picks, [len(s) for s in self.subsets]).ravel()
 
     def ensemble(self) -> np.ndarray:
         """The power's significant eigenvectors, scaled by sqrt(weight), in
@@ -402,70 +398,71 @@ class _SearchContext:
         scaled = coords * np.sqrt(weights)[np.newaxis, :]
         return np.ascontiguousarray(scaled.T).reshape((len(weights),) + self.shape.dims)
 
-    def screen(
-        self, require_entangled: bool, chunk: int = SCREEN_CHUNK
-    ) -> tuple[np.ndarray, _ScreenCounts]:
+    def screen(self, require_entangled: bool) -> tuple[np.ndarray, _ScreenCounts]:
         """Canonical positions of the candidates that may yield certificates.
 
-        Candidates are screened in batches of equal per-party subset sizes.
-        The unnormalized projection onto a candidate is ``A A†``, where the
-        rows of ``A`` are the restricted ensemble's components on the
-        candidate's basis states, so its eigenvalues are those of the
-        smaller Gram matrix ``A A†`` or ``A† A``.  A candidate is dropped
-        when it is clearly zero-weight or clearly mixed, an order of
-        magnitude beyond the thresholds of :func:`project`.  With
-        ``require_entangled`` it is also dropped when its top eigenvector is
-        clearly product: at every party cut the second squared Schmidt
-        coefficient is at most a tenth of ``rank_rtol``.  Borderline cases
-        fall through to :func:`project`.  Batches hold at most ``chunk``
-        ensemble entries.
-        """
-        tol = self.tol
-        dims = self.shape.dims
-        ensemble = np.moveaxis(self.ensemble(), 0, -1)  # party axes first
-        rank = ensemble.shape[-1]
+        ``G[x, y] = sum_j E[j, x] conj(E[j, y])`` over the :meth:`ensemble`
+        ``E`` is the state in the search basis, and a candidate ``S``'s
+        unnormalized projection is ``G`` restricted to ``S x S``.  Each test
+        below sums over basis states, or pairs of them, inside ``S``.  As
+        ``S`` is a product of per-party subsets, such a sum contracts a kernel
+        of at most ``D x D`` entries with each party's subset indicators, so
+        all candidates are decided at once, one kernel at a time, in working
+        memory O(D^2 + candidates).  A candidate is dropped as
 
-        counts = _ScreenCounts()
-        kept = []
-        for sizes in itertools.product(*(range(1, d + 1) for d in dims)):
-            rows, positions = self.group(sizes)
-            width = prod(sizes)
-            step = max(1, chunk // (width * max(rank, 1)))
-            for start in range(0, positions.size, step):
-                stop = min(start + step, positions.size)
-                picks = np.unravel_index(np.arange(start, stop), positions.shape)
-                n = stop - start
-                # Index rows broadcast to (n, sizes...): axis p + 1 for party p.
-                grid = tuple(
-                    party_rows[pick].reshape((n,) + tuple(k if q == p else 1 for q, k in enumerate(sizes)))
-                    for p, (party_rows, pick) in enumerate(zip(rows, picks))
-                )
-                amps = ensemble[grid].reshape(n, width, rank)
-                weight = np.sum(np.abs(amps) ** 2, axis=(1, 2))
-                live = weight > ZERO_WEIGHT * 0.1
-                counts.zero += n - int(np.count_nonzero(live))
-                if not live.any():
-                    continue
-                amps, weight = amps[live], weight[live]
-                adjoint = np.conj(amps).transpose(0, 2, 1)
-                rank_side = rank <= width  # Gram A† A, else A A†
-                gram = adjoint @ amps if rank_side else amps @ adjoint
-                evals = np.linalg.eigvalsh(gram)
-                residual = np.sum(np.clip(evals[:, :-1], 0.0, None), axis=1)
-                pure = residual <= 10.0 * tol.purity_atol * weight
-                counts.mixed += len(pure) - int(np.count_nonzero(pure))
-                if require_entangled and pure.any():
-                    _, vecs = np.linalg.eigh(gram[pure])
-                    top = vecs[:, :, -1]
-                    if rank_side:
-                        top = (amps[pure] @ top[:, :, np.newaxis])[:, :, 0]
-                        top /= np.linalg.norm(top, axis=1, keepdims=True)
-                    product = np.all(_cut_ranks(top, sizes, 0.1 * tol.rank_rtol) <= 1, axis=1)
-                    counts.product += int(np.count_nonzero(product))
-                    pure[pure] = ~product
-                kept.append(positions.ravel()[start:stop][live][pure])
-        survivors = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=int)
-        return survivors, counts
+        - zero when its weight ``w = sum_{x in S} G[x, x]`` is at most a tenth
+          of ``ZERO_WEIGHT``;
+        - mixed when its purity deficit ``delta = 1 - sum_{x, y in S}
+          |G[x, y]|^2 / w^2`` exceeds ``20 * purity_atol``.  The residual
+          weight beyond the top eigenvalue, as a fraction ``eps`` of ``w``,
+          satisfies ``delta / 2 <= eps <= delta``, so ``eps > 10 *
+          purity_atol``;
+        - product, with ``require_entangled``, when at every party cut
+          ``1 - Pi_p + 2 * delta <= 0.1 * rank_rtol``, where ``Pi_p`` is the
+          purity of the candidate's normalized reduced state on party ``p``.
+          That bounds the second squared Schmidt coefficient of the top
+          eigenvector at the cut.  A cut with one index on either side is
+          product by its shape.
+
+        Both margins are ten times the thresholds of :func:`project`, and
+        borderline candidates fall through to it.
+        """
+        dims = self.shape.dims
+        flat = self.ensemble().reshape(-1, self.shape.total_dim)
+        gram = flat.T @ np.conj(flat)
+
+        weight = _contract(np.real(np.diagonal(gram)).reshape(dims), self.members)
+        # pairs[p][i, a * d + b] is 1.0 when party p's i-th subset holds a and b.
+        pairs = [(m[:, :, np.newaxis] * m[:, np.newaxis, :]).reshape(len(m), -1) for m in self.members]
+        # by_pair[(x_1, y_1), ..., (x_k, y_k)] = |G[x, y]|^2: one pair axis per party.
+        order = [a for p in range(len(dims)) for a in (p, p + len(dims))]
+        by_pair = (np.abs(gram) ** 2).reshape(dims + dims).transpose(order)
+        purity = _contract(by_pair.reshape([d * d for d in dims]), pairs)
+
+        live = weight > ZERO_WEIGHT * 0.1
+        norm = np.where(live, weight, 1.0) ** 2
+        deficit = 1.0 - purity / norm
+        mixed = live & (deficit > 20.0 * self.tol.purity_atol)
+        keep = live & ~mixed
+        counts = _ScreenCounts(int(np.count_nonzero(~live)), int(np.count_nonzero(mixed)))
+        if require_entangled:
+            grid = np.ix_(*self.sizes)
+            width = prod(grid)
+            product = keep
+            index = np.arange(self.shape.total_dim).reshape(dims)
+            for p, d in enumerate(dims):
+                # block[b, a, a'] = G[(a, b), (a', b)], b over the other parties.
+                rows = np.moveaxis(index, p, -1).reshape(-1, d)
+                block = gram[rows[:, :, np.newaxis], rows[:, np.newaxis, :]]
+                others = [m for q, m in enumerate(self.members) if q != p]
+                # reduced[(a, a'), i_others] = the unnormalized reduced state's entry.
+                reduced = _contract(block.reshape(dims[:p] + dims[p + 1:] + (d * d,)), others)
+                purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [pairs[p]]), -1, p) / norm
+                shaped = (grid[p] == 1) | (width == grid[p])
+                product = product & (shaped | (1.0 - purity_p + 2.0 * deficit <= 0.1 * self.tol.rank_rtol))
+            counts.product = int(np.count_nonzero(product))
+            keep = keep & ~product
+        return np.flatnonzero(keep), counts
 
     def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """Each candidate at ``positions``, in that order: its subspace cut
@@ -500,16 +497,20 @@ def find_dss(
 
     The search takes every candidate position, screens them, and classifies
     what is left by :func:`project`, which re-verifies every returned
-    certificate and supplies its weight and signature.  The screen runs over
-    all candidates at once on the state's significant eigenvectors,
-    restricted to each candidate.  It drops candidates that are clearly
+    certificate and supplies its weight and signature.  The screen decides
+    all candidates at once from the state's significant eigenvectors, by
+    kernel contractions in memory O(D^2 + candidates) for side ``D``, with
+    no eigensolver per candidate.  It drops candidates that are clearly
     zero-weight or clearly mixed: weight at most a tenth of ``ZERO_WEIGHT``,
-    or residual weight beyond the top eigenvalue above ``10 * purity_atol``
-    of the weight.  With ``require_entangled`` it also drops candidates whose
-    top eigenvector is clearly product: at every party cut its second
-    squared Schmidt coefficient is at most ``0.1 * rank_rtol``.  Both margins
-    are ten times the thresholds of :func:`project`, so pruned and unpruned
-    searches return identical results.  ``prune=False`` runs no screen.
+    or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the projection ``P``
+    above ``20 * purity_atol``, which puts the residual weight beyond the
+    top eigenvalue above ``10 * purity_atol`` of the weight.  With
+    ``require_entangled`` it also drops candidates whose top eigenvector is
+    clearly product: at every party cut a bound on its second squared
+    Schmidt coefficient, from the reduced purities and the deficit, is at
+    most ``0.1 * rank_rtol``.  Both margins are ten times the thresholds of
+    :func:`project`, so pruned and unpruned searches return identical
+    results.  ``prune=False`` runs no screen.
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
     screened out as zero, mixed and product, those classified and the
@@ -593,9 +594,8 @@ def find_purifying_subspaces(
     else:
         measure_before = float(reference)
 
-    _, positions = ctx.group((2, 2))
     found = []
-    for sub, outcome in ctx.classify(positions.ravel()):
+    for sub, outcome in ctx.classify(ctx.group((2, 2))):
         if outcome.classification != "mixed":
             continue
         measure_after = concurrence(outcome.state, tol)

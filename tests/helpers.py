@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from dsskit import DensityMatrix, Party, PureState, SystemShape
+from dsskit import DensityMatrix, PureState, SystemShape
 
 
 def trace(rho: DensityMatrix) -> float:

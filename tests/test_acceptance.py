@@ -11,17 +11,13 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from dsskit import (
-    DensityMatrix,
     LocalFactor,
     LocalSubspace,
     ProductOperator,
-    PureState,
     SystemShape,
     bell_vectors,
-    check_certificate,
     check_rank_bound,
     decompose,
     filter_comparison,

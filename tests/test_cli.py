@@ -47,6 +47,13 @@ def test_find_single_copy_returns_exit_2(capsys):
     assert "candidates: 27" in out
 
 
+def test_find_three_werner_copies_returns_exit_2(capsys):
+    code, out, _ = run_cli(capsys, "dss", "find", "--state", "werner", "--F", "0.9", "--copies", "3")
+    assert code == 2
+    assert "no DSS found over supplied bases" in out
+    assert "candidates: 65025" in out
+
+
 def test_find_two_copies_returns_certificate(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     code, out, _ = run_cli(

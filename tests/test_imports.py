@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module, every
+"""Every name a package or test module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every name the package exports has a user or a reason to stay, only ``linalg.py`` reaches numpy's Kronecker product, only the CLI's
 ``simulate`` handler builds a tensor power, only ``mixture`` and the file
@@ -18,6 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dsskit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -103,7 +104,7 @@ def test_detector_flags_unused_and_keeps_used():
     assert unused_imports(source) == ["Iterable (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

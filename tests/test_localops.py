@@ -16,7 +16,7 @@ from dsskit import (
     rank_preservation_report,
     three_qubit_example,
 )
-from dsskit.states import PureState, bell_vectors, product_basis_vector
+from dsskit.states import bell_vectors, product_basis_vector
 
 from helpers import (
     allclose,

@@ -61,6 +61,7 @@ from dsskit import (
 )
 from dsskit import states, subspaces
 from dsskit.cli import main
+from dsskit.entanglement import _cut_ranks
 from dsskit.linalg import ZERO_WEIGHT, Tolerance, kron_all
 from dsskit.subspaces import _SearchContext
 
@@ -141,11 +142,11 @@ def old_screen_keeps(ensemble, tol, indices) -> bool:
 
 
 @PROPERTY_SETTINGS
-@given(search_instances(), st.sampled_from([1, 5, subspaces.SCREEN_CHUNK]))
-def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance, chunk):
+@given(search_instances())
+def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance):
     state, bases, _ = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
-    positions, counts = ctx.screen(require_entangled=False, chunk=chunk)
+    positions, counts = ctx.screen(require_entangled=False)
     ensemble = ctx.ensemble()
     expected = [
         pos for pos, c in enumerate(iter_candidates(state.shape)) if old_screen_keeps(ensemble, ctx.tol, c)
@@ -154,6 +155,36 @@ def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance, chunk)
     assert kept == expected
     assert counts.product == 0
     assert counts.zero + counts.mixed + len(kept) == subspaces.candidate_count(state.shape)
+
+
+def old_screen_verdict(ensemble, tol, indices) -> str:
+    """The per-candidate zero/mixed/product test: "zero", "mixed", "product"
+    or "keep", from one SVD of the restricted ensemble.  Its top left
+    singular vector is the projection's top eigenvector, and it is product
+    when its cut ranks at a tenth of ``rank_rtol`` are all at most 1."""
+    restricted = restricted_ensemble(ensemble, indices)
+    weight = float(np.sum(np.abs(restricted) ** 2))
+    if weight <= ZERO_WEIGHT * 0.1:
+        return "zero"
+    u, s, _ = np.linalg.svd(restricted.T)
+    if float(np.sum(s[1:] ** 2)) > 10.0 * tol.purity_atol * weight:
+        return "mixed"
+    sizes = [len(idx) for idx in indices]
+    return "product" if np.all(_cut_ranks(u[:, 0], sizes, 0.1 * tol.rank_rtol) <= 1) else "keep"
+
+
+@PROPERTY_SETTINGS
+@given(search_instances())
+def test_batched_product_screen_keeps_what_the_per_candidate_test_keeps(instance):
+    state, bases, _ = instance
+    ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
+    positions, counts = ctx.screen(require_entangled=True)
+    ensemble = ctx.ensemble()
+    verdicts = [old_screen_verdict(ensemble, ctx.tol, c) for c in iter_candidates(state.shape)]
+    assert positions.tolist() == [pos for pos, v in enumerate(verdicts) if v == "keep"]
+    assert (counts.zero, counts.mixed, counts.product) == tuple(
+        verdicts.count(v) for v in ("zero", "mixed", "product")
+    )
 
 
 @PROPERTY_SETTINGS
@@ -184,11 +215,26 @@ def logged_stats(caplog, *args, **kwargs):
 def test_search_stats_logged(caplog):
     two = tensor_power(three_qubit_example(0.5), 2)
     certs, stats = logged_stats(caplog, two)
-    assert stats["candidates"] == 3375
-    assert stats["classified"] == stats["certificates"] == len(certs) == 24
-    screened = stats["screened_zero"] + stats["screened_mixed"] + stats["screened_product"]
-    assert screened + stats["classified"] == 3375
-    assert stats["screened_product"] > 0
+    assert len(certs) == 24
+    assert stats == {
+        "candidates": 3375,
+        "screened_zero": 1167,
+        "screened_mixed": 1229,
+        "screened_product": 955,
+        "classified": 24,
+        "certificates": 24,
+    }
+
+    certs, three = logged_stats(caplog, werner(0.9), copies=3)
+    assert certs == []
+    assert three == {
+        "candidates": 65025,
+        "screened_zero": 0,
+        "screened_mixed": 64961,
+        "screened_product": 64,
+        "classified": 0,
+        "certificates": 0,
+    }
 
     two = tensor_power(werner(0.9), 2)
     _, flat = logged_stats(caplog, two, require_entangled=False, prune=False)

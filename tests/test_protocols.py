@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dsskit import (
-    BranchTrace,
     Conditional,
     DensityMatrix,
     Filter,

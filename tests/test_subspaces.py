@@ -19,7 +19,6 @@ from dsskit import (
     concurrence,
     find_dss,
     find_purifying_subspaces,
-    ghz_state,
     project,
     rank_bound,
     tensor_power,
@@ -248,10 +247,63 @@ def test_iter_candidates_canonical_order():
     ctx = _SearchContext(rho, 1, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     oracle = list(iter_candidates(rho.shape))
     assert [sub.basis_indices for sub, _ in ctx.classify(range(ctx.count))] == oracle
-    _, pairs = ctx.group((2, 2))
-    assert pairs.ravel().tolist() == [
+    pairs = ctx.group((2, 2))
+    assert pairs.tolist() == [
         pos for pos, c in enumerate(oracle) if all(len(idx) == 2 for idx in c)
     ]
+
+
+@pytest.mark.parametrize("require_entangled", [True, False])
+def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled):
+    # The one eigh is the power's, behind the ensemble; every screen decision
+    # is a contraction, so a solver call per candidate or group shows here.
+    ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    positions, _ = ctx.screen(require_entangled)
+    assert calls == {"svd": 0, "eigvalsh": 0, "eigh": 1}
+    assert len(positions) == (24 if require_entangled else 979)
+
+
+def two_qubit_mixture(*terms) -> DensityMatrix:
+    """``sum w |v><v|`` over ``(w, v)`` terms of two-qubit amplitudes."""
+    mat = sum(w * np.outer(v, np.conj(v)) for w, v in terms)
+    return DensityMatrix(SystemShape.of(("A", 2), ("B", 2)), mat)
+
+
+EPS = DEFAULT_TOLERANCE.purity_atol
+S2 = DEFAULT_TOLERANCE.rank_rtol
+PHI = np.array([1, 0, 0, 1]) / np.sqrt(2)
+ZERO_PLUS, ZERO_MINUS = np.array([1, 1, 0, 0]) / np.sqrt(2), np.array([1, -1, 0, 0]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "rho,position,kept",
+    [
+        # Residual weight 5 * purity_atol, deficit ~1e-8: inside the mixed margin.
+        (two_qubit_mixture((1 - 5 * EPS, PHI), (5 * EPS, np.eye(4)[1])), 8, (True, True)),
+        # Residual weight 15 * purity_atol, deficit ~3e-8: dropped as mixed.
+        (two_qubit_mixture((1 - 15 * EPS, PHI), (15 * EPS, np.eye(4)[1])), 8, (False, False)),
+        # Second squared Schmidt coefficient 0.2 * rank_rtol: inside the product margin.
+        (two_qubit_mixture((1, np.sqrt([1 - 0.2 * S2, 0, 0, 0.2 * S2]))), 8, (True, True)),
+        # 0.02 * rank_rtol: dropped as product.
+        (two_qubit_mixture((1, np.sqrt([1 - 0.02 * S2, 0, 0, 0.02 * S2]))), 8, (True, False)),
+        # One index on party A: product by its shape, though not exactly pure.
+        (two_qubit_mixture((1 - 5 * EPS, ZERO_PLUS), (5 * EPS, ZERO_MINUS)), 2, (True, False)),
+    ],
+    ids=["mixed-inside", "mixed-outside", "product-inside", "product-outside", "product-by-shape"],
+)
+def test_screen_margins(rho, position, kept):
+    # Position 8 is ((0, 1), (0, 1)) and position 2 is ((0,), (0, 1)).
+    ctx = _SearchContext(rho, 1, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    assert tuple(position in ctx.screen(entangled)[0] for entangled in (False, True)) == kept
 
 
 def test_find_dss_single_copy_empty():

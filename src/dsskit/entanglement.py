@@ -9,7 +9,7 @@ a specific rank-2 mixture with the local filter raising its entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2, sqrt
+from math import log2, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -37,16 +37,23 @@ def _cut_ranks(amplitudes: np.ndarray, dims: Sequence[int], rtol: float) -> np.n
     singular values are the eigenvalues of the party's reduced state, and
     the rank counts those :func:`~dsskit.linalg.above_rank_cutoff` keeps,
     as :func:`~dsskit.linalg.numerical_rank` does for the reduced state.
-    Returns an integer array of shape ``(..., len(dims))``.
+    Every cut, turned wide and padded with zeros to one shape, goes into a
+    single stacked SVD call; the padding adds only zero singular values, and
+    each matrix is decomposed on its own.  Returns an integer array of shape
+    ``(..., len(dims))``; an empty stack gives an empty one.
     """
     batch = amplitudes.shape[:-1]
     tensor = amplitudes.reshape(batch + tuple(dims))
-    ranks = []
-    for axis, d in enumerate(dims, start=len(batch)):
-        cut = np.moveaxis(tensor, axis, len(batch)).reshape(batch + (d, -1))
-        s2 = np.linalg.svd(cut, compute_uv=False) ** 2
-        ranks.append(np.count_nonzero(above_rank_cutoff(s2, rtol), axis=-1))
-    return np.stack(ranks, axis=-1)
+    total = prod(dims)
+    sides = [sorted((d, total // d)) for d in dims]
+    cuts = np.zeros(batch + (len(dims), max(s for s, _ in sides), max(w for _, w in sides)), amplitudes.dtype)
+    lead = list(range(len(batch)))
+    for p, (d, (short, wide)) in enumerate(zip(dims, sides)):
+        rest = [len(batch) + q for q in range(len(dims)) if q != p]
+        cut = tensor.transpose(lead + [len(batch) + p] + rest).reshape(batch + (d, total // d))
+        cuts[..., p, :short, :wide] = cut if d == short else np.swapaxes(cut, -1, -2)
+    s2 = np.linalg.svd(cuts, compute_uv=False) ** 2
+    return np.count_nonzero(above_rank_cutoff(s2, rtol), axis=-1)
 
 
 def dimension_signature(psi: PureState, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, ...]:
@@ -57,10 +64,6 @@ def dimension_signature(psi: PureState, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     """
     ranks = _cut_ranks(psi.amplitudes, psi.shape.dims, tol.rank_rtol)
     return tuple(int(n) for n in ranks)
-
-
-def is_entangled_signature(signature: Sequence[int]) -> bool:
-    return any(n > 1 for n in signature)
 
 
 def schmidt(

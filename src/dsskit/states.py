@@ -136,8 +136,11 @@ class SystemShape:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """``(m + m†)/2``: fresh, exactly Hermitian, rid of a product's roundoff."""
-    return (m + dagger(m)) / 2.0
+    """``(m + m†)/2`` of a matrix, or of each in a stack: fresh, exactly
+    Hermitian, rid of a product's roundoff."""
+    h = m + np.conj(m.swapaxes(-1, -2))
+    h /= 2.0
+    return h
 
 
 def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
@@ -278,16 +281,29 @@ def _post_select(
     return _normalized(m @ rho.mat @ dagger(m), shape)
 
 
+def _normalized_stack(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule of every post-selected state update, on a stack ``(batch, k,
+    k)`` of unnormalized states: the weights ``tr(out)``, the mask of those
+    that exceed ``ZERO_WEIGHT``, and the states ``out / weight`` of the
+    masked ones, stacked in order.  Each state is the Hermitian part of the
+    quotient, as the division scales ``out``'s roundoff by 1/weight; a
+    block's weight and state do not depend on the rest of the stack."""
+    weights = out.trace(axis1=-2, axis2=-1).real
+    live = weights > ZERO_WEIGHT
+    kept = (out, weights) if np.count_nonzero(live) == len(live) else (out[live], weights[live])
+    return weights, live, _hermitian_part(kept[0] / kept[1][:, np.newaxis, np.newaxis])
+
+
 def _normalized(out: np.ndarray, shape: SystemShape) -> tuple[float, DensityMatrix | None]:
     """The weight ``tr(out)`` of an unnormalized post-selected state and the
     state ``out / weight`` on ``shape``, or None when the weight does not
-    exceed ``ZERO_WEIGHT``.  Every post-selected state update goes through
-    here; each caller keeps its own probability bookkeeping.  The state is
-    stored unchecked, as the division scales ``out``'s roundoff by 1/weight."""
-    weight = float(np.real(np.trace(out)))
-    if weight <= ZERO_WEIGHT:
-        return weight, None
-    return weight, DensityMatrix._derived(shape, _hermitian_part(out / weight))
+    exceed ``ZERO_WEIGHT``: :func:`_normalized_stack` on a stack of one.
+    Every post-selected state update goes through here; each caller keeps
+    its own probability bookkeeping.  The state is stored unchecked."""
+    weights, live, states = _normalized_stack(out[np.newaxis])
+    if not live[0]:
+        return float(weights[0]), None
+    return float(weights[0]), DensityMatrix._derived(shape, states[0])
 
 
 def _checked_copies(rho: DensityMatrix, n: int) -> int:

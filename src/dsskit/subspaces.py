@@ -15,20 +15,22 @@ cover every worked example.  Callers can widen the family by supplying
 rotated bases.
 
 Both searches run one pipeline over canonical candidate positions: a
-source of positions, an optional screen, and the classification of each
-remaining candidate by :func:`project`.  Only their keep tests differ.
+source of positions, an optional screen, and the classification of the
+remaining candidates by the kernel :func:`project` runs, a stack of
+equal-sized blocks at a time.  Only their keep tests differ.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .entanglement import concurrence, dimension_signature, is_entangled_signature
+from .entanglement import _cut_ranks, concurrence
 from .errors import InvariantViolation, SearchSpaceTooLarge
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -45,10 +47,9 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     Party,
-    PureState,
     SystemShape,
     _normalized,
-    _post_select,
+    _normalized_stack,
     _power_checks,
     _power_sandwich,
     _power_shape,
@@ -62,6 +63,20 @@ _logger = logging.getLogger("dsskit")
 
 #: Default ceiling on the number of candidate subspaces a search may visit.
 CANDIDATE_CAP = 1_000_000
+
+#: Entries of the largest stack of blocks the classification kernel takes
+#: at once (1 MiB of complex128): a search classifies a size group in
+#: slices of at most this many, whatever its candidate count.
+_SLICE_ENTRIES = 1 << 16
+
+#: The classification kernel's codes, by index.
+_CLASSES: tuple[Classification, ...] = ("zero", "mixed", "pure-product", "pure-entangled")
+
+
+def _subspace_shape(labels: Sequence[str], dims: Sequence[int]) -> SystemShape:
+    """The shape of a product subspace with ``dims[p]`` vectors for party
+    ``labels[p]``: the shape of states in its coordinates."""
+    return SystemShape(tuple(Party(label, (m,)) for label, m in zip(labels, dims)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +179,7 @@ class LocalSubspace:
         return b @ dagger(b)
 
     def subspace_shape(self) -> SystemShape:
-        return SystemShape(tuple(Party(label, (v.shape[1],)) for label, v in self.parties))
+        return _subspace_shape(self.labels, self.dims)
 
     def _check_against(self, shape: SystemShape, copies: int = 1) -> None:
         """Raise unless the subspace has ``shape``'s parties in order, each
@@ -229,6 +244,46 @@ class Refusal:
     outcome: ProjectionOutcome
 
 
+def _classify_stack(
+    out: np.ndarray, dims: Sequence[int], tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Classify a stack ``(batch, k, k)`` of unnormalized projections onto
+    subspaces of per-party dimensions ``dims`` (``prod(dims) == k``).
+
+    The weights, the zero test and the normalized states are
+    :func:`~dsskit.states._normalized_stack`'s.  One stacked ``eigh`` of
+    the states gives the pure test (top eigenvalue at least ``1 -
+    purity_atol``), and one :func:`~dsskit.entanglement._cut_ranks` call on
+    the top eigenvectors of the pure blocks only gives their dimension
+    signatures, at ``rank_rtol``.  Each block's results are those of the
+    block alone.  Returns the weights, the normalized states of the nonzero
+    blocks (stacked, in order), each block's index into ``_CLASSES`` and
+    each block's signature (a row of zeros unless pure).
+    """
+    weights, live, states = _normalized_stack(out)
+    codes = live.astype(np.intp)  # 0 "zero" or 1 "mixed" until shown pure
+    signatures = np.zeros((len(out), len(dims)), dtype=np.intp)
+    if len(states):
+        evals, evecs = np.linalg.eigh(states)
+        pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
+        if len(pure):
+            ranks = _cut_ranks(evecs[pure, :, -1], dims, tol.rank_rtol)
+            blocks = np.flatnonzero(live)[pure]
+            codes[blocks] = 2 + np.any(ranks > 1, axis=-1)  # "pure-product" or "pure-entangled"
+            signatures[blocks] = ranks
+    return weights, states, codes, signatures
+
+
+def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: np.ndarray) -> ProjectionOutcome:
+    """The :class:`ProjectionOutcome` of one block of :func:`_classify_stack`."""
+    cls = _CLASSES[code]
+    if cls == "zero":
+        return ProjectionOutcome(weight=0.0, state=None, classification="zero")
+    if cls == "mixed":
+        return ProjectionOutcome(weight=weight, state=state, classification="mixed")
+    return ProjectionOutcome(weight, state, cls, tuple(int(n) for n in signature))
+
+
 def project(
     rho: DensityMatrix,
     subspace: LocalSubspace,
@@ -242,7 +297,9 @@ def project(
     The projection is compressed to subspace coordinates (matrix elements
     between the subspace product vectors).  It is classified pure when the
     top eigenvalue fraction reaches ``1 - purity_atol``; a pure projection
-    is entangled when some entry of its dimension signature exceeds 1.
+    is entangled when some entry of its dimension signature exceeds 1.  The
+    classification is the kernel the searches run on a stack of
+    equal-sized blocks, here on a stack of one.
 
     With ``copies > 1`` the subspace lives on the party-major shape of
     :func:`~dsskit.states.tensor_power`, and the power is never formed: it
@@ -253,23 +310,15 @@ def project(
     """
     if copies == 1:
         subspace._check_against(rho.shape)
-        weight, state = _post_select(rho, dagger(subspace.compression()), subspace.subspace_shape())
+        m = dagger(subspace.compression())
+        out = m @ rho.mat @ dagger(m)
     else:
         copies = _power_checks(rho, copies)
         subspace._check_against(rho.shape, copies)
         out = _power_sandwich(rho, copies, subspace.compression())
-        weight, state = _normalized(out, subspace.subspace_shape())
-    if state is None:
-        return ProjectionOutcome(weight=0.0, state=None, classification="zero")
-    evals, evecs = state.eigh()
-    if float(evals[0]) >= 1.0 - tol.purity_atol:
-        psi = PureState(state.shape, evecs[:, 0])
-        signature = dimension_signature(psi, tol)
-        cls: Classification = (
-            "pure-entangled" if is_entangled_signature(signature) else "pure-product"
-        )
-        return ProjectionOutcome(weight=weight, state=state, classification=cls, signature=signature)
-    return ProjectionOutcome(weight=weight, state=state, classification="mixed")
+    weights, states, codes, signatures = _classify_stack(out[np.newaxis], subspace.dims, tol)
+    state = DensityMatrix._derived(subspace.subspace_shape(), states[0]) if len(states) else None
+    return _outcome(float(weights[0]), state, codes[0], signatures[0])
 
 
 def check_certificate(
@@ -353,7 +402,9 @@ def _contract(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 
 class _SearchContext:
     """One search over ``rho^(x copies)``: the cap check on the power's
-    shape, the power, the resolved bases and each party's index subsets.
+    shape, the power, the resolved bases, the power in the search basis
+    (``local = U† rho U`` for ``U = kron_all(bases)``) and each party's
+    index subsets.
 
     A candidate is named by its canonical position: lexicographic over
     (party, subset bitmask ascending), the first party most significant.
@@ -374,12 +425,20 @@ class _SearchContext:
         self.shape = self.rho.shape
         self.tol = tol
         self.bases = _resolve_bases(self.shape, bases)
+        self.change = kron_all(self.bases)
+        self.local = dagger(self.change) @ self.rho.mat @ self.change
         self.subsets = [_subset_indices(d) for d in self.shape.dims]
         # members[p][i, a] is 1.0 when party p's i-th subset holds index a.
         self.members = [
             np.array([[a in idx for a in range(len(s[-1]))] for idx in s], float) for s in self.subsets
         ]
-        self.sizes = [m.sum(axis=1) for m in self.members]
+        self.sizes = [m.sum(axis=1).astype(np.intp) for m in self.members]
+        # offsets[p][i, :m]: the flat-index offsets, in the power's basis, of
+        # party p's i-th subset of m indices, ascending.
+        self.offsets = [
+            np.array([idx + (0,) * (d - len(idx)) for idx in s], dtype=np.intp) * prod(self.shape.dims[p + 1:])
+            for p, (s, d) in enumerate(zip(self.subsets, self.shape.dims))
+        ]
 
     def group(self, sizes: Sequence[int]) -> np.ndarray:
         """The canonical positions, ascending, of the candidates whose subset
@@ -394,7 +453,7 @@ class _SearchContext:
         evals, evecs = self.rho.eigh()
         keep = above_rank_cutoff(evals, self.tol.rank_rtol)
         weights = evals[keep]
-        coords = dagger(kron_all(self.bases)) @ evecs[:, keep]
+        coords = dagger(self.change) @ evecs[:, keep]
         scaled = coords * np.sqrt(weights)[np.newaxis, :]
         return np.ascontiguousarray(scaled.T).reshape((len(weights),) + self.shape.dims)
 
@@ -464,14 +523,73 @@ class _SearchContext:
             keep = keep & ~product
         return np.flatnonzero(keep), counts
 
+    def _rows(self, picks: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+        """The rows of ``local`` that the candidates ``picks`` (one array of
+        subset numbers per party, all of per-party sizes ``sizes``) span,
+        one row of ``prod(sizes)`` per candidate, in the order of
+        :meth:`LocalSubspace.compression`'s columns."""
+        n = len(picks[0])
+        flat = np.zeros((n,) + (1,) * len(sizes), dtype=np.intp)
+        for p, (pick, m) in enumerate(zip(picks, sizes)):
+            axes = [n] + [1] * len(sizes)
+            axes[p + 1] = m
+            flat = flat + self.offsets[p][pick, :m].reshape(axes)
+        return flat.reshape(n, -1)
+
+    def _blocks(self, rows: np.ndarray) -> np.ndarray:
+        """The compressions ``local[r x r]`` of the power for the row sets
+        ``r`` in ``rows``, one per candidate, stacked: read by index."""
+        return self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]]
+
+    def _classify_groups(
+        self, picks: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SystemShape]]:
+        """Classify the candidates ``picks`` (one array of subset numbers per
+        party) by size group, in slices: each candidate's group key, its
+        index into ``_CLASSES`` and its signature, and each group's
+        subspace shape."""
+        # A candidate's group key: its per-party sizes as one mixed-radix number.
+        keys = np.ravel_multi_index([s[pick] - 1 for s, pick in zip(self.sizes, picks)], self.shape.dims)
+        codes = np.zeros(len(keys), dtype=np.int8)
+        signatures = np.zeros((len(keys), len(picks)), dtype=np.int16)  # ranks <= MAX_SIDE
+        shapes = {}
+        order = np.argsort(keys, kind="stable")
+        firsts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        for first, end in zip(firsts.tolist(), firsts[1:].tolist() + [len(order)]):
+            members, key = order[first:end], int(keys[order[first]])
+            group = [int(i) + 1 for i in np.unravel_index(key, self.shape.dims)]
+            shapes[key] = _subspace_shape(self.shape.labels, group)
+            step = max(1, _SLICE_ENTRIES // prod(group) ** 2)
+            for start in range(0, len(members), step):
+                chunk = members[start : start + step]
+                blocks = self._blocks(self._rows([pick[chunk] for pick in picks], group))
+                _, _, codes[chunk], signatures[chunk] = _classify_stack(blocks, group, self.tol)
+        return keys, codes, signatures, shapes
+
     def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """Each candidate at ``positions``, in that order: its subspace cut
-        from the bases, and the :func:`project` outcome of the power on it."""
-        picks = np.unravel_index(np.asarray(positions, dtype=int), [len(s) for s in self.subsets])
-        for pick in zip(*picks):
-            indices = tuple(s[i] for s, i in zip(self.subsets, pick))
+        from the bases, and the outcome of the power on it.
+
+        The candidates are grouped by per-party subset sizes.  Each group's
+        blocks are read out of ``local`` by index, with no product or
+        matrix multiply per candidate, and classified by the kernel of
+        :func:`project` in slices of at most ``_SLICE_ENTRIES`` entries.
+        On computational bases the blocks, and so the outcomes, are bit-equal
+        to :func:`project`'s on the power; on rotated ones they agree to
+        roundoff.  The outcomes are then built in order, each renormalizing
+        its own block, so that at most one slice of blocks is held at a time
+        and no outcome keeps a slice alive.
+        """
+        picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
+        keys, codes, signatures, shapes = self._classify_groups(picks)
+        for i, (key, pick) in enumerate(zip(keys, zip(*picks))):
+            indices = tuple(s[j] for s, j in zip(self.subsets, pick))
             subspace = LocalSubspace._from_checked(self.shape.labels, self.bases, indices)
-            yield subspace, project(self.rho, subspace, self.tol)
+            weight, state = 0.0, None
+            if codes[i]:
+                rows = self._rows([np.array([j]) for j in pick], subspace.dims)
+                weight, state = _normalized(self._blocks(rows)[0], shapes[key])
+            yield subspace, _outcome(weight, state, codes[i], signatures[i])
 
 
 def find_dss(
@@ -496,8 +614,12 @@ def find_dss(
     before :func:`~dsskit.states.tensor_power` builds it.
 
     The search takes every candidate position, screens them, and classifies
-    what is left by :func:`project`, which re-verifies every returned
-    certificate and supplies its weight and signature.  The screen decides
+    what is left by the kernel of :func:`project`, which re-verifies every
+    returned certificate against the full state and supplies its weight and
+    signature.  The survivors are classified in stacks, one per group of
+    equal per-party subset sizes: each block is read by index out of the
+    power in the search basis, formed once, and each stack takes one
+    ``eigh`` and one cut-rank SVD call.  The screen decides
     all candidates at once from the state's significant eigenvectors, by
     kernel contractions in memory O(D^2 + candidates) for side ``D``, with
     no eigensolver per candidate.  It drops candidates that are clearly
@@ -514,7 +636,7 @@ def find_dss(
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
     screened out as zero, mixed and product, those classified and the
-    certificates.
+    certificates, and the seconds spent screening and classifying.
     """
     ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
     if min_signature is not None:
@@ -522,10 +644,12 @@ def find_dss(
         if len(min_signature) != len(rho.shape.parties):
             raise InvariantViolation("min_signature", "one entry per party required")
 
+    start = time.perf_counter()
     if prune:
         positions, counts = ctx.screen(require_entangled)
     else:
         positions, counts = range(ctx.count), _ScreenCounts()
+    screened = time.perf_counter()
     certificates = []
     for subspace, outcome in ctx.classify(positions):
         if outcome.classification == "pure-entangled" or (
@@ -535,10 +659,12 @@ def find_dss(
                 n >= m for n, m in zip(outcome.signature, min_signature)
             ):
                 certificates.append(DssCertificate(subspace, outcome))
+    classified = time.perf_counter()
     _logger.debug(
         "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
-        "%d classified, %d certificates",
+        "%d classified, %d certificates; screen %.6f s, classify %.6f s",
         ctx.count, counts.zero, counts.mixed, counts.product, len(positions), len(certificates),
+        screened - start, classified - screened,
         extra={
             "search_stats": {
                 "candidates": ctx.count,
@@ -547,6 +673,8 @@ def find_dss(
                 "screened_product": counts.product,
                 "classified": len(positions),
                 "certificates": len(certificates),
+                "screen_s": screened - start,
+                "classify_s": classified - screened,
             }
         },
     )

@@ -19,6 +19,7 @@ from dsskit import (
     fileio,
     find_dss,
     ghz_state,
+    project,
     tensor_power,
     three_qubit_example,
     werner,
@@ -74,6 +75,26 @@ def test_find_two_copies_returns_certificate(capsys, tmp_path):
     assert first["rank_bound_check"]["satisfied"]
     assert first["rank_bound_check"]["bound"] == 57
     assert abs(first["weight"] - 0.125) < 1e-9
+
+
+def test_find_without_entanglement_reports_every_pure_projection(capsys):
+    # Every pure candidate of example3q(0.5)^2 is a certificate, each weight
+    # as a direct projection of the dense power gives it.
+    code, out, _ = run_cli(
+        capsys,
+        "dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2",
+        "--no-require-entangled", "--json", "-",
+    )
+    assert code == 0
+    certs = json.loads(out[out.index("\n{") + 1:])["results"]["certificates"]
+    assert len(certs) == 979
+    entangled = [c for c in certs if c["classification"] == "pure-entangled"]
+    assert len(entangled) == 24 and all(c["signature"] == [2, 2, 2] for c in entangled)
+    assert sum(c["classification"] == "pure-product" for c in certs) == 955
+    two = tensor_power(three_qubit_example(0.5), 2)
+    for c in certs:
+        sub = LocalSubspace.from_indices(two.shape, c["subspace"]["per_party_indices"])
+        assert c["weight"] == project(two, sub).weight
 
 
 def test_rank_bound_checks_match_library(capsys, tmp_path):

@@ -7,7 +7,9 @@ entangled state on a basis-aligned subspace.  Half of those examples rotate
 the state by random local unitaries and search in the rotated bases, where
 the planted subspace is again basis-aligned.  A third kind searches a pure
 product state in bases that hold near-zero-weight projections, whose
-renormalization magnifies roundoff.
+renormalization magnifies roundoff.  The searches' batched classification
+is checked candidate by candidate against ``project`` and against the
+classification written out for one candidate.
 
 The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
@@ -204,12 +206,93 @@ def test_pruned_search_equals_unpruned(instance, require_entangled):
     assert search(True, min_signature=floor) == search(False, min_signature=floor)
 
 
+def reference_classification(rho: DensityMatrix, sub: LocalSubspace, tol: Tolerance) -> tuple:
+    """The classification and signature of ``rho`` on ``sub``, written out
+    for one candidate: compress, renormalize, one ``eigh``, and the
+    signature of the top eigenvector only when the projection is pure."""
+    m = np.conj(sub.compression()).T
+    out = m @ rho.mat @ np.conj(m).T
+    weight = float(np.real(np.trace(out)))
+    if weight <= ZERO_WEIGHT:
+        return "zero", None
+    state = out / weight
+    evals, evecs = np.linalg.eigh((state + np.conj(state).T) / 2)
+    if evals[-1] < 1.0 - tol.purity_atol:
+        return "mixed", None
+    signature = dimension_signature(PureState(sub.subspace_shape(), evecs[:, -1]), tol)
+    return ("pure-entangled" if max(signature) > 1 else "pure-product"), signature
+
+
+def assert_outcomes_match(got, want, computational: bool):
+    """A batched outcome against ``project``'s: the same classification and
+    signature; on computational bases the same weight and state matrix to
+    the last bit, on rotated ones the weight to 1e-12 and the unnormalized
+    block ``weight * state`` to 1e-12."""
+    assert (got.classification, got.signature) == (want.classification, want.signature)
+    if want.state is None:
+        assert got.state is None and got.weight == want.weight == 0.0
+    elif computational:
+        assert got.weight == want.weight
+        assert np.array_equal(got.state.mat, want.state.mat)
+    else:
+        assert abs(got.weight - want.weight) <= 1e-12
+        assert np.max(np.abs(got.weight * got.state.mat - want.weight * want.state.mat)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(search_instances(), st.booleans())
+def test_batched_classification_equals_project(instance, require_entangled):
+    """Every candidate classified in size-group stacks, blocks read by index
+    out of the state in the search basis, against ``project`` on its own and
+    against the classification written out per candidate: zero, mixed,
+    product and entangled blocks all occur unpruned."""
+    state, bases, _ = instance
+    ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
+    kept = []
+    for (sub, got), indices in zip(ctx.classify(range(ctx.count)), iter_candidates(state.shape)):
+        assert sub.basis_indices == indices
+        want = project(tensor_power(state, 1), sub)
+        assert_outcomes_match(got, want, computational=bases is None)
+        assert reference_classification(state, sub, ctx.tol) == (got.classification, got.signature)
+        if want.classification == "pure-entangled" or (
+            not require_entangled and want.classification == "pure-product"
+        ):
+            kept.append((indices, want.signature))
+    certs = find_dss(state, bases, require_entangled=require_entangled, prune=False)
+    assert [(c.subspace.basis_indices, c.outcome.signature) for c in certs] == kept
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_batched_classification_of_a_power_equals_project(rotated):
+    # example3q(0.5)^2 holds all four classifications among its 3375
+    # candidates; werner(0.9)^2 in rotated bases, 225 of them.
+    rho, bases = three_qubit_example(0.5), None
+    if rotated:
+        rng = np.random.default_rng(29)
+        rho, bases = werner(0.9), {label: random_unitary(rng, 4) for label in "AB"}
+    power = tensor_power(rho, 2)
+    ctx = _SearchContext(rho, 2, bases, Tolerance(), subspaces.CANDIDATE_CAP)
+    seen = set()
+    for sub, got in ctx.classify(range(ctx.count)):
+        assert_outcomes_match(got, project(power, sub), computational=not rotated)
+        assert reference_classification(power, sub, ctx.tol) == (got.classification, got.signature)
+        seen.add(got.classification)
+    if not rotated:
+        assert seen == {"zero", "mixed", "pure-product", "pure-entangled"}
+
+
 def logged_stats(caplog, *args, **kwargs):
+    """The certificates and the logged counts; the two logged timings are
+    checked to be nonnegative floats and left out of the counts."""
     with caplog.at_level(logging.DEBUG, logger="dsskit"):
         certs = find_dss(*args, **kwargs)
     (record,) = [r for r in caplog.records if hasattr(r, "search_stats")]
     caplog.clear()
-    return certs, record.search_stats
+    stats = dict(record.search_stats)
+    for key in ("screen_s", "classify_s"):
+        seconds = stats.pop(key)
+        assert isinstance(seconds, float) and seconds >= 0.0
+    return certs, stats
 
 
 def test_search_stats_logged(caplog):

@@ -272,6 +272,39 @@ def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled
     assert len(positions) == (24 if require_entangled else 979)
 
 
+def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
+    # 3375 candidates in 64 size groups, each within one slice: one eigh and
+    # one cut-rank SVD per group, never one per candidate.
+    ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    outcomes = [outcome.classification for _, outcome in ctx.classify(range(ctx.count))]
+    assert len(outcomes) == 3375
+    assert calls["eigvalsh"] == 0
+    assert 0 < calls["eigh"] <= 64
+    assert calls["svd"] <= calls["eigh"]
+
+
+def test_unpruned_search_memory_stays_bounded():
+    # Each size group is classified in slices, and only the kept certificates
+    # hold states; 979 certificates, most of them pure-product paddings.
+    tracemalloc.start()
+    try:
+        certs = find_dss(three_qubit_example(0.5), copies=2, prune=False, require_entangled=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 979
+    assert peak <= 7.5e6
+
+
 def two_qubit_mixture(*terms) -> DensityMatrix:
     """``sum w |v><v|`` over ``(w, v)`` terms of two-qubit amplitudes."""
     mat = sum(w * np.outer(v, np.conj(v)) for w, v in terms)

@@ -19,16 +19,16 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Mapping
+from typing import Any
 
 from . import fileio
 from .entanglement import (
     entanglement_of_formation,
-    filter_comparison,
     filter_comparison_curve,
     dimension_signature,
     schmidt,
@@ -117,13 +117,14 @@ def _fmt_scalar(value) -> str:
 
 
 def _is_scalar(value) -> bool:
-    return not isinstance(value, (Mapping, list, tuple))
+    return not isinstance(value, (dict, list, tuple))
 
 
 def _render_lines(value, indent: int) -> list[str]:
-    """Lines for a mapping (``key: ...``) or a sequence (``- ...``) of values."""
+    """Lines for a dict (``key: ...``) or a sequence (``- ...``) of values.
+    A report holds only what ``json.dumps`` takes, so its mappings are dicts."""
     pad = "  " * indent
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         entries = [(f"{key}:", val) for key, val in value.items()]
     else:
         entries = [("-", item) for item in value]
@@ -468,6 +469,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise CliUsageError(f"--grid expects A:B:STEP, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise CliUsageError(f"--grid needs finite A, B and STEP, got {text!r}")
     if step <= 0 or stop < start:
         raise CliUsageError(f"--grid needs step > 0 and B >= A, got {text!r}")
     values = []
@@ -480,7 +483,9 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_filter_compare(args, tol, warnings) -> tuple[Report, int]:
     inputs: dict[str, Any] = {"lambda": args.lam}
-    comparison = filter_comparison(args.lam, tol)
+    grid = _parse_grid(args.grid) if args.grid else []
+    # One stacked pass: the comparison at --lambda, then the grid rows.
+    comparison, *rows = filter_comparison_curve([args.lam] + grid, tol)
     results: dict[str, Any] = {
         "eof_before": comparison.eof_before,
         "eof_after": comparison.eof_after,
@@ -491,11 +496,10 @@ def _cmd_filter_compare(args, tol, warnings) -> tuple[Report, int]:
         "improved": comparison.improved,
     }
     if args.grid:
-        grid = _parse_grid(args.grid)
         inputs["grid"] = args.grid
         results["grid"] = [
             {"lambda": row.lam, "eof_before": row.eof_before, "eof_after": row.eof_after}
-            for row in filter_comparison_curve(grid, tol)
+            for row in rows
         ]
     return Report("filter-compare", inputs, results, warnings), EXIT_OK
 

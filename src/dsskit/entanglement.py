@@ -15,9 +15,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .linalg import DEFAULT_TOLERANCE, Tolerance, above_rank_cutoff, kron_all, numerical_rank
-from .localops import ProductOperator, apply, apply_to_pure
-from .states import DensityMatrix, PureState, bell_state, fidelity_with_pure, filter_example
+from .linalg import DEFAULT_TOLERANCE, Tolerance, above_rank_cutoff, dagger, kron_all, numerical_rank
+from .localops import ProductOperator, apply_to_pure
+from .states import (
+    DensityMatrix,
+    PureState,
+    SystemShape,
+    _filter_example_stack,
+    _filter_lambda,
+    _normalized_stack,
+    bell_state,
+)
 
 # Spin-flip matrix for the two-qubit concurrence: Y (x) Y with
 # Y = [[0, -i], [i, 0]].  Complex conjugation is taken in the computational
@@ -127,6 +135,22 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         )
 
 
+def _concurrence_stack(mats: np.ndarray) -> np.ndarray:
+    """Concurrences of a stack ``(n, 4, 4)`` of two-qubit density matrices:
+    one stacked ``eigh`` for the square roots, the root products as one
+    batched matmul, and one stacked SVD call.  Each matrix is decomposed
+    on its own and every other step works entry by entry, so a matrix's
+    concurrence does not depend on the rest of the stack."""
+    evals, evecs = np.linalg.eigh(mats)
+    # Descending, as DensityMatrix.eigh orders them, which fixes the
+    # summation order of the root product.
+    evals, evecs = evals[:, ::-1], np.ascontiguousarray(evecs[:, :, ::-1])
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))[:, np.newaxis, :]) @ np.conj(evecs).swapaxes(-1, -2)
+    lam = np.linalg.svd(root @ _SPIN_FLIP @ np.conj(root), compute_uv=False)
+    excess = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    return np.where(excess > 0.0, excess, 0.0)
+
+
 def concurrence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Two-qubit concurrence ``max(0, l1 - l2 - l3 - l4)``.
 
@@ -134,13 +158,12 @@ def concurrence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOLERANCE) -> float
     ``rho (Y x Y) rho* (Y x Y)``, with conjugation in the computational
     basis.  They are computed as the singular values of
     ``sqrt(rho) (Y x Y) sqrt(rho)*``, which has the same spectrum squared
-    but stays Hermitian-friendly numerically.
+    but stays Hermitian-friendly numerically: :func:`_concurrence_stack`
+    on a stack of one.  ``tol`` reaches no decision, because the formula
+    has no threshold.
     """
     _require_two_qubits(rho)
-    evals, evecs = rho.eigh()
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ np.conj(evecs).T
-    lam = np.linalg.svd(root @ _SPIN_FLIP @ np.conj(root), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_concurrence_stack(rho.mat[np.newaxis])[0])
 
 
 def binary_entropy(x: float) -> float:
@@ -221,6 +244,11 @@ def filter_upgrade_operator(shape) -> ProductOperator:
     return ProductOperator.from_parts(shape, {"A": FILTER_UPGRADE_MATRIX})
 
 
+_TWO_QUBITS = SystemShape.qubits("AB")
+#: The filter on the two qubits, the matrix :func:`~dsskit.localops.apply` uses.
+_FILTER_UPGRADE = filter_upgrade_operator(_TWO_QUBITS).matrix(_TWO_QUBITS)
+
+
 def filter_comparison(lam: float, tol: Tolerance = DEFAULT_TOLERANCE) -> FilterComparison:
     """Apply the diagonal filter to the rank-2 mixture and compare E_F.
 
@@ -230,25 +258,50 @@ def filter_comparison(lam: float, tol: Tolerance = DEFAULT_TOLERANCE) -> FilterC
     coefficients, giving ``lam' [phi+] + (1-lam') [|01>]`` with
     ``lam' = 3 lam / (lam + 2)`` at success probability ``(lam + 2)/8``.
     ``lambda_prime`` is measured off the filtered state rather than taken
-    from the closed form.
+    from the closed form.  This is :func:`filter_comparison_curve` of one.
     """
-    sigma = filter_example(lam)
-    before = entanglement_of_formation(sigma, tol)
-    filtered, probability = apply(filter_upgrade_operator(sigma.shape), sigma)
-    after = entanglement_of_formation(filtered, tol)
-    lambda_prime = fidelity_with_pure(filtered, bell_state("phi+"))
-    return FilterComparison(
-        lam=float(lam),
-        eof_before=before.eof,
-        eof_after=after.eof,
-        concurrence_before=before.concurrence,
-        concurrence_after=after.concurrence,
-        filtered_state=filtered,
-        success_probability=probability,
-        lambda_prime=lambda_prime,
-    )
+    return filter_comparison_curve([lam], tol)[0]
 
 
 def filter_comparison_curve(lams: Sequence[float], tol: Tolerance = DEFAULT_TOLERANCE) -> list[FilterComparison]:
-    """The comparison evaluated on a grid of mixing parameters."""
-    return [filter_comparison(lam, tol) for lam in lams]
+    """The comparison evaluated on a grid of mixing parameters, in one
+    stacked pass.
+
+    Every ``lam`` is checked as :func:`~dsskit.states.filter_example`
+    checks it before any state is built.  The states are built from that
+    function's terms and checked as one stack; the filter ``M σ M†`` and
+    its renormalization run once over the stack, as
+    :func:`~dsskit.localops.apply` runs them on one state; the
+    concurrences before and after each take one :func:`_concurrence_stack`
+    call; and ``lambda_prime`` is one batched product with the Bell vector.
+    Every stacked step works matrix by matrix, so each row does not depend
+    on the rest of the grid.  Each ``filtered_state`` owns its matrix.
+    """
+    lams = np.array([_filter_lambda(lam) for lam in lams])
+    if not lams.size:
+        return []
+    sources = _filter_example_stack(lams)
+    # Each weight is (lam + 2)/8 > 1/4, so every state is kept.
+    weights, _, filtered = _normalized_stack(_FILTER_UPGRADE @ sources @ dagger(_FILTER_UPGRADE))
+    before = _concurrence_stack(sources)
+    after = _concurrence_stack(filtered)
+    # <phi|σ|phi> as a row times σ times a column: stacked, a 1-D vector
+    # times the stack's rows would round differently from the single product.
+    phi = bell_state("phi+").amplitudes
+    lambda_prime = np.real(np.conj(phi)[np.newaxis] @ filtered @ phi[:, np.newaxis])[:, 0, 0]
+    rows = []
+    for i, lam in enumerate(lams):
+        c_before, c_after = float(before[i]), float(after[i])
+        rows.append(
+            FilterComparison(
+                lam=float(lam),
+                eof_before=eof_from_concurrence(c_before),
+                eof_after=eof_from_concurrence(c_after),
+                concurrence_before=c_before,
+                concurrence_after=c_after,
+                filtered_state=DensityMatrix._derived(_TWO_QUBITS, filtered[i].copy()),
+                success_probability=float(weights[i]),
+                lambda_prime=float(lambda_prime[i]),
+            )
+        )
+    return rows

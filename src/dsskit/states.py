@@ -143,39 +143,68 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
-    """The read-only Hermitian part of ``mat`` once it passes the density
-    matrix checks: side, hermiticity, unit trace, and positivity of the
-    eigenvalues of the Hermitian part."""
+def _mixed(shape: SystemShape, terms: Iterable[tuple]) -> np.ndarray:
+    """``sum w |v><v|`` over (weight, vector) terms, added in order to a
+    zero matrix.  A weight may be an array of shape ``(batch,)``, which
+    gives the stack ``(batch, d, d)`` of the mixtures, one per entry, each
+    summed as the single one is."""
     d = shape.total_dim
-    if mat.shape != (d, d):
-        raise InvariantViolation(
-            "dimension",
-            f"matrix side {mat.shape} does not match shape total dim {d}",
-        )
-    deviation = float(np.max(np.abs(mat - dagger(mat))))
-    if deviation > DEFAULT_TOLERANCE.herm_atol:
-        raise InvariantViolation(
-            "hermitian", f"density matrix is not Hermitian (max deviation {deviation:.3e})"
-        )
-    mat = _hermitian_part(mat)
-    _require_unit_trace(float(np.real(np.trace(mat))))
-    _require_psd(np.linalg.eigvalsh(mat))
-    mat.setflags(write=False)
+    mat = np.zeros((d, d), dtype=np.complex128)
+    for w, vec in terms:
+        v = as_vector(vec)
+        mat = mat + np.multiply.outer(w, np.outer(v, np.conj(v)))
     return mat
 
 
-def _require_unit_trace(tr: float) -> None:
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise InvariantViolation("trace", f"trace must be 1, got {tr!r}")
-
-
-def _require_psd(spectrum: np.ndarray) -> None:
-    lowest = float(np.min(spectrum))
-    if lowest < -DEFAULT_TOLERANCE.psd_atol:
+def _validated_stack(shape: SystemShape, mats: np.ndarray) -> np.ndarray:
+    """The read-only Hermitian parts of a stack ``(batch, d, d)`` of
+    matrices once each passes the density matrix checks: side,
+    hermiticity, unit trace, and positivity of the eigenvalues of the
+    Hermitian part, each check over the whole stack before the next.  The
+    first matrix that fails a check names it, with its own deviation,
+    trace or eigenvalue.  One stacked ``eigvalsh`` call serves the stack,
+    and it decomposes each matrix on its own."""
+    d = shape.total_dim
+    if mats.shape[1:] != (d, d):
         raise InvariantViolation(
-            "positive-semidefinite",
-            f"density matrix has a negative eigenvalue {lowest:.3e}",
+            "dimension",
+            f"matrix side {mats.shape[1:]} does not match shape total dim {d}",
+        )
+    deviations = np.abs(mats - np.conj(mats.swapaxes(-1, -2))).max(axis=(-2, -1))
+    if deviations.max() > DEFAULT_TOLERANCE.herm_atol:
+        first = np.extract(deviations > DEFAULT_TOLERANCE.herm_atol, deviations)[0]
+        raise InvariantViolation(
+            "hermitian", f"density matrix is not Hermitian (max deviation {float(first):.3e})"
+        )
+    mats = _hermitian_part(mats)
+    _require_unit_trace(mats.trace(axis1=-2, axis2=-1).real)
+    _require_psd(np.linalg.eigvalsh(mats))
+    mats.setflags(write=False)
+    return mats
+
+
+def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
+    """The read-only Hermitian part of ``mat`` once it passes the density
+    matrix checks: :func:`_validated_stack` on a stack of one."""
+    return _validated_stack(shape, mat[np.newaxis])[0]
+
+
+def _require_unit_trace(traces) -> None:
+    """Raise for the first of ``traces`` (a number or an array) off 1."""
+    off = np.abs(np.subtract(traces, 1.0))
+    if off.max() > TRACE_ATOL:
+        first = np.extract(off > TRACE_ATOL, traces)[0]
+        raise InvariantViolation("trace", f"trace must be 1, got {float(first)!r}")
+
+
+def _require_psd(spectra: np.ndarray) -> None:
+    """Raise for the first of ``spectra`` (one spectrum, or one per row of
+    a stack) with an eigenvalue below ``-psd_atol``."""
+    lowest = spectra.min(axis=-1)
+    if lowest.min() < -DEFAULT_TOLERANCE.psd_atol:
+        first = np.extract(lowest < -DEFAULT_TOLERANCE.psd_atol, lowest)[0]
+        raise InvariantViolation(
+            "positive-semidefinite", f"density matrix has a negative eigenvalue {float(first):.3e}"
         )
 
 
@@ -210,12 +239,7 @@ class DensityMatrix:
     @classmethod
     def mixture(cls, shape: SystemShape, terms: Iterable[tuple[float, np.ndarray]]) -> "DensityMatrix":
         """Convex mixture of pure components given as (weight, vector) pairs."""
-        d = shape.total_dim
-        mat = np.zeros((d, d), dtype=np.complex128)
-        for w, vec in terms:
-            v = as_vector(vec)
-            mat += float(w) * np.outer(v, np.conj(v))
-        return cls(shape, mat)
+        return cls(shape, _mixed(shape, ((float(w), vec) for w, vec in terms)))
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues descending, eigenvectors as columns; ``mat`` is exactly Hermitian."""
@@ -558,16 +582,35 @@ def three_qubit_example(p: float) -> DensityMatrix:
     return DensityMatrix.mixture(shape, [(p, ghz), (1.0 - p, prod_state)])
 
 
+def _filter_lambda(lam) -> float:
+    """``lam`` as :func:`filter_example`'s mixing weight, in ``(0, 1]``."""
+    lam = float(lam)
+    if not 0.0 < lam <= 1.0:
+        raise InvariantViolation("lambda", f"lambda must lie in (0, 1], got {lam}")
+    return lam
+
+
+def _filter_terms(lam) -> list[tuple]:
+    """The (weight, vector) terms of :func:`filter_example`; ``lam`` is a
+    checked weight, or an array of them for a stack of the states."""
+    shape = SystemShape.qubits("AB")
+    psi = sqrt(3.0) / 2.0 * product_basis_vector(shape, (0, 0)) + 0.5 * product_basis_vector(shape, (1, 1))
+    return [(lam, psi), (1.0 - lam, product_basis_vector(shape, (0, 1)))]
+
+
 def filter_example(lam: float) -> DensityMatrix:
     """``lam [psi] + (1-lam) [|01>]`` with ``psi = (sqrt(3)/2)|00> + (1/2)|11>``.
 
     A rank-2 two-qubit mixture whose entanglement of formation a local
     filter can raise; see :func:`dsskit.entanglement.filter_comparison`.
     """
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0:
-        raise InvariantViolation("lambda", f"lambda must lie in (0, 1], got {lam}")
-    shape = SystemShape.qubits("AB")
-    psi = sqrt(3.0) / 2.0 * product_basis_vector(shape, (0, 0)) + 0.5 * product_basis_vector(shape, (1, 1))
-    return DensityMatrix.mixture(shape, [(lam, psi), (1.0 - lam, product_basis_vector(shape, (0, 1)))])
+    return DensityMatrix.mixture(SystemShape.qubits("AB"), _filter_terms(_filter_lambda(lam)))
 
+
+def _filter_example_stack(lams: np.ndarray) -> np.ndarray:
+    """The matrices of ``filter_example(lam)`` for an array of checked
+    weights, as one read-only stack: the terms summed and the states
+    checked by :func:`_validated_stack`, as the single state is built and
+    checked, entry by entry."""
+    shape = SystemShape.qubits("AB")
+    return _validated_stack(shape, _mixed(shape, _filter_terms(lams)))

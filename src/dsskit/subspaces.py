@@ -30,7 +30,7 @@ from typing import Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .entanglement import _cut_ranks, concurrence
+from .entanglement import _concurrence_stack, _cut_ranks, concurrence
 from .errors import InvariantViolation, SearchSpaceTooLarge
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -722,14 +722,17 @@ def find_purifying_subspaces(
     else:
         measure_before = float(reference)
 
-    found = []
-    for sub, outcome in ctx.classify(ctx.group((2, 2))):
-        if outcome.classification != "mixed":
-            continue
-        measure_after = concurrence(outcome.state, tol)
-        if measure_after > measure_before + tol.purity_atol:
-            found.append(PurifyingSubspace(sub, outcome, measure_before, measure_after))
-    return found
+    mixed = [(sub, outcome) for sub, outcome in ctx.classify(ctx.group((2, 2)))
+             if outcome.classification == "mixed"]
+    if not mixed:
+        return []
+    # Every mixed outcome here is a two-qubit state: one stacked call.
+    measures = _concurrence_stack(np.stack([outcome.state.mat for _, outcome in mixed]))
+    return [
+        PurifyingSubspace(sub, outcome, measure_before, float(measure_after))
+        for (sub, outcome), measure_after in zip(mixed, measures)
+        if measure_after > measure_before + tol.purity_atol
+    ]
 
 
 # ---------------------------------------------------------------------------

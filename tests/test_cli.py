@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -176,6 +178,36 @@ def test_filter_compare_with_grid(capsys):
     assert code == 0
     assert "improved: true" in out
     assert "grid:" in out
+
+
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.5:nan:0.1", "0.5:1:nan", "0.5:-inf:0.1", "0.5:1:inf"])
+def test_grid_with_a_non_finite_bound_or_step_exit_1(capsys, grid):
+    code, out, err = run_cli(capsys, "filter-compare", "--lambda", "0.9", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --grid needs finite A, B and STEP, got {grid!r}\n"
+
+
+def _capped_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's memory with RLIMIT_AS")
+def test_grid_with_an_infinite_bound_exits_instead_of_looping():
+    # A grid up to B = inf once grew its list until killed.  In a child
+    # process capped at 1 GiB and 20 s, such a loop fails the test instead
+    # of hanging the suite.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dsskit.cli", "filter-compare", "--lambda", "0.9", "--grid", "0.5:inf:0.1"],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=_capped_address_space,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: --grid needs finite A, B and STEP, got '0.5:inf:0.1'\n"
 
 
 def test_simulate_builtins(capsys):

@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsskit import (
     DensityMatrix,
@@ -24,7 +29,7 @@ from dsskit import (
 )
 from dsskit.entanglement import _cut_ranks
 from dsskit.linalg import Tolerance, numerical_rank
-from dsskit.states import product_basis_vector, w_state, w_state_variant
+from dsskit.states import fidelity_with_pure, product_basis_vector, w_state, w_state_variant
 
 from helpers import random_invertible_contraction, random_pure_state, random_unitary
 
@@ -236,3 +241,65 @@ def test_filter_comparison_curve():
     for row in rows:
         predicted = 3 * row.lam / (row.lam + 2)
         assert row.lambda_prime == pytest.approx(predicted, abs=1e-9)
+
+
+CURVE_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+LAMBDAS = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def comparison_record(row) -> tuple:
+    """Every field of a comparison, the filtered matrix as bytes, and ``improved``."""
+    fields = {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+    fields["filtered_state"] = row.filtered_state.mat.tobytes()
+    return tuple(fields.items()) + (("improved", row.improved),)
+
+
+@CURVE_SETTINGS
+@given(st.lists(LAMBDAS, max_size=12))
+def test_curve_rows_equal_the_single_comparison(lams):
+    rows = filter_comparison_curve(lams)
+    assert [comparison_record(row) for row in rows] == [comparison_record(filter_comparison(lam)) for lam in lams]
+    # Each row owns its matrix, not a view into the stack.
+    assert all(row.filtered_state.mat.flags.owndata for row in rows)
+
+
+def test_curve_on_a_fine_grid_matches_the_single_comparison():
+    # On this grid a stacked <phi|σ|phi> taken as vector-stack-vector
+    # products rounds 4 of the 103 lambda' values differently.
+    lams = np.round(np.linspace(0.01, 1.0, 103), 6)
+    phi = bell_state("phi+")
+    rows = filter_comparison_curve(lams)
+    assert [comparison_record(row) for row in rows] == [comparison_record(filter_comparison(lam)) for lam in lams]
+    assert [row.lambda_prime for row in rows] == [fidelity_with_pure(row.filtered_state, phi) for row in rows]
+
+
+def test_empty_curve():
+    assert filter_comparison_curve([]) == []
+
+
+@CURVE_SETTINGS
+@given(st.lists(LAMBDAS, max_size=6), st.sampled_from([0.0, -0.25, 1.5, math.nan, math.inf]), st.data())
+def test_a_bad_lambda_anywhere_fails_the_curve(lams, bad, data):
+    lams.insert(data.draw(st.integers(0, len(lams))), bad)
+    with pytest.raises(InvariantViolation, match=r"^lambda must lie in \(0, 1\], got ") as info:
+        filter_comparison_curve(lams)
+    assert info.value.invariant == "lambda"
+    assert str(info.value) == f"lambda must lie in (0, 1], got {bad}"
+
+
+@pytest.mark.parametrize("length", [1, 2, 11, 40])
+def test_curve_runs_one_stacked_pass(monkeypatch, length):
+    # One eigvalsh for the state checks, and one eigh and one SVD call for
+    # each of the two concurrences, at any grid length.
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rows = filter_comparison_curve(np.linspace(0.05, 1.0, length))
+    assert len(rows) == length
+    assert calls == {"svd": 2, "eigvalsh": 1, "eigh": 2}

@@ -18,8 +18,9 @@ projection of a power contracted copy by copy from the single copy against
 the projection of the dense power.  The searches handed the single copy and
 ``copies`` are checked against the same searches of the built power.
 
-The kernel examples check ``kron_all`` against chained ``np.kron`` and the
-sliced measurement outcomes against dense padded post-selection.
+The kernel examples check ``kron_all`` against chained ``np.kron``, the
+sliced measurement outcomes against dense padded post-selection, and the
+stacked two-qubit concurrence against ``concurrence`` state by state.
 """
 
 import functools
@@ -45,8 +46,10 @@ from dsskit import (
     SystemShape,
     apply,
     bell_state,
+    concurrence,
     decompose,
     dimension_signature,
+    fidelity_with_pure,
     find_dss,
     find_purifying_subspaces,
     ghz_distillation_steps,
@@ -63,7 +66,7 @@ from dsskit import (
 )
 from dsskit import states, subspaces
 from dsskit.cli import main
-from dsskit.entanglement import _cut_ranks
+from dsskit.entanglement import _concurrence_stack, _cut_ranks
 from dsskit.linalg import ZERO_WEIGHT, Tolerance, kron_all
 from dsskit.subspaces import _SearchContext
 
@@ -768,3 +771,55 @@ def test_sliced_measurement_matches_padded_post_selection(instance):
                 else:
                     assert abs(branch.probability - weight) <= 1e-12
                     assert np.max(np.abs(branch.state.mat - expected.mat)) <= 1e-12
+
+
+AB = SystemShape.qubits("AB")
+
+
+@st.composite
+def two_qubit_stacks(draw):
+    """One to twelve two-qubit states, each tagged with its kind: random of
+    rank 1 to 4 (below 4 the kernel clips roundoff eigenvalues), pure
+    product (C = 0), Bell (C = 1), and Werner below and above F = 1/2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "product", "bell", "werner-low", "werner-high"]),
+                          min_size=1, max_size=12))
+    stack = []
+    for kind in kinds:
+        if kind == "random":
+            rho = random_density(rng, AB, rank=int(rng.integers(1, 5)))
+        elif kind == "product":
+            rho = PureState(AB, np.kron(random_pure_vector(rng, 2), random_pure_vector(rng, 2))).to_density()
+        elif kind == "bell":
+            rho = bell_state(["phi+", "phi-", "psi+", "psi-"][int(rng.integers(4))]).to_density()
+        else:
+            rho = werner(rng.uniform(0.0, 0.5) if kind == "werner-low" else rng.uniform(0.5, 1.0))
+        stack.append((kind, rho))
+    return stack
+
+
+def reference_concurrence(rho: DensityMatrix) -> float:
+    """Wootters' formula on one state, written out: the singular values of
+    sqrt(rho) (Y x Y) sqrt(rho)*, with the eigenvalues of rho descending."""
+    evals, evecs = np.linalg.eigh(rho.mat)
+    evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ np.conj(evecs).T
+    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    lam = np.linalg.svd(root @ kron_all((y, y)) @ np.conj(root), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+@KERNEL_SETTINGS
+@given(two_qubit_stacks())
+def test_concurrence_stack_equals_concurrence_state_by_state(stack):
+    got = _concurrence_stack(np.stack([rho.mat for _, rho in stack]))
+    assert got.shape == (len(stack),)
+    assert [float(c) for c in got] == [concurrence(rho) for _, rho in stack]
+    assert [float(c) for c in got] == [reference_concurrence(rho) for _, rho in stack]
+    for (kind, rho), c in zip(stack, got):
+        if kind == "product":
+            assert c <= 1e-7
+        elif kind == "bell":
+            assert abs(c - 1.0) <= 1e-9
+        elif kind.startswith("werner"):
+            assert abs(c - max(0.0, 2.0 * fidelity_with_pure(rho, bell_state("phi+")) - 1.0)) <= 1e-9

@@ -526,6 +526,17 @@ def test_find_purifying_subspaces_werner():
         assert f.measure_before == pytest.approx(0.8, abs=1e-9)
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+def test_find_purifying_subspaces_measures_as_concurrence_does(rotated):
+    # The mixed outcomes are measured in one stacked call, bit-equal to
+    # concurrence of each outcome's state.
+    rng = np.random.default_rng(29)
+    bases = {label: _rotation(rng, 4, 0.3) for label in "AB"} if rotated else None
+    found = find_purifying_subspaces(werner(0.9), bases, copies=2, reference=0.5)
+    assert found
+    assert [f.measure_after for f in found] == [concurrence(f.outcome.state) for f in found]
+
+
 def test_find_purifying_subspaces_maximal_reference():
     assert find_purifying_subspaces(werner(1.0), copies=2) == []
 

@@ -74,6 +74,10 @@ TOLERANCE_PROFILES = {
 
 TOLERANCE_ENV_VAR = "DSSKIT_TOLERANCE_PROFILE"
 
+#: Most points a ``--grid A:B:STEP`` may give; a longer grid is refused
+#: before any work, and so is a STEP too small to move the next point.
+_GRID_MAX_POINTS = 10_000
+
 #: Preset states addressable from --state, with the flag each one consumes.
 PRESETS = {
     "example3q": ("p", lambda args: three_qubit_example(args.p)),
@@ -349,10 +353,10 @@ def _certificate_doc(cert: DssCertificate) -> dict:
     }
 
 
-def _rank_bound_doc(rank: int, shape: SystemShape, copies: int, cert: DssCertificate) -> dict:
+def _rank_bound_doc(rank: int, bound: int) -> dict:
     """The rank bound check of one certificate, given the measured rank of the
-    n-copy state; the same fields :func:`check_rank_bound` reports."""
-    bound = rank_bound(shape, copies, cert.outcome.signature)
+    n-copy state and the :func:`rank_bound` of its signature; the same fields
+    :func:`check_rank_bound` reports."""
     return {"rank": rank, "bound": bound, "satisfied": rank <= bound}
 
 
@@ -384,9 +388,13 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
     }
     docs = []
     rank = power_rank(single, inputs["copies"], tol) if certs else None
+    bounds = {}  # one rank bound per distinct signature
     for cert in certs:
+        signature = cert.outcome.signature
+        if signature not in bounds:
+            bounds[signature] = rank_bound(single.shape, inputs["copies"], signature)
         doc = _certificate_doc(cert)
-        doc["rank_bound_check"] = _rank_bound_doc(rank, single.shape, inputs["copies"], cert)
+        doc["rank_bound_check"] = _rank_bound_doc(rank, bounds[signature])
         docs.append(doc)
     if docs:
         results["certificates"] = docs
@@ -414,7 +422,8 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
     else:
         results = {"accepted": True, **_certificate_doc(verdict)}
         rank = power_rank(single, inputs["copies"], tol)
-        results["rank_bound_check"] = _rank_bound_doc(rank, single.shape, inputs["copies"], verdict)
+        bound = rank_bound(single.shape, inputs["copies"], verdict.outcome.signature)
+        results["rank_bound_check"] = _rank_bound_doc(rank, bound)
     return Report("dss check", inputs, results, warnings), EXIT_OK
 
 
@@ -473,9 +482,13 @@ def _parse_grid(text: str) -> list[float]:
         raise CliUsageError(f"--grid needs finite A, B and STEP, got {text!r}")
     if step <= 0 or stop < start:
         raise CliUsageError(f"--grid needs step > 0 and B >= A, got {text!r}")
+    if start + step == start:
+        raise CliUsageError(f"--grid STEP is too small to move A, got {text!r}")
     values = []
     x = start
     while x <= stop + 1e-12:
+        if len(values) == _GRID_MAX_POINTS:
+            raise CliUsageError(f"--grid gives more than {_GRID_MAX_POINTS} points, got {text!r}")
         values.append(round(x, 12))
         x += step
     return values

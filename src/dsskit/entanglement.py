@@ -47,8 +47,11 @@ def _cut_ranks(amplitudes: np.ndarray, dims: Sequence[int], rtol: float) -> np.n
     as :func:`~dsskit.linalg.numerical_rank` does for the reduced state.
     Every cut, turned wide and padded with zeros to one shape, goes into a
     single stacked SVD call; the padding adds only zero singular values, and
-    each matrix is decomposed on its own.  Returns an integer array of shape
-    ``(..., len(dims))``; an empty stack gives an empty one.
+    each matrix is decomposed on its own.  For the same reason a state of
+    smaller per-party dims, zero-padded on each party's axis to ``dims``,
+    has the ranks of the unpadded state: that lets one call take the states
+    of many subspace shapes.  Returns an integer array of shape ``(...,
+    len(dims))``; an empty stack gives an empty one.
     """
     batch = amplitudes.shape[:-1]
     tensor = amplitudes.reshape(batch + tuple(dims))

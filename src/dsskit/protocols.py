@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .entanglement import concurrence
+from .entanglement import _concurrence_stack
 from .errors import Error, InvariantViolation, ProtocolStepError
 from .linalg import (
     DEFAULT_TOLERANCE,
@@ -388,22 +388,29 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
     the concurrence of the weight-averaged post-selection ensemble over the
     two subspaces.  Each projection is taken from ``werner(F)`` at two
     copies (:func:`~dsskit.subspaces.project`), so the 16x16 two-copy state
-    is never built.
+    is never built.  The four concurrences, of the single copy, the two
+    outcomes and the ensemble, come from one stacked
+    :func:`~dsskit.entanglement._concurrence_stack` call.
     """
     F = float(F)
     if not 0.0 <= F <= 1.0:
         raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
     single = werner(F)
     two_copy_shape = _power_shape(single, 2)
-    before = concurrence(single, tol)
-
-    reports = []
+    outcomes = [
+        project(single, LocalSubspace.from_indices(two_copy_shape, {"A": idx, "B": idx}), tol, copies=2)
+        for idx in WERNER_SUBSPACE_INDICES.values()
+    ]
     total_weight = 0.0
     combined = np.zeros((4, 4), dtype=np.complex128)
-    sub_shape = None
-    for name, idx in WERNER_SUBSPACE_INDICES.items():
-        subspace = LocalSubspace.from_indices(two_copy_shape, {"A": idx, "B": idx})
-        outcome = project(single, subspace, tol, copies=2)
+    for outcome in outcomes:
+        combined += outcome.weight * outcome.state.mat
+        total_weight += outcome.weight
+    # The single copy, each outcome and the combined ensemble: one stacked call.
+    stack = np.stack([single.mat] + [outcome.state.mat for outcome in outcomes] + [combined / total_weight])
+    before, *after, combined_concurrence = _concurrence_stack(stack).tolist()
+    reports = []
+    for (name, idx), outcome, concurrence_after in zip(WERNER_SUBSPACE_INDICES.items(), outcomes, after):
         offdiag = _bell_offdiagonal(outcome.state)
         reports.append(
             WernerSubspaceReport(
@@ -412,19 +419,14 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
                 weight=outcome.weight,
                 bell_diagonal=offdiag <= 1e-9,
                 max_bell_offdiag=offdiag,
-                concurrence_after=concurrence(outcome.state, tol),
+                concurrence_after=concurrence_after,
             )
         )
-        combined += outcome.weight * outcome.state.mat
-        total_weight += outcome.weight
-        sub_shape = outcome.state.shape
-
-    combined_state = DensityMatrix._derived(sub_shape, combined / total_weight)
     return WernerPurificationReport(
         F=F,
         concurrence_before=before,
         subspaces=tuple(reports),
-        combined_concurrence=concurrence(combined_state, tol),
+        combined_concurrence=combined_concurrence,
     )
 
 

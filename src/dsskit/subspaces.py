@@ -244,38 +244,25 @@ class Refusal:
     outcome: ProjectionOutcome
 
 
-def _classify_stack(
-    out: np.ndarray, dims: Sequence[int], tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Classify a stack ``(batch, k, k)`` of unnormalized projections onto
-    subspaces of per-party dimensions ``dims`` (``prod(dims) == k``).
-
-    The weights, the zero test and the normalized states are
-    :func:`~dsskit.states._normalized_stack`'s.  One stacked ``eigh`` of
-    the states gives the pure test (top eigenvalue at least ``1 -
-    purity_atol``), and one :func:`~dsskit.entanglement._cut_ranks` call on
-    the top eigenvectors of the pure blocks only gives their dimension
-    signatures, at ``rank_rtol``.  Each block's results are those of the
-    block alone.  Returns the weights, the normalized states of the nonzero
-    blocks (stacked, in order), each block's index into ``_CLASSES`` and
-    each block's signature (a row of zeros unless pure).
-    """
-    weights, live, states = _normalized_stack(out)
-    codes = live.astype(np.intp)  # 0 "zero" or 1 "mixed" until shown pure
-    signatures = np.zeros((len(out), len(dims)), dtype=np.intp)
-    if len(states):
-        evals, evecs = np.linalg.eigh(states)
-        pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
-        if len(pure):
-            ranks = _cut_ranks(evecs[pure, :, -1], dims, tol.rank_rtol)
-            blocks = np.flatnonzero(live)[pure]
-            codes[blocks] = 2 + np.any(ranks > 1, axis=-1)  # "pure-product" or "pure-entangled"
-            signatures[blocks] = ranks
-    return weights, states, codes, signatures
+def _pure_tops(states: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The pure test on a stack ``(batch, k, k)`` of normalized states: one
+    stacked ``eigh`` gives the indices of the states whose top eigenvalue
+    is at least ``1 - purity_atol``, and their top eigenvectors.  Each
+    state's result is that of the state alone."""
+    evals, evecs = np.linalg.eigh(states)
+    pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
+    return pure, evecs[pure, :, -1]
 
 
-def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: np.ndarray) -> ProjectionOutcome:
-    """The :class:`ProjectionOutcome` of one block of :func:`_classify_stack`."""
+def _pure_codes(ranks: np.ndarray) -> np.ndarray:
+    """Indices into ``_CLASSES`` of pure states with cut ranks ``ranks``:
+    "pure-entangled" when some rank exceeds 1, else "pure-product"."""
+    return 2 + np.any(ranks > 1, axis=-1)
+
+
+def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: Sequence[int]) -> ProjectionOutcome:
+    """The :class:`ProjectionOutcome` of one block with classification
+    ``_CLASSES[code]``."""
     cls = _CLASSES[code]
     if cls == "zero":
         return ProjectionOutcome(weight=0.0, state=None, classification="zero")
@@ -316,9 +303,15 @@ def project(
         copies = _power_checks(rho, copies)
         subspace._check_against(rho.shape, copies)
         out = _power_sandwich(rho, copies, subspace.compression())
-    weights, states, codes, signatures = _classify_stack(out[np.newaxis], subspace.dims, tol)
-    state = DensityMatrix._derived(subspace.subspace_shape(), states[0]) if len(states) else None
-    return _outcome(float(weights[0]), state, codes[0], signatures[0])
+    weights, live, states = _normalized_stack(out[np.newaxis])
+    code, ranks = int(live[0]), np.zeros((1, len(subspace.dims)), dtype=np.intp)
+    if code:
+        pure, tops = _pure_tops(states, tol)
+        if len(pure):
+            ranks = _cut_ranks(tops, subspace.dims, tol.rank_rtol)
+            code = int(_pure_codes(ranks)[0])
+    state = DensityMatrix._derived(subspace.subspace_shape(), states[0]) if code else None
+    return _outcome(float(weights[0]), state, code, ranks[0])
 
 
 def check_certificate(
@@ -543,52 +536,99 @@ class _SearchContext:
 
     def _classify_groups(
         self, picks: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, SystemShape]]:
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[float, np.ndarray]]]:
         """Classify the candidates ``picks`` (one array of subset numbers per
-        party) by size group, in slices: each candidate's group key, its
-        index into ``_CLASSES`` and its signature, and each group's
-        subspace shape."""
+        party): each candidate's index into ``_CLASSES`` and its signature,
+        and the weight and normalized state of each pure one, keyed on its
+        place in ``picks``.
+
+        The candidates are taken by size group, in slices of at most
+        ``_SLICE_ENTRIES`` entries.  A slice's blocks are read by index,
+        normalized by one :func:`~dsskit.states._normalized_stack` call and
+        tested for purity by one stacked ``eigh``.  The top eigenvectors of
+        the pure blocks of every group are zero-padded per party to the
+        largest pure group's sizes and gathered, and one
+        :func:`~dsskit.entanglement._cut_ranks` call gives all their
+        signatures: the padding adds only zero singular values.  That call
+        is sliced so that its stacked cuts hold at most about
+        ``_SLICE_ENTRIES`` entries.
+        """
         # A candidate's group key: its per-party sizes as one mixed-radix number.
         keys = np.ravel_multi_index([s[pick] - 1 for s, pick in zip(self.sizes, picks)], self.shape.dims)
         codes = np.zeros(len(keys), dtype=np.int8)
         signatures = np.zeros((len(keys), len(picks)), dtype=np.int16)  # ranks <= MAX_SIDE
-        shapes = {}
+        kept = {}
+        tops = []  # (candidates, group sizes, top eigenvectors) per slice with a pure block
         order = np.argsort(keys, kind="stable")
         firsts = np.flatnonzero(np.diff(keys[order], prepend=-1))
         for first, end in zip(firsts.tolist(), firsts[1:].tolist() + [len(order)]):
             members, key = order[first:end], int(keys[order[first]])
             group = [int(i) + 1 for i in np.unravel_index(key, self.shape.dims)]
-            shapes[key] = _subspace_shape(self.shape.labels, group)
             step = max(1, _SLICE_ENTRIES // prod(group) ** 2)
             for start in range(0, len(members), step):
                 chunk = members[start : start + step]
                 blocks = self._blocks(self._rows([pick[chunk] for pick in picks], group))
-                _, _, codes[chunk], signatures[chunk] = _classify_stack(blocks, group, self.tol)
-        return keys, codes, signatures, shapes
+                weights, live, states = _normalized_stack(blocks)
+                codes[chunk] = live
+                if not len(states):
+                    continue
+                pure, vecs = _pure_tops(states, self.tol)
+                which = chunk[live][pure]
+                for i, weight, j in zip(which.tolist(), weights[live][pure].tolist(), pure.tolist()):
+                    kept[i] = (weight, states[j].copy())
+                if len(pure):
+                    tops.append((which, group, vecs))
+        if tops:
+            common = tuple(np.max([group for _, group, _ in tops], axis=0).tolist())
+            gathered = np.concatenate([which for which, _, _ in tops])
+            padded = np.zeros((len(gathered),) + common, dtype=np.complex128)
+            at = 0
+            for which, group, vecs in tops:
+                corner = (slice(at, at + len(which)),) + tuple(slice(m) for m in group)
+                padded[corner] = vecs.reshape([len(which)] + group)
+                at += len(which)
+            flat = padded.reshape(len(gathered), -1)
+            step = max(1, _SLICE_ENTRIES // (len(common) * flat.shape[1]))
+            for start in range(0, len(gathered), step):
+                chunk = gathered[start : start + step]
+                ranks = _cut_ranks(flat[start : start + step], common, self.tol.rank_rtol)
+                codes[chunk], signatures[chunk] = _pure_codes(ranks), ranks
+        return codes, signatures, kept
 
     def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """Each candidate at ``positions``, in that order: its subspace cut
         from the bases, and the outcome of the power on it.
 
-        The candidates are grouped by per-party subset sizes.  Each group's
-        blocks are read out of ``local`` by index, with no product or
-        matrix multiply per candidate, and classified by the kernel of
-        :func:`project` in slices of at most ``_SLICE_ENTRIES`` entries.
-        On computational bases the blocks, and so the outcomes, are bit-equal
-        to :func:`project`'s on the power; on rotated ones they agree to
-        roundoff.  The outcomes are then built in order, each renormalizing
-        its own block, so that at most one slice of blocks is held at a time
-        and no outcome keeps a slice alive.
+        The candidates are classified by :meth:`_classify_groups`: each
+        block is read out of ``local`` by index, with no product or matrix
+        multiply per candidate, and classified by the kernel of
+        :func:`project`, a slice of a size group at a time, with one
+        cut-rank call for the pure blocks of all groups.  On computational
+        bases the blocks, and so the outcomes, are bit-equal to
+        :func:`project`'s on the power; on rotated ones they agree to
+        roundoff.  A pure outcome keeps the weight and a copy of the state
+        that its group's stack normalized.  A mixed one renormalizes its own
+        block when it is yielded, so that no more than one slice of blocks
+        is held at a time and no outcome keeps a slice alive.  Each size
+        group with a nonzero block gets one subspace shape.
         """
         picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
-        keys, codes, signatures, shapes = self._classify_groups(picks)
-        for i, (key, pick) in enumerate(zip(keys, zip(*picks))):
+        codes, signatures, pure = self._classify_groups(picks)
+        shapes = {}
+        for i, pick in enumerate(zip(*picks)):
             indices = tuple(s[j] for s, j in zip(self.subsets, pick))
             subspace = LocalSubspace._from_checked(self.shape.labels, self.bases, indices)
             weight, state = 0.0, None
             if codes[i]:
-                rows = self._rows([np.array([j]) for j in pick], subspace.dims)
-                weight, state = _normalized(self._blocks(rows)[0], shapes[key])
+                dims = subspace.dims
+                if dims not in shapes:
+                    shapes[dims] = _subspace_shape(self.shape.labels, dims)
+                kept = pure.pop(i, None)
+                if kept is None:
+                    rows = self._rows([np.array([j]) for j in pick], dims)
+                    weight, state = _normalized(self._blocks(rows)[0], shapes[dims])
+                else:
+                    weight, state = kept[0], DensityMatrix._derived(shapes[dims], kept[1])
             yield subspace, _outcome(weight, state, codes[i], signatures[i])
 
 
@@ -619,7 +659,11 @@ def find_dss(
     signature.  The survivors are classified in stacks, one per group of
     equal per-party subset sizes: each block is read by index out of the
     power in the search basis, formed once, and each stack takes one
-    ``eigh`` and one cut-rank SVD call.  The screen decides
+    ``eigh``.  The top eigenvectors of the pure blocks of all groups,
+    zero-padded per party to one shape, then take one cut-rank SVD call
+    (sliced only when they hold more than about ``_SLICE_ENTRIES``
+    entries), and a pure certificate keeps the state its stack normalized.
+    The screen decides
     all candidates at once from the state's significant eigenvectors, by
     kernel contractions in memory O(D^2 + candidates) for side ``D``, with
     no eigensolver per candidate.  It drops candidates that are clearly

@@ -210,6 +210,37 @@ def test_grid_with_an_infinite_bound_exits_instead_of_looping():
     assert done.stderr == "error: --grid needs finite A, B and STEP, got '0.5:inf:0.1'\n"
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the child's memory with RLIMIT_AS")
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        # 0.5 + 1e-20 == 0.5: the loop once never moved.
+        ("0.5:0.6:1e-20", "--grid STEP is too small to move A"),
+        # 10^8 points were once built before any work.
+        ("0:1:1e-8", f"--grid gives more than {cli._GRID_MAX_POINTS} points"),
+    ],
+)
+def test_grid_that_would_not_end_exits_instead_of_looping(grid, message):
+    # In a child process capped at 1 GiB and 20 s, so that a regression
+    # fails the test instead of hanging the suite.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dsskit.cli", "filter-compare", "--lambda", "0.9", "--grid", grid],
+        capture_output=True, text=True, env=env, timeout=20, preexec_fn=_capped_address_space,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: {message}, got {grid!r}\n"
+
+
+def test_grid_point_cap_is_inclusive():
+    assert len(cli._parse_grid("1e-4:1:1e-4")) == cli._GRID_MAX_POINTS
+    with pytest.raises(cli.CliUsageError):
+        cli._parse_grid("1e-4:1.0001:1e-4")
+
+
 def test_simulate_builtins(capsys):
     code, out, _ = run_cli(capsys, "simulate", "ghz-example", "--p", "0.5")
     assert code == 0

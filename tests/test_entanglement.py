@@ -91,6 +91,48 @@ def test_cut_ranks_near_cutoff(eps, expected):
     assert dimension_signature(psi) == reduced_state_signature(psi, Tolerance()) == expected
 
 
+def zero_padded(amplitudes: np.ndarray, dims, common) -> np.ndarray:
+    """A stack of state vectors of per-party dims ``dims``, each party's
+    axis zero-padded to ``common``, flattened."""
+    n = len(amplitudes)
+    out = np.zeros((n,) + tuple(common), dtype=complex)
+    out[(slice(None),) + tuple(slice(d) for d in dims)] = amplitudes.reshape((n,) + tuple(dims))
+    return out.reshape(n, -1)
+
+
+@pytest.mark.parametrize("common", [(2, 3), (4, 4), (3, 7)])
+def test_cut_ranks_of_zero_padded_vectors_near_cutoff(common):
+    # The near-cutoff cases above, and closer ones, padded per party: the
+    # padding adds only zero singular values and moves no rank.
+    rng = np.random.default_rng(127)
+    u, v = random_unitary(rng, 2), random_unitary(rng, 2)
+    rtol = Tolerance().rank_rtol
+    cores = [np.sqrt([1 - eps, 0, 0, eps]) for eps in (2e-9, 5e-10, 1.05 * rtol, 0.95 * rtol)]
+    stack = np.stack([np.kron(u, v) @ core.astype(complex) for core in cores])
+    want = _cut_ranks(stack, (2, 2), rtol)
+    assert [tuple(row) for row in want] == [(2, 2), (1, 1), (2, 2), (1, 1)]
+    assert np.array_equal(_cut_ranks(zero_padded(stack, (2, 2), common), common, rtol), want)
+
+
+def test_cut_ranks_of_zero_padded_vectors_match_unpadded():
+    rng = np.random.default_rng(131)
+    rtol = Tolerance().rank_rtol
+    cases = [
+        ((2, 2, 2), (4, 4, 4), [ghz_state(), w_state(), w_state_variant()]),
+        ((3, 2), (3, 5), []),
+        ((2, 3, 1), (3, 3, 2), []),
+        ((1, 4), (2, 4), []),
+    ]
+    for dims, common, states in cases:
+        shape = SystemShape.of(*((chr(ord("A") + p), d) for p, d in enumerate(dims)))
+        states = states + [random_pure_state(rng, shape) for _ in range(4)]
+        states.append(PureState(shape, product_basis_vector(shape, (0,) * len(dims))))
+        stack = np.stack([psi.amplitudes for psi in states])
+        want = _cut_ranks(stack, dims, rtol)
+        assert [tuple(row) for row in want] == [reduced_state_signature(psi, Tolerance()) for psi in states]
+        assert np.array_equal(_cut_ranks(zero_padded(stack, dims, common), common, rtol), want)
+
+
 def test_schmidt_examples():
     assert np.allclose(schmidt(bell_state("phi+")), [1 / np.sqrt(2), 1 / np.sqrt(2)])
 

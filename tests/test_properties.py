@@ -284,6 +284,26 @@ def test_batched_classification_of_a_power_equals_project(rotated):
         assert seen == {"zero", "mixed", "pure-product", "pure-entangled"}
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_batched_classification_of_a_rotated_power_equals_project(seed, rank):
+    """Every candidate of a random two-qubit state's square (225) on random
+    bases of the power's parties, against ``project`` from the single copy.
+    The pure blocks of all size groups share one cut-rank call, each zero-
+    padded to the largest pure group's sizes; the classification and the
+    signature must still be those of the block alone."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, SystemShape.of(("A", 2), ("B", 2)), rank=rank)
+    bases = {label: random_unitary(rng, 4) for label in "AB"}
+    ctx = _SearchContext(rho, 2, bases, Tolerance(), subspaces.CANDIDATE_CAP)
+    seen = set()
+    for sub, got in ctx.classify(range(ctx.count)):
+        assert_outcomes_match(got, project(rho, sub, copies=2), computational=False)
+        seen.add(got.signature)
+    if rank == 1:
+        assert len(seen - {None}) > 1
+
+
 def logged_stats(caplog, *args, **kwargs):
     """The certificates and the logged counts; the two logged timings are
     checked to be nonnegative floats and left out of the counts."""

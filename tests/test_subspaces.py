@@ -272,10 +272,9 @@ def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled
     assert len(positions) == (24 if require_entangled else 979)
 
 
-def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
-    # 3375 candidates in 64 size groups, each within one slice: one eigh and
-    # one cut-rank SVD per group, never one per candidate.
-    ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+def count_solver_calls(monkeypatch) -> dict[str, int]:
+    """Count the ``np.linalg`` ``svd``, ``eigvalsh`` and ``eigh`` calls made
+    from here on."""
     calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
     for name in calls:
         solver = getattr(np.linalg, name)
@@ -285,11 +284,53 @@ def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
+    # 3375 candidates in 64 size groups, each within one slice: one eigh per
+    # group, never one per candidate, and the cut-rank SVDs of all groups'
+    # pure blocks in a few slices.
+    ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    calls = count_solver_calls(monkeypatch)
     outcomes = [outcome.classification for _, outcome in ctx.classify(range(ctx.count))]
     assert len(outcomes) == 3375
     assert calls["eigvalsh"] == 0
     assert 0 < calls["eigh"] <= 64
     assert calls["svd"] <= calls["eigh"]
+
+
+def test_search_runs_one_cut_rank_call_for_all_size_groups(monkeypatch):
+    # 24 survivors of the screen in 16 size groups: one SVD call gives every
+    # signature; the screen and power run none.
+    calls = count_solver_calls(monkeypatch)
+    certs = find_dss(three_qubit_example(0.5), copies=2)
+    assert len(certs) == 24
+    assert calls["svd"] == 1
+
+
+@pytest.mark.parametrize("rho", [three_qubit_example(0.5), werner(0.9)], ids=["example3q", "werner"])
+def test_classify_of_a_power_keeps_the_bytes_of_project(rho):
+    # Every candidate of the power (3375 and 225) on computational bases: the
+    # pure outcomes' states come from their size group's stack, the mixed ones
+    # from their own block, and both are project's to the last bit.  A pure
+    # outcome owns its state rather than a view of the stack.
+    ctx = _SearchContext(rho, 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    power = tensor_power(rho, 2)
+    seen = set()
+    for sub, got in ctx.classify(range(ctx.count)):
+        want = project(power, sub)
+        assert (got.classification, got.signature) == (want.classification, want.signature)
+        assert np.float64(got.weight).tobytes() == np.float64(want.weight).tobytes()
+        if want.state is None:
+            assert got.state is None
+            continue
+        assert got.state.shape == want.state.shape
+        assert got.state.mat.tobytes() == want.state.mat.tobytes()
+        if got.signature is not None:
+            assert got.state.mat.base is None
+        seen.add(got.classification)
+    assert {"mixed", "pure-product"} <= seen
 
 
 def test_unpruned_search_memory_stays_bounded():

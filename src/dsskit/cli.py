@@ -78,6 +78,10 @@ TOLERANCE_ENV_VAR = "DSSKIT_TOLERANCE_PROFILE"
 #: before any work, and so is a STEP too small to move the next point.
 _GRID_MAX_POINTS = 10_000
 
+#: How far past B a grid point may land from the roundoff of adding STEP and
+#: still count: a fixed slack of the grid's arithmetic, not a caller's tolerance.
+_GRID_END_SLACK = 1e-12
+
 #: Preset states addressable from --state, with the flag each one consumes.
 PRESETS = {
     "example3q": ("p", lambda args: three_qubit_example(args.p)),
@@ -486,7 +490,7 @@ def _parse_grid(text: str) -> list[float]:
         raise CliUsageError(f"--grid STEP is too small to move A, got {text!r}")
     values = []
     x = start
-    while x <= stop + 1e-12:
+    while x <= stop + _GRID_END_SLACK:
         if len(values) == _GRID_MAX_POINTS:
             raise CliUsageError(f"--grid gives more than {_GRID_MAX_POINTS} points, got {text!r}")
         values.append(round(x, 12))

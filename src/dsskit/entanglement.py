@@ -33,6 +33,15 @@ from .states import (
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _SPIN_FLIP = kron_all((_Y, _Y))
 
+#: How far above 1 a concurrence may come out of roundoff before
+#: ``eof_from_concurrence`` refuses it: a fixed slack of the closed form's
+#: domain, not a caller's tolerance.
+CONCURRENCE_SLACK = 1e-12
+
+#: Largest gap between a report's EoF and the closed form of its concurrence:
+#: a fixed self-check of ``EntanglementReport``, not a caller's tolerance.
+EOF_CHECK_ATOL = 1e-12
+
 #: The local filter used by the upgrade example: (1/2)|0><0| + (sqrt(3)/2)|1><1|.
 FILTER_UPGRADE_MATRIX = np.diag([0.5, sqrt(3.0) / 2.0]).astype(np.complex128)
 
@@ -185,7 +194,7 @@ def binary_entropy(x: float) -> float:
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation ``h((1 + sqrt(1 - C^2)) / 2)`` in bits."""
     c = float(c)
-    if not 0.0 <= c <= 1.0 + 1e-12:
+    if not 0.0 <= c <= 1.0 + CONCURRENCE_SLACK:
         raise InvariantViolation("concurrence", f"concurrence must lie in [0, 1], got {c}")
     c = min(c, 1.0)
     return binary_entropy((1.0 + sqrt(max(0.0, 1.0 - c * c))) / 2.0)
@@ -200,7 +209,7 @@ class EntanglementReport:
 
     def __post_init__(self):
         expected = eof_from_concurrence(self.concurrence)
-        if abs(expected - self.eof) > 1e-12:
+        if abs(expected - self.eof) > EOF_CHECK_ATOL:
             raise InvariantViolation(
                 "eof", f"eof {self.eof!r} inconsistent with concurrence {self.concurrence!r}"
             )

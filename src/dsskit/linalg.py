@@ -29,6 +29,10 @@ MAX_SIDE = 4096
 #: Below this, a projector weight / branch probability counts as zero.
 ZERO_WEIGHT = 1e-12
 
+#: Largest entry of ``V†V - I`` for orthonormal columns ``V``: a future
+#: ``Tolerance`` field (the check of caller-supplied bases and vectors).
+ORTHONORMAL_ATOL = 1e-9
+
 _EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
@@ -100,9 +104,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def require_orthonormal(v: np.ndarray, invariant: str, message: str) -> None:
     """Raise :class:`InvariantViolation` unless the columns of ``v`` are
-    orthonormal to 1e-9; ``invariant`` names the check for the caller."""
+    orthonormal to ``ORTHONORMAL_ATOL``; ``invariant`` names the check for
+    the caller."""
     deviation = float(np.max(np.abs(dagger(v) @ v - np.eye(v.shape[1]))))
-    if deviation > 1e-9:
+    if deviation > ORTHONORMAL_ATOL:
         raise InvariantViolation(invariant, f"{message} (deviation {deviation:.3e})")
 
 

@@ -31,6 +31,10 @@ from .states import DensityMatrix, PureState, SystemShape, _post_select
 
 SPECTRAL_NORM_SLACK = 1e-9
 
+#: Largest entry of ``reconstruct() - matrix`` that ``decompose`` accepts: a
+#: fixed self-check of the SVD's closed form, not a caller's tolerance.
+RECONSTRUCTION_ATOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class LocalFactor:
@@ -236,7 +240,7 @@ def decompose(factor: LocalFactor | np.ndarray, tol: Tolerance = DEFAULT_TOLERAN
         weights=s[:r].copy(),
     )
     residual = float(np.max(np.abs(result.reconstruct() - mat)))
-    if residual > 1e-9:
+    if residual > RECONSTRUCTION_ATOL:
         raise InvariantViolation(
             "reconstruction", f"decomposition residual {residual:.3e} exceeds 1e-9"
         )

@@ -51,6 +51,14 @@ from .states import (
 )
 from .subspaces import LocalSubspace, project
 
+#: Fidelity deficit below which a corrected GHZ branch counts as GHZ: a fixed
+#: self-check of the protocol's closed form (fidelity 1), not a caller's tolerance.
+CORRECTED_FIDELITY_ATOL = 1e-9
+
+#: Largest Bell-basis off-diagonal entry of a Bell-diagonal Werner outcome: a
+#: fixed self-check of the two-copy closed form, not a caller's tolerance.
+BELL_DIAGONAL_ATOL = 1e-9
+
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / sqrt(2.0)
 _PHASE_FLIP = np.diag([1.0, -1.0]).astype(np.complex128)
 
@@ -279,7 +287,7 @@ class GhzDistillationReport:
 
     @property
     def all_corrected(self) -> bool:
-        return all(b.fidelity >= 1.0 - 1e-9 for b in self.branches)
+        return all(b.fidelity >= 1.0 - CORRECTED_FIDELITY_ATOL for b in self.branches)
 
 
 def _odd_parity(outcomes: tuple[int, ...]) -> bool:
@@ -417,7 +425,7 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
                 name=name,
                 indices=idx,
                 weight=outcome.weight,
-                bell_diagonal=offdiag <= 1e-9,
+                bell_diagonal=offdiag <= BELL_DIAGONAL_ATOL,
                 max_bell_offdiag=offdiag,
                 concurrence_after=concurrence_after,
             )

@@ -24,6 +24,7 @@ from .linalg import (
     MAX_SIDE,
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
+    above_rank_cutoff,
     as_int,
     as_matrix,
     as_vector,
@@ -34,6 +35,15 @@ from .linalg import (
 
 TRACE_ATOL = 1e-9
 NORM_ATOL = 1e-9
+
+
+def _stored(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given: no ``__post_init__``, so nothing is checked or converted."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,17 @@ class SystemShape:
             raise DimensionCapError(
                 f"total dimension {self.total_dim} exceeds the cap {MAX_SIDE}"
             )
+
+    @classmethod
+    def _derived(cls, parties: Iterable[tuple[str, tuple[int, ...]]]) -> "SystemShape":
+        """The store-only constructor of a shape derived from a checked one,
+        such as a power's or a subspace's, from ``(label, subsystem dims)``
+        pairs: the caller passes a checked shape's labels and positive
+        ``int`` dims whose product is within ``MAX_SIDE``, so nothing is
+        checked."""
+        parties = tuple(_stored(Party, label=label, dims=dims, _dim=prod(dims)) for label, dims in parties)
+        dims = tuple(p.dim for p in parties)
+        return _stored(cls, parties=parties, _dims=dims, _total_dim=prod(dims))
 
     @classmethod
     def of(cls, *specs) -> "SystemShape":
@@ -225,10 +246,7 @@ class DensityMatrix:
         stored read-only unchecked.  ``mat`` must be exactly Hermitian, as
         :func:`_power_checks` assumes; see :func:`_hermitian_part`."""
         mat.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "shape", shape)
-        object.__setattr__(state, "mat", mat)
-        return state
+        return _stored(cls, shape=shape, mat=mat)
 
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityMatrix":
@@ -347,11 +365,11 @@ def _checked_copies(rho: DensityMatrix, n: int) -> int:
 def _party_major(shape: SystemShape, n: int) -> tuple[tuple[int, ...], list[int], SystemShape]:
     """How ``n`` copies over ``shape`` regroup party-major: the per-party
     axis sizes of the copy-major kron, the axis order that puts each party's
-    copies side by side, and the regrouped shape."""
+    copies side by side, and the regrouped shape.  ``n`` must have passed
+    :func:`_checked_copies`, so the shape is stored unchecked."""
     k = len(shape.parties)
     order = [c * k + p for p in range(k) for c in range(n)]
-    parties = tuple(Party(p.label, p.dims * n) for p in shape.parties)
-    return shape.dims * n, order, SystemShape(parties)
+    return shape.dims * n, order, SystemShape._derived((p.label, p.dims * n) for p in shape.parties)
 
 
 def _power_shape(rho: DensityMatrix, n: int) -> SystemShape:
@@ -453,13 +471,45 @@ def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
     return dagger(b) @ x.reshape(k, -1).T
 
 
+def _power_vectors(rho: DensityMatrix, n: int, vecs: np.ndarray) -> np.ndarray:
+    """The ``n``-fold Kronecker products of the columns of ``vecs`` (``d x
+    r``, vectors of ``rho``'s space), regrouped party-major as
+    :func:`tensor_power` regroups ``rho``: column ``(j_1, ..., j_n)``,
+    lexicographic, is ``vecs[:, j_1] (x) ... (x) vecs[:, j_n]``.  ``n``
+    must have passed :func:`_checked_copies`."""
+    axes, order, _ = _party_major(rho.shape, n)
+    big = kron_all([vecs] * n)
+    return big.reshape(axes + (-1,)).transpose(order + [len(axes)]).reshape(big.shape)
+
+
+def _power_eigenpairs(rho: DensityMatrix, n: int, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of ``tensor_power(rho, n)`` that pass
+    :func:`~dsskit.linalg.above_rank_cutoff` and their eigenvectors as
+    columns, without forming the power: the ``n``-fold products of the
+    eigenvalues of ``rho`` (as in :func:`_power_spectrum`) and the
+    :func:`_power_vectors` of its eigenvectors.  One ``eigh`` of ``rho``'s
+    side runs.  A product above the power's cutoff has every factor above
+    ``rho``'s (no eigenvalue is larger in magnitude than the largest), so
+    only those columns enter the products.  With ``n = 1`` these are
+    ``rho``'s own eigenpairs above the cutoff, largest first."""
+    n = _checked_copies(rho, n)
+    w, v = rho.eigh()
+    kept = above_rank_cutoff(w, rtol)
+    w, v = w[kept], v[:, kept]
+    values = w
+    for _ in range(n - 1):
+        values = np.multiply.outer(values, w).reshape(-1)
+    keep = above_rank_cutoff(values, rtol)
+    return values[keep], _power_vectors(rho, n, v)[:, keep]
+
+
 def _power_top_eigenstate(rho: DensityMatrix, n: int) -> PureState:
     """The top eigenvector of ``tensor_power(rho, n)`` without forming the
-    power: the party-major regrouping of the ``n``-fold kron of ``rho``'s
-    top eigenvector, at eigenvalue ``l1**n``.  That eigenvalue is simple,
-    and its eigenvector unique up to phase, when ``rho``'s top eigenvalue
-    ``l1`` exceeds 1/2 (every other eigenvalue of the power is at most
-    ``l1**(n-1) * (1 - l1)``); below that this raises."""
+    power: the :func:`_power_vectors` of ``rho``'s top eigenvector, at
+    eigenvalue ``l1**n``.  That eigenvalue is simple, and its eigenvector
+    unique up to phase, when ``rho``'s top eigenvalue ``l1`` exceeds 1/2
+    (every other eigenvalue of the power is at most ``l1**(n-1) * (1 -
+    l1)``); below that this raises."""
     n = _checked_copies(rho, n)
     w, v = rho.eigh()
     if w[0] <= 0.5:
@@ -467,9 +517,7 @@ def _power_top_eigenstate(rho: DensityMatrix, n: int) -> PureState:
             "degenerate",
             f"top eigenvalue {w[0]:.6g} <= 1/2 leaves the power's top eigenvector ambiguous",
         )
-    axes, order, shape = _party_major(rho.shape, n)
-    vec = kron_all([v[:, :1]] * n).reshape(axes).transpose(order).reshape(-1)
-    return PureState(shape, vec)
+    return PureState(_party_major(rho.shape, n)[2], _power_vectors(rho, n, v[:, :1])[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ rotated bases.
 
 Both searches run one pipeline over canonical candidate positions: a
 source of positions, an optional screen, and the classification of the
-remaining candidates by the kernel :func:`project` runs, a stack of
-equal-sized blocks at a time.  Only their keep tests differ.
+remaining candidates by the kernel :func:`project` runs, on the cores of
+their blocks stacked by side.  Only their keep tests differ.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -46,11 +47,11 @@ from .linalg import (
 )
 from .states import (
     DensityMatrix,
-    Party,
     SystemShape,
     _normalized,
     _normalized_stack,
     _power_checks,
+    _power_eigenpairs,
     _power_sandwich,
     _power_shape,
     _power_spectrum,
@@ -64,19 +65,23 @@ _logger = logging.getLogger("dsskit")
 #: Default ceiling on the number of candidate subspaces a search may visit.
 CANDIDATE_CAP = 1_000_000
 
-#: Entries of the largest stack of blocks the classification kernel takes
-#: at once (1 MiB of complex128): a search classifies a size group in
-#: slices of at most this many, whatever its candidate count.
+#: Entries of the largest stack of blocks a search reads at once (1 MiB of
+#: complex128): it reads a size group in slices of at most this many,
+#: whatever its candidate count, and hands the classification kernel the
+#: slices read since its last call once they hold this many.
 _SLICE_ENTRIES = 1 << 16
 
 #: The classification kernel's codes, by index.
 _CLASSES: tuple[Classification, ...] = ("zero", "mixed", "pure-product", "pure-entangled")
 
 
-def _subspace_shape(labels: Sequence[str], dims: Sequence[int]) -> SystemShape:
+@functools.lru_cache(maxsize=1024)
+def _subspace_shape(labels: tuple[str, ...], dims: tuple[int, ...]) -> SystemShape:
     """The shape of a product subspace with ``dims[p]`` vectors for party
-    ``labels[p]``: the shape of states in its coordinates."""
-    return SystemShape(tuple(Party(label, (m,)) for label, m in zip(labels, dims)))
+    ``labels[p]``: the shape of states in its coordinates.  The labels are
+    a checked shape's and the dims a subspace's, so it is stored unchecked,
+    and built once per labels and dims (shapes are immutable)."""
+    return SystemShape._derived((label, (m,)) for label, m in zip(labels, dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,20 +249,98 @@ class Refusal:
     outcome: ProjectionOutcome
 
 
-def _pure_tops(states: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """The pure test on a stack ``(batch, k, k)`` of normalized states: one
-    stacked ``eigh`` gives the indices of the states whose top eigenvalue
-    is at least ``1 - purity_atol``, and their top eigenvectors.  Each
-    state's result is that of the state alone."""
-    evals, evecs = np.linalg.eigh(states)
-    pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
-    return pure, evecs[pure, :, -1]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _pure_codes(ranks: np.ndarray) -> np.ndarray:
-    """Indices into ``_CLASSES`` of pure states with cut ranks ``ranks``:
-    "pure-entangled" when some rank exceeds 1, else "pure-product"."""
-    return 2 + np.any(ranks > 1, axis=-1)
+def _layout(counts: tuple[tuple[tuple[int, ...], int], ...]) -> tuple:
+    """Where the rows of square blocks lie once the blocks are flattened
+    one after the other, for runs of ``(per-party sizes, number of
+    blocks)``: each block's sizes and side; for every row of every block,
+    in order, its block, its index in the block, its first entry, its
+    index at each party as a place in the table ``(block, party, index)``
+    flattened, and its place in its block zero-padded per party to the
+    largest sizes; those largest sizes; and the number of indices of the
+    largest party.  Read-only."""
+    sizes = np.repeat(np.array([dims for dims, _ in counts], dtype=np.intp), [n for _, n in counts], axis=0)
+    side = sizes.prod(axis=1)
+    block = np.repeat(np.arange(len(side)), side)
+    row = np.arange(len(block)) - (side.cumsum() - side)[block]
+    width = side[block]
+    starts = width.cumsum() - width
+    inner = sizes[:, ::-1].cumprod(axis=1)[:, ::-1] // sizes
+    digits = row[:, np.newaxis] // inner[block] % sizes[block]
+    frame = sizes.max(axis=0)
+    most = int(frame.max())
+    places = (block[:, np.newaxis] * len(frame) + np.arange(len(frame))) * most + digits
+    framed = digits @ (frame[::-1].cumprod()[::-1] // frame)
+    arrays = (sizes, side, block, row, starts, places, framed)
+    return tuple(_read_only(a) for a in arrays) + (frame.tolist(), most)
+
+
+#: The layout of one block depends on its sizes alone: built once per sizes.
+_block_layout = functools.lru_cache(maxsize=16)(_layout)
+
+
+def _classify_stack(
+    flat: np.ndarray, counts: tuple[tuple[tuple[int, ...], int], ...], tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The classification kernel of :func:`project` and the searches.
+
+    ``flat`` holds normalized, exactly Hermitian blocks of nonzero weight,
+    each flattened row by row, one after the other; ``counts`` gives, run
+    by run, the blocks' per-party sizes and how many blocks in a row have
+    them, at least one block in all.  Returns, for every block in order,
+    its index into ``_CLASSES`` ("mixed" or pure), its ranks at the
+    single-party cuts (zero unless pure) and whether its core is strictly
+    smaller than the block.  Each block's result is that of the block
+    alone.
+
+    The pure test and the cut ranks run on each block's core: the block
+    with every padding index removed.  Party ``p``'s index ``a`` is padding
+    when every row of the block whose party-``p`` index is ``a`` is exactly
+    0.0; the columns of those rows are then zero too.  Removing them drops
+    only zero rows and columns, so the core has the block's spectrum but
+    for zeros, and its top eigenvector is the block's without the zero
+    entries; a block with no zero row is its own core.  The cores of all
+    blocks are found at once from the rows of ``flat`` (:func:`_layout`),
+    and stacked by side, whatever their blocks' sizes: each side takes one
+    ``eigh``.  A block is pure when its top eigenvalue is at least ``1 -
+    purity_atol``.  The top eigenvector of each pure core,
+    put back on its block's rows and zero-padded per party to the largest
+    block's sizes, goes into one :func:`~dsskit.entanglement._cut_ranks`
+    call (zero entries add only zero singular values), sliced so that its
+    stacked cuts hold at most about ``_SLICE_ENTRIES`` entries; a pure
+    block is entangled when some rank exceeds 1.
+    """
+    one = len(counts) == 1 and counts[0][1] == 1
+    sizes, side, block, row, starts, places, framed, frame, most = (_block_layout if one else _layout)(counts)
+    used = np.zeros(sizes.size * most, dtype=bool)  # per (block, party, index): not padding
+    used[places[np.logical_or.reduceat(flat != 0, starts)]] = True
+    keep = np.logical_and.reduce(used[places], axis=1)
+    core = np.bincount(block[keep], minlength=len(side))
+    codes = np.ones(len(side), dtype=np.int8)
+    ranks = np.zeros(sizes.shape, dtype=np.intp)
+    pure_at, tops = [], []
+    for c in sorted(set(core.tolist())):
+        kept = np.flatnonzero(keep & (core[block] == c)).reshape(-1, c)  # one row per block
+        evals, evecs = np.linalg.eigh(flat[starts[kept][:, :, np.newaxis] + row[kept][:, np.newaxis, :]])
+        pure = evals[:, -1] >= 1.0 - tol.purity_atol
+        rows = kept[pure]
+        if len(rows):
+            top = np.zeros((len(rows), prod(frame)), dtype=evecs.dtype)
+            top[np.arange(len(rows))[:, np.newaxis], framed[rows]] = evecs[pure, :, -1]
+            pure_at.append(block[rows[:, 0]])
+            tops.append(top)
+    if pure_at:
+        pure_at, tops = np.concatenate(pure_at), np.concatenate(tops)
+        step = max(1, _SLICE_ENTRIES // (len(frame) * tops.shape[1]))
+        for start in range(0, len(pure_at), step):
+            chunk = pure_at[start : start + step]
+            ranks[chunk] = got = _cut_ranks(tops[start : start + step], frame, tol.rank_rtol)
+            codes[chunk] = 2 + np.logical_or.reduce(got > 1, axis=-1)
+    return codes, ranks, core < side
 
 
 def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: Sequence[int]) -> ProjectionOutcome:
@@ -285,8 +368,11 @@ def project(
     between the subspace product vectors).  It is classified pure when the
     top eigenvalue fraction reaches ``1 - purity_atol``; a pure projection
     is entangled when some entry of its dimension signature exceeds 1.  The
-    classification is the kernel the searches run on a stack of
-    equal-sized blocks, here on a stack of one.
+    classification is the kernel the searches run
+    (:func:`_classify_stack`), here on a stack of one: the pure test and
+    the signature come from the block's core, the block with every index
+    whose rows are exactly zero removed, and the weight and state from the
+    block itself.
 
     With ``copies > 1`` the subspace lives on the party-major shape of
     :func:`~dsskit.states.tensor_power`, and the power is never formed: it
@@ -304,14 +390,11 @@ def project(
         subspace._check_against(rho.shape, copies)
         out = _power_sandwich(rho, copies, subspace.compression())
     weights, live, states = _normalized_stack(out[np.newaxis])
-    code, ranks = int(live[0]), np.zeros((1, len(subspace.dims)), dtype=np.intp)
-    if code:
-        pure, tops = _pure_tops(states, tol)
-        if len(pure):
-            ranks = _cut_ranks(tops, subspace.dims, tol.rank_rtol)
-            code = int(_pure_codes(ranks)[0])
-    state = DensityMatrix._derived(subspace.subspace_shape(), states[0]) if code else None
-    return _outcome(float(weights[0]), state, code, ranks[0])
+    if not live[0]:
+        return _outcome(0.0, None, 0, ())
+    codes, ranks, _ = _classify_stack(states.reshape(-1), ((subspace.dims, 1),), tol)
+    state = DensityMatrix._derived(subspace.subspace_shape(), states[0])
+    return _outcome(float(weights[0]), state, int(codes[0]), ranks[0])
 
 
 def check_certificate(
@@ -368,9 +451,37 @@ def _resolve_bases(
     return resolved
 
 
-def _subset_indices(dim: int) -> list[tuple[int, ...]]:
+def _subset_indices(dim: int) -> tuple[tuple[int, ...], ...]:
     """All nonempty index subsets of range(dim), by ascending bitmask."""
-    return [tuple(i for i in range(dim) if (mask >> i) & 1) for mask in range(1, 1 << dim)]
+    return tuple(tuple(i for i in range(dim) if (mask >> i) & 1) for mask in range(1, 1 << dim))
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(dims: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The tables of a search over local dims ``dims`` that depend on
+    nothing else, one entry per party, built once per dims tuple and
+    read-only:
+
+    - ``subsets[p]``: party ``p``'s nonempty index subsets, by ascending
+      bitmask;
+    - ``members[p][i, a]``: 1.0 when the ``i``-th subset holds index ``a``;
+    - ``sizes[p][i]``: the ``i``-th subset's size;
+    - ``offsets[p][i, :m]``: the flat-index offsets, in the power's basis,
+      of the ``i``-th subset's ``m`` indices, ascending;
+    - ``pairs[p][i, a * d + b]``: 1.0 when the ``i``-th subset holds ``a``
+      and ``b``.
+    """
+    subsets = tuple(_subset_indices(d) for d in dims)
+    members = tuple(
+        _read_only(np.array([[a in idx for a in range(d)] for idx in s], float)) for s, d in zip(subsets, dims)
+    )
+    sizes = tuple(_read_only(m.sum(axis=1).astype(np.intp)) for m in members)
+    offsets = tuple(
+        _read_only(np.array([idx + (0,) * (d - len(idx)) for idx in s], dtype=np.intp) * prod(dims[p + 1:]))
+        for p, (s, d) in enumerate(zip(subsets, dims))
+    )
+    pairs = tuple(_read_only((m[:, :, np.newaxis] * m[:, np.newaxis, :]).reshape(len(m), -1)) for m in members)
+    return subsets, members, sizes, offsets, pairs
 
 
 def candidate_count(shape: SystemShape) -> int:
@@ -396,8 +507,10 @@ def _contract(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 class _SearchContext:
     """One search over ``rho^(x copies)``: the cap check on the power's
     shape, the power, the resolved bases, the power in the search basis
-    (``local = U† rho U`` for ``U = kron_all(bases)``) and each party's
-    index subsets.
+    (``local = U† rho U`` for ``U = kron_all(bases)``) and the
+    :func:`_tables` of the power's local dims.  The screen's eigenpairs
+    come from the single copy; the blocks that classification reads come
+    from ``local``.
 
     A candidate is named by its canonical position: lexicographic over
     (party, subset bitmask ascending), the first party most significant.
@@ -414,24 +527,14 @@ class _SearchContext:
         self.count = candidate_count(_power_shape(rho, copies))
         if self.count > candidate_cap:
             raise SearchSpaceTooLarge(self.count, candidate_cap)
+        self.single, self.copies = rho, copies
         self.rho = tensor_power(rho, copies)
         self.shape = self.rho.shape
         self.tol = tol
         self.bases = _resolve_bases(self.shape, bases)
         self.change = kron_all(self.bases)
         self.local = dagger(self.change) @ self.rho.mat @ self.change
-        self.subsets = [_subset_indices(d) for d in self.shape.dims]
-        # members[p][i, a] is 1.0 when party p's i-th subset holds index a.
-        self.members = [
-            np.array([[a in idx for a in range(len(s[-1]))] for idx in s], float) for s in self.subsets
-        ]
-        self.sizes = [m.sum(axis=1).astype(np.intp) for m in self.members]
-        # offsets[p][i, :m]: the flat-index offsets, in the power's basis, of
-        # party p's i-th subset of m indices, ascending.
-        self.offsets = [
-            np.array([idx + (0,) * (d - len(idx)) for idx in s], dtype=np.intp) * prod(self.shape.dims[p + 1:])
-            for p, (s, d) in enumerate(zip(self.subsets, self.shape.dims))
-        ]
+        self.subsets, self.members, self.sizes, self.offsets, self.pairs = _tables(self.shape.dims)
 
     def group(self, sizes: Sequence[int]) -> np.ndarray:
         """The canonical positions, ascending, of the candidates whose subset
@@ -442,11 +545,12 @@ class _SearchContext:
     def ensemble(self) -> np.ndarray:
         """The power's significant eigenvectors, scaled by sqrt(weight), in
         the product basis with one axis per party: restricting the party axes
-        to a candidate's index sets reads off its unnormalized ensemble."""
-        evals, evecs = self.rho.eigh()
-        keep = above_rank_cutoff(evals, self.tol.rank_rtol)
-        weights = evals[keep]
-        coords = dagger(self.change) @ evecs[:, keep]
+        to a candidate's index sets reads off its unnormalized ensemble.  The
+        eigenpairs are the single copy's products and regrouped Kronecker
+        products (:func:`~dsskit.states._power_eigenpairs`), so one ``eigh``
+        of the single copy's side runs and no decomposition of the power."""
+        weights, vectors = _power_eigenpairs(self.single, self.copies, self.tol.rank_rtol)
+        coords = dagger(self.change) @ vectors
         scaled = coords * np.sqrt(weights)[np.newaxis, :]
         return np.ascontiguousarray(scaled.T).reshape((len(weights),) + self.shape.dims)
 
@@ -484,12 +588,10 @@ class _SearchContext:
         gram = flat.T @ np.conj(flat)
 
         weight = _contract(np.real(np.diagonal(gram)).reshape(dims), self.members)
-        # pairs[p][i, a * d + b] is 1.0 when party p's i-th subset holds a and b.
-        pairs = [(m[:, :, np.newaxis] * m[:, np.newaxis, :]).reshape(len(m), -1) for m in self.members]
         # by_pair[(x_1, y_1), ..., (x_k, y_k)] = |G[x, y]|^2: one pair axis per party.
         order = [a for p in range(len(dims)) for a in (p, p + len(dims))]
         by_pair = (np.abs(gram) ** 2).reshape(dims + dims).transpose(order)
-        purity = _contract(by_pair.reshape([d * d for d in dims]), pairs)
+        purity = _contract(by_pair.reshape([d * d for d in dims]), self.pairs)
 
         live = weight > ZERO_WEIGHT * 0.1
         norm = np.where(live, weight, 1.0) ** 2
@@ -509,7 +611,7 @@ class _SearchContext:
                 others = [m for q, m in enumerate(self.members) if q != p]
                 # reduced[(a, a'), i_others] = the unnormalized reduced state's entry.
                 reduced = _contract(block.reshape(dims[:p] + dims[p + 1:] + (d * d,)), others)
-                purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [pairs[p]]), -1, p) / norm
+                purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [self.pairs[p]]), -1, p) / norm
                 shaped = (grid[p] == 1) | (width == grid[p])
                 product = product & (shaped | (1.0 - purity_p + 2.0 * deficit <= 0.1 * self.tol.rank_rtol))
             counts.product = int(np.count_nonzero(product))
@@ -534,101 +636,82 @@ class _SearchContext:
         ``r`` in ``rows``, one per candidate, stacked: read by index."""
         return self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]]
 
-    def _classify_groups(
-        self, picks: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[float, np.ndarray]]]:
-        """Classify the candidates ``picks`` (one array of subset numbers per
-        party): each candidate's index into ``_CLASSES`` and its signature,
-        and the weight and normalized state of each pure one, keyed on its
-        place in ``picks``.
-
-        The candidates are taken by size group, in slices of at most
-        ``_SLICE_ENTRIES`` entries.  A slice's blocks are read by index,
-        normalized by one :func:`~dsskit.states._normalized_stack` call and
-        tested for purity by one stacked ``eigh``.  The top eigenvectors of
-        the pure blocks of every group are zero-padded per party to the
-        largest pure group's sizes and gathered, and one
-        :func:`~dsskit.entanglement._cut_ranks` call gives all their
-        signatures: the padding adds only zero singular values.  That call
-        is sliced so that its stacked cuts hold at most about
-        ``_SLICE_ENTRIES`` entries.
-        """
-        # A candidate's group key: its per-party sizes as one mixed-radix number.
-        keys = np.ravel_multi_index([s[pick] - 1 for s, pick in zip(self.sizes, picks)], self.shape.dims)
-        codes = np.zeros(len(keys), dtype=np.int8)
-        signatures = np.zeros((len(keys), len(picks)), dtype=np.int16)  # ranks <= MAX_SIDE
-        kept = {}
-        tops = []  # (candidates, group sizes, top eigenvectors) per slice with a pure block
-        order = np.argsort(keys, kind="stable")
-        firsts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-        for first, end in zip(firsts.tolist(), firsts[1:].tolist() + [len(order)]):
-            members, key = order[first:end], int(keys[order[first]])
-            group = [int(i) + 1 for i in np.unravel_index(key, self.shape.dims)]
-            step = max(1, _SLICE_ENTRIES // prod(group) ** 2)
-            for start in range(0, len(members), step):
-                chunk = members[start : start + step]
-                blocks = self._blocks(self._rows([pick[chunk] for pick in picks], group))
-                weights, live, states = _normalized_stack(blocks)
-                codes[chunk] = live
-                if not len(states):
-                    continue
-                pure, vecs = _pure_tops(states, self.tol)
-                which = chunk[live][pure]
-                for i, weight, j in zip(which.tolist(), weights[live][pure].tolist(), pure.tolist()):
-                    kept[i] = (weight, states[j].copy())
-                if len(pure):
-                    tops.append((which, group, vecs))
-        if tops:
-            common = tuple(np.max([group for _, group, _ in tops], axis=0).tolist())
-            gathered = np.concatenate([which for which, _, _ in tops])
-            padded = np.zeros((len(gathered),) + common, dtype=np.complex128)
-            at = 0
-            for which, group, vecs in tops:
-                corner = (slice(at, at + len(which)),) + tuple(slice(m) for m in group)
-                padded[corner] = vecs.reshape([len(which)] + group)
-                at += len(which)
-            flat = padded.reshape(len(gathered), -1)
-            step = max(1, _SLICE_ENTRIES // (len(common) * flat.shape[1]))
-            for start in range(0, len(gathered), step):
-                chunk = gathered[start : start + step]
-                ranks = _cut_ranks(flat[start : start + step], common, self.tol.rank_rtol)
-                codes[chunk], signatures[chunk] = _pure_codes(ranks), ranks
-        return codes, signatures, kept
-
     def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """Each candidate at ``positions``, in that order: its subspace cut
         from the bases, and the outcome of the power on it.
 
-        The candidates are classified by :meth:`_classify_groups`: each
-        block is read out of ``local`` by index, with no product or matrix
-        multiply per candidate, and classified by the kernel of
-        :func:`project`, a slice of a size group at a time, with one
-        cut-rank call for the pure blocks of all groups.  On computational
-        bases the blocks, and so the outcomes, are bit-equal to
-        :func:`project`'s on the power; on rotated ones they agree to
-        roundoff.  A pure outcome keeps the weight and a copy of the state
-        that its group's stack normalized.  A mixed one renormalizes its own
-        block when it is yielded, so that no more than one slice of blocks
-        is held at a time and no outcome keeps a slice alive.  Each size
-        group with a nonzero block gets one subspace shape.
+        The blocks are read out of ``local`` by index, with no product or
+        matrix multiply per candidate, a slice of a group of equal per-party
+        sizes at a time, and each slice is normalized by one
+        :func:`~dsskit.states._normalized_stack` call.  Once the slices read
+        hold ``_SLICE_ENTRIES`` entries, and at the end, their nonzero blocks
+        are flattened into one array, the slices are let go, and one
+        :func:`_classify_stack` call, the kernel of :func:`project`, stacks
+        the cores of all those blocks by side.  On computational bases the
+        blocks, and so the outcomes, are bit-equal to :func:`project`'s on
+        the power; on rotated ones they agree to roundoff.  A pure outcome
+        keeps its block's weight and a copy of its normalized state.  A mixed
+        one renormalizes its own block when it is yielded, so that no outcome
+        keeps a batch alive.  ``smaller_cores`` counts the nonzero blocks
+        whose core is strictly smaller than the block.
         """
         picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
-        codes, signatures, pure = self._classify_groups(picks)
-        shapes = {}
+        sizes = np.stack([s[pick] for s, pick in zip(self.sizes, picks)], axis=-1)
+        codes = np.zeros(len(sizes), dtype=np.int8)
+        signatures = np.zeros(sizes.shape, dtype=np.int16)  # ranks <= MAX_SIDE
+        weights = np.zeros(len(sizes))
+        pure = {}  # a pure candidate's place in positions -> its normalized state
+        pending = []  # (places, normalized nonzero blocks, sizes) per slice read
+        self.smaller_cores = 0
+
+        def classify_pending():
+            which = np.concatenate([w for w, _, _ in pending])
+            flat = np.concatenate([states.reshape(-1) for _, states, _ in pending])
+            counts = tuple((tuple(group), len(w)) for w, _, group in pending)
+            pending.clear()  # the slices go; flat holds their blocks
+            got, ranks, smaller = _classify_stack(flat, counts, self.tol)
+            codes[which], signatures[which] = got, ranks
+            self.smaller_cores += int(np.count_nonzero(smaller))
+            side = np.repeat([prod(group) for group, _ in counts], [n for _, n in counts])
+            ends = np.cumsum(side * side)
+            for j in np.flatnonzero(got >= 2).tolist():
+                k = int(side[j])
+                pure[int(which[j])] = flat[ends[j] - k * k : ends[j]].reshape(k, k).copy()
+
+        # A candidate's per-party sizes as one mixed-radix number, to group by.
+        keys = np.ravel_multi_index((sizes - 1).T, self.shape.dims)
+        order = np.argsort(keys, kind="stable")
+        firsts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+        held = 0
+        for first, end in zip(firsts, firsts[1:] + [len(order)]):
+            members, group = order[first:end], sizes[order[first]].tolist()
+            step = max(1, _SLICE_ENTRIES // prod(group) ** 2)
+            for start in range(0, len(members), step):
+                chunk = members[start : start + step]
+                rows = self._rows([pick[chunk] for pick in picks], group)
+                weights[chunk], live, states = _normalized_stack(self._blocks(rows))
+                if len(states):
+                    pending.append((chunk[live], states, group))
+                    held += states.size
+                del states  # pending holds the slice, and classify_pending lets it go
+                if held >= _SLICE_ENTRIES:
+                    classify_pending()
+                    held = 0
+        if pending:
+            classify_pending()
+
+        labels = self.shape.labels
         for i, pick in enumerate(zip(*picks)):
             indices = tuple(s[j] for s, j in zip(self.subsets, pick))
-            subspace = LocalSubspace._from_checked(self.shape.labels, self.bases, indices)
+            subspace = LocalSubspace._from_checked(labels, self.bases, indices)
             weight, state = 0.0, None
             if codes[i]:
-                dims = subspace.dims
-                if dims not in shapes:
-                    shapes[dims] = _subspace_shape(self.shape.labels, dims)
-                kept = pure.pop(i, None)
-                if kept is None:
-                    rows = self._rows([np.array([j]) for j in pick], dims)
-                    weight, state = _normalized(self._blocks(rows)[0], shapes[dims])
+                shape = _subspace_shape(labels, subspace.dims)
+                if i in pure:
+                    weight, state = float(weights[i]), DensityMatrix._derived(shape, pure.pop(i))
                 else:
-                    weight, state = kept[0], DensityMatrix._derived(shapes[dims], kept[1])
+                    rows = self._rows([np.array([j]) for j in pick], subspace.dims)
+                    weight, state = _normalized(self._blocks(rows)[0], shape)
             yield subspace, _outcome(weight, state, codes[i], signatures[i])
 
 
@@ -656,17 +739,19 @@ def find_dss(
     The search takes every candidate position, screens them, and classifies
     what is left by the kernel of :func:`project`, which re-verifies every
     returned certificate against the full state and supplies its weight and
-    signature.  The survivors are classified in stacks, one per group of
-    equal per-party subset sizes: each block is read by index out of the
-    power in the search basis, formed once, and each stack takes one
-    ``eigh``.  The top eigenvectors of the pure blocks of all groups,
-    zero-padded per party to one shape, then take one cut-rank SVD call
-    (sliced only when they hold more than about ``_SLICE_ENTRIES``
-    entries), and a pure certificate keeps the state its stack normalized.
-    The screen decides
-    all candidates at once from the state's significant eigenvectors, by
-    kernel contractions in memory O(D^2 + candidates) for side ``D``, with
-    no eigensolver per candidate.  It drops candidates that are clearly
+    signature.  Each survivor's block is read by index out of the power in
+    the search basis, formed once, and normalized with the others of its
+    per-party subset sizes; a certificate's weight and state are its
+    block's.  The pure test and the signature run on the block's core, the
+    block without the indices whose rows are exactly zero.  The kernel
+    takes the survivors in batches of about ``_SLICE_ENTRIES`` entries (one
+    batch on most screened searches): each side of core takes one ``eigh``,
+    and the pure ones one cut-rank SVD call.  The screen decides all candidates
+    at once from the power's significant eigenpairs, which come from one
+    ``eigh`` of the single copy (the products of its eigenvalues and the
+    regrouped Kronecker products of its eigenvectors), by kernel
+    contractions in memory O(D^2 + candidates) for side ``D``, with no
+    eigensolver per candidate.  It drops candidates that are clearly
     zero-weight or clearly mixed: weight at most a tenth of ``ZERO_WEIGHT``,
     or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the projection ``P``
     above ``20 * purity_atol``, which puts the residual weight beyond the
@@ -679,7 +764,8 @@ def find_dss(
     results.  ``prune=False`` runs no screen.
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
-    screened out as zero, mixed and product, those classified and the
+    screened out as zero, mixed and product, those classified, those of
+    them classified on a strictly smaller core (``smaller_cores``) and the
     certificates, and the seconds spent screening and classifying.
     """
     ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
@@ -706,9 +792,9 @@ def find_dss(
     classified = time.perf_counter()
     _logger.debug(
         "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
-        "%d classified, %d certificates; screen %.6f s, classify %.6f s",
-        ctx.count, counts.zero, counts.mixed, counts.product, len(positions), len(certificates),
-        screened - start, classified - screened,
+        "%d classified (%d on a smaller core), %d certificates; screen %.6f s, classify %.6f s",
+        ctx.count, counts.zero, counts.mixed, counts.product, len(positions), ctx.smaller_cores,
+        len(certificates), screened - start, classified - screened,
         extra={
             "search_stats": {
                 "candidates": ctx.count,
@@ -716,6 +802,7 @@ def find_dss(
                 "screened_mixed": counts.mixed,
                 "screened_product": counts.product,
                 "classified": len(positions),
+                "smaller_cores": ctx.smaller_cores,
                 "certificates": len(certificates),
                 "screen_s": screened - start,
                 "classify_s": classified - screened,

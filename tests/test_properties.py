@@ -328,6 +328,7 @@ def test_search_stats_logged(caplog):
         "screened_mixed": 1229,
         "screened_product": 955,
         "classified": 24,
+        "smaller_cores": 23,
         "certificates": 24,
     }
 
@@ -339,6 +340,7 @@ def test_search_stats_logged(caplog):
         "screened_mixed": 64961,
         "screened_product": 64,
         "classified": 0,
+        "smaller_cores": 0,
         "certificates": 0,
     }
 
@@ -346,6 +348,73 @@ def test_search_stats_logged(caplog):
     _, flat = logged_stats(caplog, two, require_entangled=False, prune=False)
     assert flat["classified"] == flat["candidates"] == 225
     assert flat["screened_zero"] == flat["screened_mixed"] == flat["screened_product"] == 0
+
+
+@st.composite
+def padded_instances(draw):
+    """``(state, bases)``: a random state of rank 1 to 3 supported on a
+    product of per-party index sets, at least one of them strict, so every
+    row of the state with an index outside them is exactly zero.  Half of
+    them come in rotated bases that rotate each party's set among itself
+    and the rest among itself, which keeps those rows exactly zero in the
+    search basis; the state is rotated with them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = SHAPES[draw(st.integers(0, len(SHAPES) - 1))]
+    strict = draw(st.integers(0, len(shape.parties) - 1))
+    support = [
+        np.sort(rng.choice(d, size=int(rng.integers(1, d if p == strict else d + 1)), replace=False))
+        for p, d in enumerate(shape.dims)
+    ]
+    rows = np.ravel_multi_index(np.ix_(*support), shape.dims).ravel()
+    mat = np.zeros((shape.total_dim, shape.total_dim), dtype=np.complex128)
+    for w in rng.dirichlet(np.ones(draw(st.integers(1, 3)))):
+        v = np.zeros(shape.total_dim, dtype=np.complex128)
+        v[rows] = random_pure_vector(rng, len(rows))
+        mat += w * np.outer(v, np.conj(v))
+    state, bases = DensityMatrix(shape, mat), None
+    if draw(st.booleans()):
+        bases = {}
+        for p, s in zip(shape.parties, support):
+            rest = np.setdiff1d(np.arange(p.dim), s)
+            u = np.zeros((p.dim, p.dim), dtype=np.complex128)
+            u[np.ix_(s, s)] = random_unitary(rng, len(s))
+            u[np.ix_(rest, rest)] = random_unitary(rng, len(rest))
+            bases[p.label] = u
+        change = kron_all(bases[label] for label in shape.labels)
+        state = DensityMatrix(shape, change @ state.mat @ np.conj(change).T)
+    return state, bases
+
+
+@PROPERTY_SETTINGS
+@given(padded_instances())
+def test_classification_on_cores_equals_the_full_block(instance):
+    """Every candidate, classified on its core (the block without the
+    indices whose rows are exactly zero), against the classification
+    written out on its full block; some candidates do have a smaller
+    core."""
+    state, bases = instance
+    ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
+    for sub, got in ctx.classify(range(ctx.count)):
+        assert reference_classification(state, sub, ctx.tol) == (got.classification, got.signature)
+    assert ctx.smaller_cores > 0
+
+
+def test_padding_needs_a_whole_zero_row():
+    # Row |11> has a zero diagonal but the entry <00|M|11> = c: no index is
+    # padding, so the core is the block, whose top eigenvector lies on |00>
+    # and |11>.  A rule keyed on the diagonal alone would drop index 1 at
+    # both parties and leave the 1x1 core [[1]], a product.
+    c = 0.25
+    block = np.zeros((1, 4, 4), dtype=np.complex128)
+    block[0, 0, 0], block[0, 0, 3], block[0, 3, 0] = 1.0, c, c
+    codes, ranks, smaller = subspaces._classify_stack(block.reshape(-1), (((2, 2), 1),), Tolerance())
+    assert subspaces._CLASSES[codes[0]] == "pure-entangled"
+    assert ranks.tolist() == [[2, 2]] and smaller.tolist() == [False]
+    # With the row zeroed, index 1 is padding at both parties.
+    block[0, 0, 3] = block[0, 3, 0] = 0.0
+    codes, ranks, smaller = subspaces._classify_stack(block.reshape(-1), (((2, 2), 1),), Tolerance())
+    assert subspaces._CLASSES[codes[0]] == "pure-product"
+    assert ranks.tolist() == [[1, 1]] and smaller.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +592,49 @@ def test_pure_power_top_eigenstate_refuses_an_ambiguous_top():
     with pytest.raises(InvariantViolation) as err:
         states._power_top_eigenstate(werner(0.5), 2)
     assert err.value.invariant == "degenerate"
+
+
+#: (shape, copies) pairs whose search space fits under the candidate cap.
+SEARCH_POWER_CASES = [
+    (SystemShape.of(("A", 2), ("B", 2)), 2),
+    (SystemShape.of(("A", 2), ("B", 2)), 3),
+    (SystemShape.of(("A", 2), ("B", 3)), 2),
+    (SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 2),
+]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SEARCH_POWER_CASES), st.booleans())
+def test_single_copy_ensemble_has_the_gram_of_the_dense_one(seed, case, rotated):
+    """The screen's ensemble of rho^n, built from the single copy's
+    eigenpairs, against the one from a dense ``eigh`` of the power: the same
+    number of components and the same Gram matrix ``sum_j E_j E_j†`` (the
+    state's significant part in the search basis) to 1e-12.  The spectrum
+    has planted eigenvalues whose n-fold products land at 10x and 0.1x the
+    rank cutoff."""
+    rng = np.random.default_rng(seed)
+    shape, copies = case
+    tol = Tolerance()
+    rank = int(rng.integers(1, shape.total_dim - 1))
+    weights = np.zeros(shape.total_dim)
+    weights[:rank] = rng.dirichlet(np.ones(rank))
+    small = np.array([10.0, 0.1]) * tol.rank_rtol / float(np.max(weights)) ** (copies - 1)
+    weights[:rank] *= 1.0 - small.sum()
+    weights[rank : rank + 2] = small
+    rho = state_with_spectrum(rng, shape, weights)
+    power = tensor_power(rho, copies)
+    bases = None
+    if rotated:
+        bases = {p.label: random_unitary(rng, p.dim) for p in power.shape.parties}
+    ctx = _SearchContext(rho, copies, bases, tol, subspaces.CANDIDATE_CAP)
+    ensemble = ctx.ensemble().reshape(-1, power.shape.total_dim)
+
+    evals, evecs = power.eigh()
+    keep = evals > tol.rank_rtol * max(1.0, float(evals[0]))
+    dense = (np.conj(ctx.change).T @ evecs[:, keep]) * np.sqrt(evals[keep])
+    assert len(ensemble) == np.count_nonzero(keep)
+    gram = ensemble.T @ np.conj(ensemble)
+    assert np.max(np.abs(gram - dense @ np.conj(dense).T)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,9 @@ def test_iter_candidates_canonical_order():
 
 @pytest.mark.parametrize("require_entangled", [True, False])
 def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled):
-    # The one eigh is the power's, behind the ensemble; every screen decision
-    # is a contraction, so a solver call per candidate or group shows here.
+    # The one eigh is the single copy's, behind the ensemble: the power's
+    # eigenpairs are products of its eigenpairs.  Every screen decision is a
+    # contraction, so a solver call per candidate or group shows here.
     ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
     for name in calls:
@@ -307,6 +308,16 @@ def test_search_runs_one_cut_rank_call_for_all_size_groups(monkeypatch):
     certs = find_dss(three_qubit_example(0.5), copies=2)
     assert len(certs) == 24
     assert calls["svd"] == 1
+
+
+def test_search_stacks_all_survivor_cores_in_one_eigensolver_call(monkeypatch):
+    # The 24 survivors lie in 16 size groups of sides 8 to 36, but each is a
+    # zero-padded copy of a (2, 2, 2) core or that core itself: one eigh of
+    # side 8 decides them all, after the single copy's eigh for the screen.
+    calls = count_solver_calls(monkeypatch)
+    certs = find_dss(three_qubit_example(0.5), copies=2)
+    assert len(certs) == 24
+    assert (calls["eigh"], calls["svd"]) == (2, 1)
 
 
 @pytest.mark.parametrize("rho", [three_qubit_example(0.5), werner(0.9)], ids=["example3q", "werner"])
@@ -681,7 +692,13 @@ def test_find_purifying_subspaces_matches_all_candidates_loop(angle, reference):
             expected.append((indices, outcome.weight, concurrence(outcome.state)))
     found = find_purifying_subspaces(werner(0.9), bases, copies=2, reference=reference)
     assert expected
-    assert [(f.subspace.basis_indices, f.outcome.weight, f.measure_after) for f in found] == expected
+    # The search reads blocks out of U† rho^2 U and project forms B† rho^2 B:
+    # in rotated bases the two round differently, so weights and measures
+    # agree to 1e-12 relative, not to the last bit.
+    assert [f.subspace.basis_indices for f in found] == [indices for indices, _, _ in expected]
+    for f, (_, weight, measure) in zip(found, expected):
+        assert f.outcome.weight == pytest.approx(weight, rel=1e-12, abs=0.0)
+        assert f.measure_after == pytest.approx(measure, rel=1e-12, abs=0.0)
 
 
 def test_find_purifying_subspaces_default_reference_needs_two_parties_first():

@@ -23,6 +23,7 @@ their blocks stacked by side.  Only their keep tests differ.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -48,7 +49,6 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     SystemShape,
-    _normalized,
     _normalized_stack,
     _power_checks,
     _power_eigenpairs,
@@ -65,11 +65,11 @@ _logger = logging.getLogger("dsskit")
 #: Default ceiling on the number of candidate subspaces a search may visit.
 CANDIDATE_CAP = 1_000_000
 
-#: Entries of the largest stack of blocks a search reads at once (1 MiB of
-#: complex128): it reads a size group in slices of at most this many,
-#: whatever its candidate count, and hands the classification kernel the
-#: slices read since its last call once they hold this many.
-_SLICE_ENTRIES = 1 << 16
+#: Entries a search classifies at once (2 MiB of complex128): it reads its
+#: survivors in slices of about this many block entries, each candidate
+#: counting at least the power's side, whatever their count
+#: (:meth:`_SearchContext.classify`).
+_SLICE_ENTRIES = 1 << 17
 
 #: The classification kernel's codes, by index.
 _CLASSES: tuple[Classification, ...] = ("zero", "mixed", "pure-product", "pure-entangled")
@@ -254,48 +254,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _layout(counts: tuple[tuple[tuple[int, ...], int], ...]) -> tuple:
-    """Where the rows of square blocks lie once the blocks are flattened
-    one after the other, for runs of ``(per-party sizes, number of
-    blocks)``: each block's sizes and side; for every row of every block,
-    in order, its block, its index in the block, its first entry, its
-    index at each party as a place in the table ``(block, party, index)``
-    flattened, and its place in its block zero-padded per party to the
-    largest sizes; those largest sizes; and the number of indices of the
-    largest party.  Read-only."""
-    sizes = np.repeat(np.array([dims for dims, _ in counts], dtype=np.intp), [n for _, n in counts], axis=0)
-    side = sizes.prod(axis=1)
-    block = np.repeat(np.arange(len(side)), side)
-    row = np.arange(len(block)) - (side.cumsum() - side)[block]
-    width = side[block]
-    starts = width.cumsum() - width
-    inner = sizes[:, ::-1].cumprod(axis=1)[:, ::-1] // sizes
-    digits = row[:, np.newaxis] // inner[block] % sizes[block]
-    frame = sizes.max(axis=0)
-    most = int(frame.max())
-    places = (block[:, np.newaxis] * len(frame) + np.arange(len(frame))) * most + digits
-    framed = digits @ (frame[::-1].cumprod()[::-1] // frame)
-    arrays = (sizes, side, block, row, starts, places, framed)
-    return tuple(_read_only(a) for a in arrays) + (frame.tolist(), most)
-
-
-#: The layout of one block depends on its sizes alone: built once per sizes.
-_block_layout = functools.lru_cache(maxsize=16)(_layout)
-
-
 def _classify_stack(
-    flat: np.ndarray, counts: tuple[tuple[tuple[int, ...], int], ...], tol: Tolerance
+    stacks: Sequence[tuple[np.ndarray, np.ndarray]], dims: tuple[int, ...], tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The classification kernel of :func:`project` and the searches.
 
-    ``flat`` holds normalized, exactly Hermitian blocks of nonzero weight,
-    each flattened row by row, one after the other; ``counts`` gives, run
-    by run, the blocks' per-party sizes and how many blocks in a row have
-    them, at least one block in all.  Returns, for every block in order,
-    its index into ``_CLASSES`` ("mixed" or pure), its ranks at the
-    single-party cuts (zero unless pure) and whether its core is strictly
-    smaller than the block.  Each block's result is that of the block
-    alone.
+    Each of ``stacks`` pairs normalized, exactly Hermitian blocks of
+    nonzero weight ``(n, k, k)`` with their rows ``(n, k)``: ascending flat
+    indices in a space of per-party dims ``dims``.  Returns, for every
+    block of every stack in order, its index into ``_CLASSES`` ("mixed" or
+    pure), its ranks at the single-party cuts (zero unless pure) and
+    whether its core is strictly smaller than the block.  Each block's
+    result is that of the block alone.
 
     The pure test and the cut ranks run on each block's core: the block
     with every padding index removed.  Party ``p``'s index ``a`` is padding
@@ -303,44 +273,64 @@ def _classify_stack(
     0.0; the columns of those rows are then zero too.  Removing them drops
     only zero rows and columns, so the core has the block's spectrum but
     for zeros, and its top eigenvector is the block's without the zero
-    entries; a block with no zero row is its own core.  The cores of all
-    blocks are found at once from the rows of ``flat`` (:func:`_layout`),
-    and stacked by side, whatever their blocks' sizes: each side takes one
-    ``eigh``.  A block is pure when its top eigenvalue is at least ``1 -
-    purity_atol``.  The top eigenvector of each pure core,
-    put back on its block's rows and zero-padded per party to the largest
-    block's sizes, goes into one :func:`~dsskit.entanglement._cut_ranks`
-    call (zero entries add only zero singular values), sliced so that its
-    stacked cuts hold at most about ``_SLICE_ENTRIES`` entries; a pure
-    block is entangled when some rank exceeds 1.
+    entries; a block with no zero row is its own core.  The padding of all
+    blocks is found at once, at their rows' flat indices.  The cores of all
+    stacks are stacked by side, whatever their blocks' sides: each side
+    takes one ``eigh``.  A block is pure when its top eigenvalue is at
+    least ``1 - purity_atol``.  The top eigenvector of each pure core, put
+    at its rows in a zero vector of ``prod(dims)`` entries, goes into one
+    :func:`~dsskit.entanglement._cut_ranks` call (zero entries add only
+    zero singular values); a pure block is entangled when some rank
+    exceeds 1.
     """
-    one = len(counts) == 1 and counts[0][1] == 1
-    sizes, side, block, row, starts, places, framed, frame, most = (_block_layout if one else _layout)(counts)
-    used = np.zeros(sizes.size * most, dtype=bool)  # per (block, party, index): not padding
-    used[places[np.logical_or.reduceat(flat != 0, starts)]] = True
-    keep = np.logical_and.reduce(used[places], axis=1)
-    core = np.bincount(block[keep], minlength=len(side))
-    codes = np.ones(len(side), dtype=np.int8)
-    ranks = np.zeros(sizes.shape, dtype=np.intp)
+    firsts = list(itertools.accumulate((len(rows) for _, rows in stacks), initial=0))
+    count, total = firsts[-1], prod(dims)
+    keeps = [states.any(axis=-1) for states, _ in stacks]  # rows not exactly zero
+    if not all(keep.all() for keep in keeps):
+        # Party p's index is kept when a nonzero row holds it, and a block
+        # keeps the rows whose every index is kept: the product of the kept
+        # indices, taken over all blocks at once at the rows' flat indices.
+        held = np.zeros((count, total), dtype=bool)
+        for (_, rows), keep, first in zip(stacks, keeps, firsts):
+            held[first + np.arange(len(rows))[:, np.newaxis], rows] = keep
+        shaped, used = held.reshape((count,) + tuple(dims)), np.ones((count,) + (1,) * len(dims), dtype=bool)
+        for p in range(len(dims)):
+            used = used & shaped.any(axis=tuple(q + 1 for q in range(len(dims)) if q != p), keepdims=True)
+        held = used.reshape(count, total)
+        keeps = [held[first + np.arange(len(rows))[:, np.newaxis], rows] for (_, rows), first in zip(stacks, firsts)]
+    cores = {}  # core side -> [(block numbers, cores, their rows)]
+    smaller = []
+    for (states, rows), keep, first in zip(stacks, keeps, firsts):
+        n, k = rows.shape
+        core = keep.sum(axis=-1)
+        for c in set(core.tolist()):
+            sel = np.flatnonzero(core == c)
+            if c == k:
+                got = (states, rows) if len(sel) == n else (states[sel], rows[sel])
+            else:
+                kept = np.nonzero(keep[sel])[1].reshape(-1, c)
+                blocks = states[sel[:, np.newaxis, np.newaxis], kept[:, :, np.newaxis], kept[:, np.newaxis, :]]
+                got = blocks, rows[sel[:, np.newaxis], kept]
+            cores.setdefault(c, []).append((first + sel,) + got)
+        smaller.append(core < k)
+    codes = np.ones(count, dtype=np.int8)
+    ranks = np.zeros((count, len(dims)), dtype=np.intp)
     pure_at, tops = [], []
-    for c in sorted(set(core.tolist())):
-        kept = np.flatnonzero(keep & (core[block] == c)).reshape(-1, c)  # one row per block
-        evals, evecs = np.linalg.eigh(flat[starts[kept][:, :, np.newaxis] + row[kept][:, np.newaxis, :]])
-        pure = evals[:, -1] >= 1.0 - tol.purity_atol
-        rows = kept[pure]
-        if len(rows):
-            top = np.zeros((len(rows), prod(frame)), dtype=evecs.dtype)
-            top[np.arange(len(rows))[:, np.newaxis], framed[rows]] = evecs[pure, :, -1]
-            pure_at.append(block[rows[:, 0]])
+    for c in sorted(cores):
+        pieces = cores.pop(c)
+        which, blocks, rows = pieces[0] if len(pieces) == 1 else (np.concatenate(a) for a in zip(*pieces))
+        evals, evecs = np.linalg.eigh(blocks)
+        pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
+        if len(pure):
+            top = np.zeros((len(pure), total), dtype=evecs.dtype)
+            top[np.arange(len(pure))[:, np.newaxis], rows[pure]] = evecs[pure, :, -1]
+            pure_at.append(which[pure])
             tops.append(top)
     if pure_at:
-        pure_at, tops = np.concatenate(pure_at), np.concatenate(tops)
-        step = max(1, _SLICE_ENTRIES // (len(frame) * tops.shape[1]))
-        for start in range(0, len(pure_at), step):
-            chunk = pure_at[start : start + step]
-            ranks[chunk] = got = _cut_ranks(tops[start : start + step], frame, tol.rank_rtol)
-            codes[chunk] = 2 + np.logical_or.reduce(got > 1, axis=-1)
-    return codes, ranks, core < side
+        pure_at = np.concatenate(pure_at)
+        ranks[pure_at] = got = _cut_ranks(np.concatenate(tops), dims, tol.rank_rtol)
+        codes[pure_at] = 2 + np.logical_or.reduce(got > 1, axis=-1)
+    return codes, ranks, np.concatenate(smaller)
 
 
 def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: Sequence[int]) -> ProjectionOutcome:
@@ -369,10 +359,10 @@ def project(
     top eigenvalue fraction reaches ``1 - purity_atol``; a pure projection
     is entangled when some entry of its dimension signature exceeds 1.  The
     classification is the kernel the searches run
-    (:func:`_classify_stack`), here on a stack of one: the pure test and
-    the signature come from the block's core, the block with every index
-    whose rows are exactly zero removed, and the weight and state from the
-    block itself.
+    (:func:`_classify_stack`), here on a stack of one block whose rows are
+    its own indices in the subspace's dims: the pure test and the signature
+    come from the block's core, the block with every index whose rows are
+    exactly zero removed, and the weight and state from the block itself.
 
     With ``copies > 1`` the subspace lives on the party-major shape of
     :func:`~dsskit.states.tensor_power`, and the power is never formed: it
@@ -392,7 +382,7 @@ def project(
     weights, live, states = _normalized_stack(out[np.newaxis])
     if not live[0]:
         return _outcome(0.0, None, 0, ())
-    codes, ranks, _ = _classify_stack(states.reshape(-1), ((subspace.dims, 1),), tol)
+    codes, ranks, _ = _classify_stack([(states, np.arange(len(out))[np.newaxis])], subspace.dims, tol)
     state = DensityMatrix._derived(subspace.subspace_shape(), states[0])
     return _outcome(float(weights[0]), state, int(codes[0]), ranks[0])
 
@@ -465,23 +455,14 @@ def _tables(dims: tuple[int, ...]) -> tuple[tuple, ...]:
     - ``subsets[p]``: party ``p``'s nonempty index subsets, by ascending
       bitmask;
     - ``members[p][i, a]``: 1.0 when the ``i``-th subset holds index ``a``;
-    - ``sizes[p][i]``: the ``i``-th subset's size;
-    - ``offsets[p][i, :m]``: the flat-index offsets, in the power's basis,
-      of the ``i``-th subset's ``m`` indices, ascending;
-    - ``pairs[p][i, a * d + b]``: 1.0 when the ``i``-th subset holds ``a``
-      and ``b``.
+    - ``sizes[p][i]``: the ``i``-th subset's size.
     """
     subsets = tuple(_subset_indices(d) for d in dims)
     members = tuple(
         _read_only(np.array([[a in idx for a in range(d)] for idx in s], float)) for s, d in zip(subsets, dims)
     )
     sizes = tuple(_read_only(m.sum(axis=1).astype(np.intp)) for m in members)
-    offsets = tuple(
-        _read_only(np.array([idx + (0,) * (d - len(idx)) for idx in s], dtype=np.intp) * prod(dims[p + 1:]))
-        for p, (s, d) in enumerate(zip(subsets, dims))
-    )
-    pairs = tuple(_read_only((m[:, :, np.newaxis] * m[:, np.newaxis, :]).reshape(len(m), -1)) for m in members)
-    return subsets, members, sizes, offsets, pairs
+    return subsets, members, sizes
 
 
 def candidate_count(shape: SystemShape) -> int:
@@ -510,7 +491,7 @@ class _SearchContext:
     (``local = U† rho U`` for ``U = kron_all(bases)``) and the
     :func:`_tables` of the power's local dims.  The screen's eigenpairs
     come from the single copy; the blocks that classification reads come
-    from ``local``.
+    from ``local``, one slice of consecutive positions at a time.
 
     A candidate is named by its canonical position: lexicographic over
     (party, subset bitmask ascending), the first party most significant.
@@ -534,7 +515,7 @@ class _SearchContext:
         self.bases = _resolve_bases(self.shape, bases)
         self.change = kron_all(self.bases)
         self.local = dagger(self.change) @ self.rho.mat @ self.change
-        self.subsets, self.members, self.sizes, self.offsets, self.pairs = _tables(self.shape.dims)
+        self.subsets, self.members, self.sizes = _tables(self.shape.dims)
 
     def group(self, sizes: Sequence[int]) -> np.ndarray:
         """The canonical positions, ascending, of the candidates whose subset
@@ -584,6 +565,8 @@ class _SearchContext:
         borderline candidates fall through to it.
         """
         dims = self.shape.dims
+        # pairs[p][i, a * d + b] = 1.0 when party p's i-th subset holds a and b.
+        pairs = [(m[:, :, np.newaxis] * m[:, np.newaxis, :]).reshape(len(m), -1) for m in self.members]
         flat = self.ensemble().reshape(-1, self.shape.total_dim)
         gram = flat.T @ np.conj(flat)
 
@@ -591,7 +574,7 @@ class _SearchContext:
         # by_pair[(x_1, y_1), ..., (x_k, y_k)] = |G[x, y]|^2: one pair axis per party.
         order = [a for p in range(len(dims)) for a in (p, p + len(dims))]
         by_pair = (np.abs(gram) ** 2).reshape(dims + dims).transpose(order)
-        purity = _contract(by_pair.reshape([d * d for d in dims]), self.pairs)
+        purity = _contract(by_pair.reshape([d * d for d in dims]), pairs)
 
         live = weight > ZERO_WEIGHT * 0.1
         norm = np.where(live, weight, 1.0) ** 2
@@ -611,108 +594,70 @@ class _SearchContext:
                 others = [m for q, m in enumerate(self.members) if q != p]
                 # reduced[(a, a'), i_others] = the unnormalized reduced state's entry.
                 reduced = _contract(block.reshape(dims[:p] + dims[p + 1:] + (d * d,)), others)
-                purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [self.pairs[p]]), -1, p) / norm
+                purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [pairs[p]]), -1, p) / norm
                 shaped = (grid[p] == 1) | (width == grid[p])
                 product = product & (shaped | (1.0 - purity_p + 2.0 * deficit <= 0.1 * self.tol.rank_rtol))
             counts.product = int(np.count_nonzero(product))
             keep = keep & ~product
         return np.flatnonzero(keep), counts
 
-    def _rows(self, picks: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
-        """The rows of ``local`` that the candidates ``picks`` (one array of
-        subset numbers per party, all of per-party sizes ``sizes``) span,
-        one row of ``prod(sizes)`` per candidate, in the order of
-        :meth:`LocalSubspace.compression`'s columns."""
-        n = len(picks[0])
-        flat = np.zeros((n,) + (1,) * len(sizes), dtype=np.intp)
-        for p, (pick, m) in enumerate(zip(picks, sizes)):
-            axes = [n] + [1] * len(sizes)
-            axes[p + 1] = m
-            flat = flat + self.offsets[p][pick, :m].reshape(axes)
-        return flat.reshape(n, -1)
-
-    def _blocks(self, rows: np.ndarray) -> np.ndarray:
-        """The compressions ``local[r x r]`` of the power for the row sets
-        ``r`` in ``rows``, one per candidate, stacked: read by index."""
-        return self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]]
-
     def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """Each candidate at ``positions``, in that order: its subspace cut
         from the bases, and the outcome of the power on it.
 
-        The blocks are read out of ``local`` by index, with no product or
-        matrix multiply per candidate, a slice of a group of equal per-party
-        sizes at a time, and each slice is normalized by one
-        :func:`~dsskit.states._normalized_stack` call.  Once the slices read
-        hold ``_SLICE_ENTRIES`` entries, and at the end, their nonzero blocks
-        are flattened into one array, the slices are let go, and one
-        :func:`_classify_stack` call, the kernel of :func:`project`, stacks
-        the cores of all those blocks by side.  On computational bases the
-        blocks, and so the outcomes, are bit-equal to :func:`project`'s on
-        the power; on rotated ones they agree to roundoff.  A pure outcome
-        keeps its block's weight and a copy of its normalized state.  A mixed
-        one renormalizes its own block when it is yielded, so that no outcome
-        keeps a batch alive.  ``smaller_cores`` counts the nonzero blocks
-        whose core is strictly smaller than the block.
+        The positions are taken in order, in slices of consecutive ones.  A
+        candidate counts the larger of its block's entries and the power's
+        side ``D``, the length of its row mask and its top vector; a slice
+        holds about ``_SLICE_ENTRIES`` of them, or one candidate.  A
+        candidate's rows are the flat indices of its basis states,
+        ascending, read off the outer product of its per-party ``members``
+        rows: the order of :meth:`LocalSubspace.compression`'s columns.  In
+        a slice, each block side's blocks are read out of ``local`` by one
+        index, with no product or matrix multiply per candidate, and
+        normalized by one :func:`~dsskit.states._normalized_stack` call;
+        one :func:`_classify_stack` call, the kernel of :func:`project`,
+        classifies the slice, and its outcomes are yielded.  On
+        computational bases the blocks, and so the outcomes, are bit-equal
+        to :func:`project`'s on the power; on rotated ones they agree to
+        roundoff.  Every outcome owns a copy of its state, so none keeps a
+        slice alive.  ``smaller_cores`` counts the nonzero blocks whose core
+        is strictly smaller than the block.
         """
         picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
-        sizes = np.stack([s[pick] for s, pick in zip(self.sizes, picks)], axis=-1)
-        codes = np.zeros(len(sizes), dtype=np.int8)
-        signatures = np.zeros(sizes.shape, dtype=np.int16)  # ranks <= MAX_SIDE
-        weights = np.zeros(len(sizes))
-        pure = {}  # a pure candidate's place in positions -> its normalized state
-        pending = []  # (places, normalized nonzero blocks, sizes) per slice read
+        side = np.prod([s[pick] for s, pick in zip(self.sizes, picks)], axis=0, dtype=np.intp)
+        cost = np.cumsum(np.maximum(side * side, self.shape.total_dim))
+        ends = (np.flatnonzero(np.diff((cost - 1) // _SLICE_ENTRIES, append=-1)) + 1).tolist()
         self.smaller_cores = 0
+        for start, stop in zip([0] + ends, ends):
+            yield from self._classify_slice([pick[start:stop] for pick in picks], side[start:stop])
 
-        def classify_pending():
-            which = np.concatenate([w for w, _, _ in pending])
-            flat = np.concatenate([states.reshape(-1) for _, states, _ in pending])
-            counts = tuple((tuple(group), len(w)) for w, _, group in pending)
-            pending.clear()  # the slices go; flat holds their blocks
-            got, ranks, smaller = _classify_stack(flat, counts, self.tol)
-            codes[which], signatures[which] = got, ranks
-            self.smaller_cores += int(np.count_nonzero(smaller))
-            side = np.repeat([prod(group) for group, _ in counts], [n for _, n in counts])
-            ends = np.cumsum(side * side)
-            for j in np.flatnonzero(got >= 2).tolist():
-                k = int(side[j])
-                pure[int(which[j])] = flat[ends[j] - k * k : ends[j]].reshape(k, k).copy()
-
-        # A candidate's per-party sizes as one mixed-radix number, to group by.
-        keys = np.ravel_multi_index((sizes - 1).T, self.shape.dims)
-        order = np.argsort(keys, kind="stable")
-        firsts = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
-        held = 0
-        for first, end in zip(firsts, firsts[1:] + [len(order)]):
-            members, group = order[first:end], sizes[order[first]].tolist()
-            step = max(1, _SLICE_ENTRIES // prod(group) ** 2)
-            for start in range(0, len(members), step):
-                chunk = members[start : start + step]
-                rows = self._rows([pick[chunk] for pick in picks], group)
-                weights[chunk], live, states = _normalized_stack(self._blocks(rows))
-                if len(states):
-                    pending.append((chunk[live], states, group))
-                    held += states.size
-                del states  # pending holds the slice, and classify_pending lets it go
-                if held >= _SLICE_ENTRIES:
-                    classify_pending()
-                    held = 0
-        if pending:
-            classify_pending()
-
-        labels = self.shape.labels
-        for i, pick in enumerate(zip(*picks)):
-            indices = tuple(s[j] for s, j in zip(self.subsets, pick))
-            subspace = LocalSubspace._from_checked(labels, self.bases, indices)
-            weight, state = 0.0, None
-            if codes[i]:
-                shape = _subspace_shape(labels, subspace.dims)
-                if i in pure:
-                    weight, state = float(weights[i]), DensityMatrix._derived(shape, pure.pop(i))
-                else:
-                    rows = self._rows([np.array([j]) for j in pick], subspace.dims)
-                    weight, state = _normalized(self._blocks(rows)[0], shape)
-            yield subspace, _outcome(weight, state, codes[i], signatures[i])
+    def _classify_slice(
+        self, picks: Sequence[np.ndarray], side: np.ndarray
+    ) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
+        """:meth:`classify` on one slice: the candidates with subset numbers
+        ``picks`` (one array per party) and block sides ``side``.  The
+        slice's blocks go when the last outcome is yielded."""
+        labels, dims, n = self.shape.labels, self.shape.dims, len(side)
+        mask = np.ones((n, 1), dtype=bool)  # mask[i, x]: the i-th candidate holds flat index x
+        for m, pick in zip(self.members, picks):
+            mask = (mask[:, :, np.newaxis] & (m[pick, np.newaxis, :] > 0)).reshape(n, -1)
+        weights, codes, ranks = np.zeros(n), np.zeros(n, dtype=np.int8), np.zeros((n, len(dims)), dtype=np.intp)
+        stacks, live = [], []
+        for k in np.unique(side).tolist():
+            at = np.flatnonzero(side == k)
+            rows = np.nonzero(mask[at])[1].reshape(-1, k)
+            weights[at], kept, blocks = _normalized_stack(self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])
+            stacks.append((blocks, rows[kept]))
+            live.extend(at[kept].tolist())
+        codes[live], ranks[live], smaller = _classify_stack(stacks, dims, self.tol)
+        self.smaller_cores += int(np.count_nonzero(smaller))
+        states = dict(zip(live, (block for blocks, _ in stacks for block in blocks)))
+        for i, pick in enumerate(zip(*(p.tolist() for p in picks))):
+            subspace = LocalSubspace._from_checked(labels, self.bases, [s[j] for s, j in zip(self.subsets, pick)])
+            state = states.get(i)
+            if state is not None:
+                state = DensityMatrix._derived(_subspace_shape(labels, subspace.dims), state.copy())
+            yield subspace, _outcome(float(weights[i]), state, codes[i], ranks[i])
 
 
 def find_dss(
@@ -739,19 +684,19 @@ def find_dss(
     The search takes every candidate position, screens them, and classifies
     what is left by the kernel of :func:`project`, which re-verifies every
     returned certificate against the full state and supplies its weight and
-    signature.  Each survivor's block is read by index out of the power in
-    the search basis, formed once, and normalized with the others of its
-    per-party subset sizes; a certificate's weight and state are its
-    block's.  The pure test and the signature run on the block's core, the
-    block without the indices whose rows are exactly zero.  The kernel
-    takes the survivors in batches of about ``_SLICE_ENTRIES`` entries (one
-    batch on most screened searches): each side of core takes one ``eigh``,
-    and the pure ones one cut-rank SVD call.  The screen decides all candidates
-    at once from the power's significant eigenpairs, which come from one
-    ``eigh`` of the single copy (the products of its eigenvalues and the
-    regrouped Kronecker products of its eigenvectors), by kernel
-    contractions in memory O(D^2 + candidates) for side ``D``, with no
-    eigensolver per candidate.  It drops candidates that are clearly
+    signature.  The survivors are taken in position order, in slices of
+    about ``_SLICE_ENTRIES`` entries (one slice on most screened searches).
+    Each survivor's block is read by index out of the power in the search
+    basis, formed once, and normalized with the others of its side in the
+    slice; a certificate's weight and state are its block's.  The pure test
+    and the signature run on the block's core, the block without the
+    indices whose rows are exactly zero: in a slice, each side of core
+    takes one ``eigh``, and the pure ones one cut-rank SVD call.  The
+    screen decides all candidates at once from the power's significant
+    eigenpairs, which come from one ``eigh`` of the single copy (the
+    products of its eigenvalues and the regrouped Kronecker products of its
+    eigenvectors), by kernel contractions in memory O(D^2 + candidates) for
+    side ``D``, with no eigensolver per candidate.  It drops candidates that are clearly
     zero-weight or clearly mixed: weight at most a tenth of ``ZERO_WEIGHT``,
     or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the projection ``P``
     above ``20 * purity_atol``, which puts the residual weight beyond the

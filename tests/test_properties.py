@@ -245,10 +245,11 @@ def assert_outcomes_match(got, want, computational: bool):
 @PROPERTY_SETTINGS
 @given(search_instances(), st.booleans())
 def test_batched_classification_equals_project(instance, require_entangled):
-    """Every candidate classified in size-group stacks, blocks read by index
-    out of the state in the search basis, against ``project`` on its own and
-    against the classification written out per candidate: zero, mixed,
-    product and entangled blocks all occur unpruned."""
+    """Every candidate classified in slices of consecutive positions, blocks
+    read by index out of the state in the search basis and stacked by side,
+    against ``project`` on its own and against the classification written
+    out per candidate: zero, mixed, product and entangled blocks all occur
+    unpruned."""
     state, bases, _ = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     kept = []
@@ -289,9 +290,10 @@ def test_batched_classification_of_a_power_equals_project(rotated):
 def test_batched_classification_of_a_rotated_power_equals_project(seed, rank):
     """Every candidate of a random two-qubit state's square (225) on random
     bases of the power's parties, against ``project`` from the single copy.
-    The pure blocks of all size groups share one cut-rank call, each zero-
-    padded to the largest pure group's sizes; the classification and the
-    signature must still be those of the block alone."""
+    The pure blocks of all sides share one cut-rank call, each top
+    eigenvector put at its rows in a zero vector of the power's side; the
+    classification and the signature must still be those of the block
+    alone."""
     rng = np.random.default_rng(seed)
     rho = random_density(rng, SystemShape.of(("A", 2), ("B", 2)), rank=rank)
     bases = {label: random_unitary(rng, 4) for label in "AB"}
@@ -407,12 +409,12 @@ def test_padding_needs_a_whole_zero_row():
     c = 0.25
     block = np.zeros((1, 4, 4), dtype=np.complex128)
     block[0, 0, 0], block[0, 0, 3], block[0, 3, 0] = 1.0, c, c
-    codes, ranks, smaller = subspaces._classify_stack(block.reshape(-1), (((2, 2), 1),), Tolerance())
+    codes, ranks, smaller = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-entangled"
     assert ranks.tolist() == [[2, 2]] and smaller.tolist() == [False]
     # With the row zeroed, index 1 is padding at both parties.
     block[0, 0, 3] = block[0, 3, 0] = 0.0
-    codes, ranks, smaller = subspaces._classify_stack(block.reshape(-1), (((2, 2), 1),), Tolerance())
+    codes, ranks, smaller = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-product"
     assert ranks.tolist() == [[1, 1]] and smaller.tolist() == [True]
 

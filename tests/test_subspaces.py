@@ -25,9 +25,10 @@ from dsskit import (
     three_qubit_example,
     werner,
 )
+from dsskit import subspaces
 from dsskit.linalg import DEFAULT_TOLERANCE
 from dsskit.states import DensityMatrix, PureState, product_basis_vector
-from dsskit.subspaces import CANDIDATE_CAP, _SearchContext
+from dsskit.subspaces import CANDIDATE_CAP, _SearchContext, _tables
 
 from helpers import (
     certificate_summary,
@@ -289,9 +290,9 @@ def count_solver_calls(monkeypatch) -> dict[str, int]:
 
 
 def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
-    # 3375 candidates in 64 size groups, each within one slice: one eigh per
-    # group, never one per candidate, and the cut-rank SVDs of all groups'
-    # pure blocks in a few slices.
+    # 3375 candidates in 64 size groups, read in a few slices of consecutive
+    # positions: one eigh per core side per slice, never one per candidate
+    # or per group, and one cut-rank SVD per slice.
     ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     calls = count_solver_calls(monkeypatch)
     outcomes = [outcome.classification for _, outcome in ctx.classify(range(ctx.count))]
@@ -302,8 +303,8 @@ def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
 
 
 def test_search_runs_one_cut_rank_call_for_all_size_groups(monkeypatch):
-    # 24 survivors of the screen in 16 size groups: one SVD call gives every
-    # signature; the screen and power run none.
+    # 24 survivors of the screen in 16 size groups and one slice: one SVD
+    # call gives every signature; the screen and power run none.
     calls = count_solver_calls(monkeypatch)
     certs = find_dss(three_qubit_example(0.5), copies=2)
     assert len(certs) == 24
@@ -311,9 +312,10 @@ def test_search_runs_one_cut_rank_call_for_all_size_groups(monkeypatch):
 
 
 def test_search_stacks_all_survivor_cores_in_one_eigensolver_call(monkeypatch):
-    # The 24 survivors lie in 16 size groups of sides 8 to 36, but each is a
-    # zero-padded copy of a (2, 2, 2) core or that core itself: one eigh of
-    # side 8 decides them all, after the single copy's eigh for the screen.
+    # The 24 survivors lie in one slice, in 16 size groups of sides 8 to 36,
+    # but each is a zero-padded copy of a (2, 2, 2) core or that core itself:
+    # one eigh of side 8 decides them all, after the single copy's eigh for
+    # the screen.
     calls = count_solver_calls(monkeypatch)
     certs = find_dss(three_qubit_example(0.5), copies=2)
     assert len(certs) == 24
@@ -323,9 +325,9 @@ def test_search_stacks_all_survivor_cores_in_one_eigensolver_call(monkeypatch):
 @pytest.mark.parametrize("rho", [three_qubit_example(0.5), werner(0.9)], ids=["example3q", "werner"])
 def test_classify_of_a_power_keeps_the_bytes_of_project(rho):
     # Every candidate of the power (3375 and 225) on computational bases: the
-    # pure outcomes' states come from their size group's stack, the mixed ones
-    # from their own block, and both are project's to the last bit.  A pure
-    # outcome owns its state rather than a view of the stack.
+    # states come from their slice's stack of blocks of their side and are
+    # project's to the last bit.  Every outcome owns its state rather than a
+    # view of the stack, which would keep the whole slice alive.
     ctx = _SearchContext(rho, 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     power = tensor_power(rho, 2)
     seen = set()
@@ -338,15 +340,15 @@ def test_classify_of_a_power_keeps_the_bytes_of_project(rho):
             continue
         assert got.state.shape == want.state.shape
         assert got.state.mat.tobytes() == want.state.mat.tobytes()
-        if got.signature is not None:
-            assert got.state.mat.base is None
+        assert got.state.mat.base is None
         seen.add(got.classification)
     assert {"mixed", "pure-product"} <= seen
 
 
 def test_unpruned_search_memory_stays_bounded():
-    # Each size group is classified in slices, and only the kept certificates
-    # hold states; 979 certificates, most of them pure-product paddings.
+    # The candidates are classified in slices of consecutive positions, and
+    # only the kept certificates hold states; 979 certificates, most of them
+    # pure-product paddings.
     tracemalloc.start()
     try:
         certs = find_dss(three_qubit_example(0.5), copies=2, prune=False, require_entangled=False)
@@ -355,6 +357,54 @@ def test_unpruned_search_memory_stays_bounded():
         tracemalloc.stop()
     assert len(certs) == 979
     assert peak <= 7.5e6
+
+
+def test_search_keeps_no_pair_table():
+    # One party of dim 12: 4095 subsets.  The screen's pair indicators (4095 x
+    # 144 floats, 4.7 MB) are built per search, not cached with the subset
+    # tables, which keep only the subsets, their members and their sizes.
+    tracemalloc.start()
+    try:
+        _tables.cache_clear()
+        before = tracemalloc.get_traced_memory()[0]
+        certs = find_dss(maximally_mixed(SystemShape.of(("A", 12))), require_entangled=False)
+        assert len(certs) == 12
+        del certs
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4095 * 144 * 8
+
+
+@pytest.mark.parametrize(
+    "rho,bases",
+    [
+        (three_qubit_example(0.5), None),
+        (werner(0.9), {label: random_unitary(np.random.default_rng(29), 4) for label in "AB"}),
+    ],
+    ids=["example3q", "werner-rotated"],
+)
+def test_classify_outcomes_do_not_depend_on_the_slice_bound(monkeypatch, rho, bases):
+    # A slice bound of 1 or 7 puts every candidate in a slice of its own, and
+    # example3q's blocks of up to 64 x 64 exceed it; 300 puts a few blocks of
+    # several sides in one slice.  The outcomes must be those of the default.
+    def outcomes(bound):
+        monkeypatch.setattr(subspaces, "_SLICE_ENTRIES", bound)
+        ctx = _SearchContext(rho, 2, bases, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+        return [
+            (
+                got.classification,
+                got.signature,
+                np.float64(got.weight).tobytes(),
+                None if got.state is None else got.state.mat.tobytes(),
+            )
+            for _, got in ctx.classify(range(ctx.count))
+        ]
+
+    default = outcomes(subspaces._SLICE_ENTRIES)
+    assert len(default) == candidate_count(tensor_power(rho, 2).shape)
+    for bound in (1, 7, 300):
+        assert outcomes(bound) == default
 
 
 def two_qubit_mixture(*terms) -> DensityMatrix:

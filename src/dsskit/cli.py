@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import fileio
@@ -163,6 +163,99 @@ def render_report(report: Report) -> str:
         lines.append("warnings: []")
     lines.append(f"elapsed ms: {report.timing_ms:.12g}")
     return "\n".join(lines)
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+#: The scalar writers, by exact type: for these types ``json``'s chain of
+#: type tests takes the same branch, so a lookup stands in for the chain.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append ``value``'s JSON text to ``out``; ``newline`` starts a line at
+    the value's depth.  A scalar of a type in ``_JSON_SCALARS`` takes its
+    writer.  Any other value takes the rest of ``json``'s type tests in
+    ``json``'s order, so subclasses of ``str``, ``int`` and ``float``
+    (``np.float64`` among them) are written as their base (``bool`` and
+    ``None`` have no subclasses)."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            sep = comma
+            _write_json(item, out, inner)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(_json_key(key)) + ": ")
+            sep = comma
+            _write_json(item, out, inner)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2)``, written in one recursive
+    pass.  With ``indent`` the standard library writes through its
+    pure-Python generator encoder; this writer appends to one list, quotes
+    strings with the same ASCII escaper, writes floats with
+    ``float.__repr__`` (``NaN`` and ``±Infinity`` as ``json`` does) and
+    raises ``TypeError`` where ``json.dumps`` would.  It does not look for
+    reference cycles, which no report holds."""
+    out: list[str] = []
+    _write_json(value, out, "\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +721,7 @@ def main(argv=None) -> int:
     report.timing_ms = (time.perf_counter() - started) * 1000.0
     print(render_report(report))
     if args.json:
-        payload = json.dumps({f.name: getattr(report, f.name) for f in fields(report)}, indent=2)
+        payload = _json_text({f.name: getattr(report, f.name) for f in fields(report)})
         if args.json == "-":
             print(payload)
         else:

@@ -28,7 +28,7 @@ import logging
 import time
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Collection, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -117,19 +117,15 @@ class LocalSubspace:
     def _from_checked(
         cls,
         labels: Sequence[str],
-        bases: Sequence[np.ndarray],
+        columns: Sequence[np.ndarray],
         indices: Sequence[tuple[int, ...]],
     ) -> "LocalSubspace":
-        """Cut read-only columns ``indices`` out of per-party ``bases`` that
-        passed :func:`_resolve_bases`.  With nonempty, in-range and distinct
-        indices the columns are orthonormal, so no check runs here."""
-        parties = []
-        for label, basis, idx in zip(labels, bases, indices):
-            vecs = basis[:, list(idx)]
-            vecs.setflags(write=False)
-            parties.append((label, vecs))
+        """The subspace of per-party ``columns``, each the :func:`_columns`
+        ``indices[p]`` of a basis that passed :func:`_resolve_bases`.  With
+        nonempty, in-range and distinct indices the columns are orthonormal,
+        so no check runs here."""
         self = object.__new__(cls)
-        object.__setattr__(self, "parties", tuple(parties))
+        object.__setattr__(self, "parties", tuple(zip(labels, columns)))
         object.__setattr__(self, "basis_indices", tuple(indices))
         return self
 
@@ -164,7 +160,7 @@ class LocalSubspace:
             if len(set(idx)) != len(idx):
                 raise InvariantViolation("orthonormal", f"party {p.label!r} repeats an index in {idx}")
             recorded.append(idx)
-        return cls._from_checked(shape.labels, resolved, recorded)
+        return cls._from_checked(shape.labels, [_columns(b, idx) for b, idx in zip(resolved, recorded)], recorded)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -254,9 +250,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _columns(basis: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """The columns ``idx`` of ``basis``, read-only."""
+    return _read_only(basis[:, list(idx)])
+
+
 def _classify_stack(
     stacks: Sequence[tuple[np.ndarray, np.ndarray]], dims: tuple[int, ...], tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The classification kernel of :func:`project` and the searches.
 
     Each of ``stacks`` pairs normalized, exactly Hermitian blocks of
@@ -264,8 +265,9 @@ def _classify_stack(
     indices in a space of per-party dims ``dims``.  Returns, for every
     block of every stack in order, its index into ``_CLASSES`` ("mixed" or
     pure), its ranks at the single-party cuts (zero unless pure) and
-    whether its core is strictly smaller than the block.  Each block's
-    result is that of the block alone.
+    whether its core is strictly smaller than the block; and the number of
+    distinct cores decomposed.  Each block's result is that of the block
+    alone.
 
     The pure test and the cut ranks run on each block's core: the block
     with every padding index removed.  Party ``p``'s index ``a`` is padding
@@ -274,11 +276,17 @@ def _classify_stack(
     only zero rows and columns, so the core has the block's spectrum but
     for zeros, and its top eigenvector is the block's without the zero
     entries; a block with no zero row is its own core.  The padding of all
-    blocks is found at once, at their rows' flat indices.  The cores of all
-    stacks are stacked by side, whatever their blocks' sides: each side
-    takes one ``eigh``.  A block is pure when its top eigenvalue is at
-    least ``1 - purity_atol``.  The top eigenvector of each pure core, put
-    at its rows in a zero vector of ``prod(dims)`` entries, goes into one
+    blocks is found at once, at their rows' flat indices.
+
+    Each distinct core takes one decomposition.  Cores with the same rows
+    and the same bytes are decomposed once and share the result, which is
+    exact: equal input bytes give equal LAPACK results.  The rows belong to
+    the key, since equal bytes at rows of other per-party sizes have other
+    cut ranks.  The distinct cores of all stacks are stacked by side,
+    whatever their blocks' sides: each side takes one ``eigh``.  A block
+    is pure when its top eigenvalue is at least ``1 - purity_atol``.  The
+    top eigenvector of each distinct pure core, put at its rows in a zero
+    vector of ``prod(dims)`` entries, goes into one
     :func:`~dsskit.entanglement._cut_ranks` call (zero entries add only
     zero singular values); a pure block is entangled when some rank
     exceeds 1.
@@ -315,22 +323,34 @@ def _classify_stack(
         smaller.append(core < k)
     codes = np.ones(count, dtype=np.int8)
     ranks = np.zeros((count, len(dims)), dtype=np.intp)
-    pure_at, tops = [], []
+    pure_at, tops, twins, decomposed = [], [], [], 0
     for c in sorted(cores):
         pieces = cores.pop(c)
-        which, blocks, rows = pieces[0] if len(pieces) == 1 else (np.concatenate(a) for a in zip(*pieces))
+        at, blocks, rows = pieces[0] if len(pieces) == 1 else (np.concatenate(a) for a in zip(*pieces))
+        if len(at) > 1:
+            seen = {}  # (rows, core bytes) -> the first such core here; the keys copy the cores
+            keys = zip(map(np.ndarray.tobytes, rows), map(np.ndarray.tobytes, blocks))
+            first = [seen.setdefault(key, i) for i, key in enumerate(keys)]
+            if len(seen) < len(at):
+                twins.append((at, at[first]))  # each block and the block whose result it takes
+                heads = list(seen.values())
+                at, blocks, rows = at[heads], blocks[heads], rows[heads]
+            del seen
+        decomposed += len(at)
         evals, evecs = np.linalg.eigh(blocks)
         pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
         if len(pure):
             top = np.zeros((len(pure), total), dtype=evecs.dtype)
             top[np.arange(len(pure))[:, np.newaxis], rows[pure]] = evecs[pure, :, -1]
-            pure_at.append(which[pure])
+            pure_at.append(at[pure])
             tops.append(top)
     if pure_at:
         pure_at = np.concatenate(pure_at)
         ranks[pure_at] = got = _cut_ranks(np.concatenate(tops), dims, tol.rank_rtol)
         codes[pure_at] = 2 + np.logical_or.reduce(got > 1, axis=-1)
-    return codes, ranks, np.concatenate(smaller)
+    for at, head in twins:
+        codes[at], ranks[at] = codes[head], ranks[head]
+    return codes, ranks, np.concatenate(smaller), decomposed
 
 
 def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: Sequence[int]) -> ProjectionOutcome:
@@ -341,7 +361,7 @@ def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: S
         return ProjectionOutcome(weight=0.0, state=None, classification="zero")
     if cls == "mixed":
         return ProjectionOutcome(weight=weight, state=state, classification="mixed")
-    return ProjectionOutcome(weight, state, cls, tuple(int(n) for n in signature))
+    return ProjectionOutcome(weight, state, cls, tuple(signature))
 
 
 def project(
@@ -382,9 +402,9 @@ def project(
     weights, live, states = _normalized_stack(out[np.newaxis])
     if not live[0]:
         return _outcome(0.0, None, 0, ())
-    codes, ranks, _ = _classify_stack([(states, np.arange(len(out))[np.newaxis])], subspace.dims, tol)
+    codes, ranks, _, _ = _classify_stack([(states, np.arange(len(out))[np.newaxis])], subspace.dims, tol)
     state = DensityMatrix._derived(subspace.subspace_shape(), states[0])
-    return _outcome(float(weights[0]), state, int(codes[0]), ranks[0])
+    return _outcome(float(weights[0]), state, int(codes[0]), ranks[0].tolist())
 
 
 def check_certificate(
@@ -516,6 +536,9 @@ class _SearchContext:
         self.change = kron_all(self.bases)
         self.local = dagger(self.change) @ self.rho.mat @ self.change
         self.subsets, self.members, self.sizes = _tables(self.shape.dims)
+        # columns[p][j]: party p's basis columns of its j-th subset, cut when
+        # first asked for; a party of dim d has 2^d - 1 subsets.
+        self.columns = [{} for _ in self.subsets]
 
     def group(self, sizes: Sequence[int]) -> np.ndarray:
         """The canonical positions, ascending, of the candidates whose subset
@@ -601,9 +624,25 @@ class _SearchContext:
             keep = keep & ~product
         return np.flatnonzero(keep), counts
 
-    def classify(self, positions: Sequence[int]) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
-        """Each candidate at ``positions``, in that order: its subspace cut
-        from the bases, and the outcome of the power on it.
+    def subspace(self, pick: Sequence[int]) -> LocalSubspace:
+        """The candidate with party ``p``'s ``pick[p]``-th subset, cut from
+        the bases.  Each party's columns of a subset are cut once per
+        search and shared, read-only, by every subspace that holds them."""
+        columns = []
+        for basis, subsets, cut, j in zip(self.bases, self.subsets, self.columns, pick):
+            vecs = cut.get(j)
+            if vecs is None:
+                vecs = cut[j] = _columns(basis, subsets[j])
+            columns.append(vecs)
+        return LocalSubspace._from_checked(self.shape.labels, columns, [s[j] for s, j in zip(self.subsets, pick)])
+
+    def classify(
+        self, positions: Sequence[int], keep: Collection[Classification]
+    ) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
+        """Each candidate at ``positions`` whose classification is in
+        ``keep``, in that order: its :meth:`subspace`, and the outcome of the
+        power on it.  Only those candidates get a subspace, an outcome and
+        a copy of their state.
 
         The positions are taken in order, in slices of consecutive ones.  A
         candidate counts the larger of its block's entries and the power's
@@ -621,22 +660,25 @@ class _SearchContext:
         to :func:`project`'s on the power; on rotated ones they agree to
         roundoff.  Every outcome owns a copy of its state, so none keeps a
         slice alive.  ``smaller_cores`` counts the nonzero blocks whose core
-        is strictly smaller than the block.
+        is strictly smaller than the block, and ``decomposed`` the distinct
+        cores the kernel decomposed, summed over the slices.
         """
         picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
         side = np.prod([s[pick] for s, pick in zip(self.sizes, picks)], axis=0, dtype=np.intp)
         cost = np.cumsum(np.maximum(side * side, self.shape.total_dim))
         ends = (np.flatnonzero(np.diff((cost - 1) // _SLICE_ENTRIES, append=-1)) + 1).tolist()
-        self.smaller_cores = 0
+        wanted = [_CLASSES.index(c) for c in keep]
+        self.smaller_cores = self.decomposed = 0
         for start, stop in zip([0] + ends, ends):
-            yield from self._classify_slice([pick[start:stop] for pick in picks], side[start:stop])
+            yield from self._classify_slice([pick[start:stop] for pick in picks], side[start:stop], wanted)
 
     def _classify_slice(
-        self, picks: Sequence[np.ndarray], side: np.ndarray
+        self, picks: Sequence[np.ndarray], side: np.ndarray, wanted: Sequence[int]
     ) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """:meth:`classify` on one slice: the candidates with subset numbers
-        ``picks`` (one array per party) and block sides ``side``.  The
-        slice's blocks go when the last outcome is yielded."""
+        ``picks`` (one array per party) and block sides ``side``, yielded
+        when their code is in ``wanted``.  The slice's blocks go when the
+        last outcome is yielded."""
         labels, dims, n = self.shape.labels, self.shape.dims, len(side)
         mask = np.ones((n, 1), dtype=bool)  # mask[i, x]: the i-th candidate holds flat index x
         for m, pick in zip(self.members, picks):
@@ -649,15 +691,23 @@ class _SearchContext:
             weights[at], kept, blocks = _normalized_stack(self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])
             stacks.append((blocks, rows[kept]))
             live.extend(at[kept].tolist())
-        codes[live], ranks[live], smaller = _classify_stack(stacks, dims, self.tol)
+        codes[live], ranks[live], smaller, decomposed = _classify_stack(stacks, dims, self.tol)
         self.smaller_cores += int(np.count_nonzero(smaller))
+        self.decomposed += decomposed
         states = dict(zip(live, (block for blocks, _ in stacks for block in blocks)))
-        for i, pick in enumerate(zip(*(p.tolist() for p in picks))):
-            subspace = LocalSubspace._from_checked(labels, self.bases, [s[j] for s, j in zip(self.subsets, pick)])
+        chosen = np.flatnonzero(np.isin(codes, wanted))
+        for i, pick, weight, code, signature in zip(
+            chosen.tolist(),
+            zip(*(p[chosen].tolist() for p in picks)),
+            weights[chosen].tolist(),
+            codes[chosen].tolist(),
+            ranks[chosen].tolist(),
+        ):
+            subspace = self.subspace(pick)
             state = states.get(i)
             if state is not None:
                 state = DensityMatrix._derived(_subspace_shape(labels, subspace.dims), state.copy())
-            yield subspace, _outcome(float(weights[i]), state, codes[i], ranks[i])
+            yield subspace, _outcome(weight, state, code, signature)
 
 
 def find_dss(
@@ -690,14 +740,16 @@ def find_dss(
     basis, formed once, and normalized with the others of its side in the
     slice; a certificate's weight and state are its block's.  The pure test
     and the signature run on the block's core, the block without the
-    indices whose rows are exactly zero: in a slice, each side of core
-    takes one ``eigh``, and the pure ones one cut-rank SVD call.  The
-    screen decides all candidates at once from the power's significant
-    eigenpairs, which come from one ``eigh`` of the single copy (the
-    products of its eigenvalues and the regrouped Kronecker products of its
-    eigenvectors), by kernel contractions in memory O(D^2 + candidates) for
-    side ``D``, with no eigensolver per candidate.  It drops candidates that are clearly
-    zero-weight or clearly mixed: weight at most a tenth of ``ZERO_WEIGHT``,
+    indices whose rows are exactly zero.  In a slice, each distinct core
+    takes one decomposition (cores equal in rows and bytes share it): the
+    distinct cores of each side take one ``eigh``, and the pure ones one
+    cut-rank SVD call.  The screen decides all candidates at once from the
+    power's significant eigenpairs, which come from one ``eigh`` of the
+    single copy (the products of its eigenvalues and the regrouped
+    Kronecker products of its eigenvectors), by kernel contractions in
+    memory O(D^2 + candidates) for side ``D``, with no eigensolver per
+    candidate.  It drops candidates that are clearly zero-weight or clearly
+    mixed: weight at most a tenth of ``ZERO_WEIGHT``,
     or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the projection ``P``
     above ``20 * purity_atol``, which puts the residual weight beyond the
     top eigenvalue above ``10 * purity_atol`` of the weight.  With
@@ -710,8 +762,10 @@ def find_dss(
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
     screened out as zero, mixed and product, those classified, those of
-    them classified on a strictly smaller core (``smaller_cores``) and the
-    certificates, and the seconds spent screening and classifying.
+    them classified on a strictly smaller core (``smaller_cores``), the
+    distinct cores decomposed (``decomposed``) and the certificates, and
+    the seconds spent screening and classifying.  Only the pure outcomes
+    of the kinds kept get a subspace cut from the bases.
     """
     ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
     if min_signature is not None:
@@ -725,21 +779,19 @@ def find_dss(
     else:
         positions, counts = range(ctx.count), _ScreenCounts()
     screened = time.perf_counter()
-    certificates = []
-    for subspace, outcome in ctx.classify(positions):
-        if outcome.classification == "pure-entangled" or (
-            not require_entangled and outcome.classification == "pure-product"
-        ):
-            if min_signature is None or all(
-                n >= m for n, m in zip(outcome.signature, min_signature)
-            ):
-                certificates.append(DssCertificate(subspace, outcome))
+    keep = ("pure-entangled",) if require_entangled else ("pure-product", "pure-entangled")
+    certificates = [
+        DssCertificate(subspace, outcome)
+        for subspace, outcome in ctx.classify(positions, keep)
+        if min_signature is None or all(n >= m for n, m in zip(outcome.signature, min_signature))
+    ]
     classified = time.perf_counter()
     _logger.debug(
         "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
-        "%d classified (%d on a smaller core), %d certificates; screen %.6f s, classify %.6f s",
+        "%d classified (%d on a smaller core, %d distinct cores decomposed), %d certificates; "
+        "screen %.6f s, classify %.6f s",
         ctx.count, counts.zero, counts.mixed, counts.product, len(positions), ctx.smaller_cores,
-        len(certificates), screened - start, classified - screened,
+        ctx.decomposed, len(certificates), screened - start, classified - screened,
         extra={
             "search_stats": {
                 "candidates": ctx.count,
@@ -748,6 +800,7 @@ def find_dss(
                 "screened_product": counts.product,
                 "classified": len(positions),
                 "smaller_cores": ctx.smaller_cores,
+                "decomposed": ctx.decomposed,
                 "certificates": len(certificates),
                 "screen_s": screened - start,
                 "classify_s": classified - screened,
@@ -798,8 +851,7 @@ def find_purifying_subspaces(
     else:
         measure_before = float(reference)
 
-    mixed = [(sub, outcome) for sub, outcome in ctx.classify(ctx.group((2, 2)))
-             if outcome.classification == "mixed"]
+    mixed = list(ctx.classify(ctx.group((2, 2)), ("mixed",)))
     if not mixed:
         return []
     # Every mixed outcome here is a two-qubit state: one stacked call.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -662,6 +663,54 @@ def test_json_golden_reports(capsys, tmp_path, monkeypatch, name, exit_code, arg
     with open(os.path.join(GOLDEN_DIR, "json", name), "r", encoding="utf-8") as fh:
         expected = fh.read()
     assert json_report_without_timing(json_path) == expected
+
+
+@pytest.mark.parametrize("name,exit_code,argv", JSON_GOLDENS, ids=[g[0] for g in JSON_GOLDENS])
+def test_raw_json_payload_is_the_standard_encoders(capsys, monkeypatch, name, exit_code, argv):
+    """The raw ``--json -`` bytes, timing included, are ``json.dumps(...,
+    indent=2)`` of the same report: the golden test above re-serializes its
+    file, so it cannot see a layout change."""
+    monkeypatch.chdir(os.path.join(GOLDEN_DIR, "json"))
+    reports, render = [], cli.render_report
+    monkeypatch.setattr(cli, "render_report", lambda report: reports.append(report) or render(report))
+    code, out, _ = run_cli(capsys, *argv, "--json", "-")
+    assert code == exit_code
+    (report,) = reports
+    text = render(report)
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    assert out == text + "\n" + json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_matches_the_standard_encoder_on_a_planted_tree():
+    tree = {
+        "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 1e16, np.float64(2.5)],
+        "text": ["é ☃ \U0001f600", "\x00\x1f\t\n\"\\/", ""],
+        "empty": {"dict": {}, "list": [], "nested": [[], {}, [[]], {"x": {}}]},
+        "tuples": (1, (2, (3,)), ()),
+        "bool vs int": [True, False, None, 1, 0, -7, 10**30],
+        "nested": {"a": {"b": {"c": [{"d": 1.5}]}}},
+        1: "int key",
+        2.5: "float key",
+        float("nan"): "nan key",
+        True: "bool key",
+        None: "none key",
+    }
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+    for scalar in ("x", 1, 1.0, -0.0, None, True, False, [], {}, ()):
+        assert cli._json_text(scalar) == json.dumps(scalar, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(1), np.bool_(True), {1, 2}, b"bytes", np.zeros(2), {"a": [object()]}, {(1, 2): "tuple key"}],
+    ids=["int64", "bool_", "set", "bytes", "ndarray", "nested object", "tuple key"],
+)
+def test_json_writer_refuses_what_the_standard_encoder_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])

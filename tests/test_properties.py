@@ -253,7 +253,7 @@ def test_batched_classification_equals_project(instance, require_entangled):
     state, bases, _ = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     kept = []
-    for (sub, got), indices in zip(ctx.classify(range(ctx.count)), iter_candidates(state.shape)):
+    for (sub, got), indices in zip(ctx.classify(range(ctx.count), subspaces._CLASSES), iter_candidates(state.shape)):
         assert sub.basis_indices == indices
         want = project(tensor_power(state, 1), sub)
         assert_outcomes_match(got, want, computational=bases is None)
@@ -277,7 +277,7 @@ def test_batched_classification_of_a_power_equals_project(rotated):
     power = tensor_power(rho, 2)
     ctx = _SearchContext(rho, 2, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     seen = set()
-    for sub, got in ctx.classify(range(ctx.count)):
+    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
         assert_outcomes_match(got, project(power, sub), computational=not rotated)
         assert reference_classification(power, sub, ctx.tol) == (got.classification, got.signature)
         seen.add(got.classification)
@@ -299,7 +299,7 @@ def test_batched_classification_of_a_rotated_power_equals_project(seed, rank):
     bases = {label: random_unitary(rng, 4) for label in "AB"}
     ctx = _SearchContext(rho, 2, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     seen = set()
-    for sub, got in ctx.classify(range(ctx.count)):
+    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
         assert_outcomes_match(got, project(rho, sub, copies=2), computational=False)
         seen.add(got.signature)
     if rank == 1:
@@ -331,6 +331,7 @@ def test_search_stats_logged(caplog):
         "screened_product": 955,
         "classified": 24,
         "smaller_cores": 23,
+        "decomposed": 1,
         "certificates": 24,
     }
 
@@ -343,6 +344,7 @@ def test_search_stats_logged(caplog):
         "screened_product": 64,
         "classified": 0,
         "smaller_cores": 0,
+        "decomposed": 0,
         "certificates": 0,
     }
 
@@ -396,7 +398,7 @@ def test_classification_on_cores_equals_the_full_block(instance):
     core."""
     state, bases = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
-    for sub, got in ctx.classify(range(ctx.count)):
+    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
         assert reference_classification(state, sub, ctx.tol) == (got.classification, got.signature)
     assert ctx.smaller_cores > 0
 
@@ -409,12 +411,12 @@ def test_padding_needs_a_whole_zero_row():
     c = 0.25
     block = np.zeros((1, 4, 4), dtype=np.complex128)
     block[0, 0, 0], block[0, 0, 3], block[0, 3, 0] = 1.0, c, c
-    codes, ranks, smaller = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
+    codes, ranks, smaller, _ = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-entangled"
     assert ranks.tolist() == [[2, 2]] and smaller.tolist() == [False]
     # With the row zeroed, index 1 is padding at both parties.
     block[0, 0, 3] = block[0, 3, 0] = 0.0
-    codes, ranks, smaller = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
+    codes, ranks, smaller, _ = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-product"
     assert ranks.tolist() == [[1, 1]] and smaller.tolist() == [True]
 

@@ -247,7 +247,7 @@ def test_iter_candidates_canonical_order():
     rho = random_density(np.random.default_rng(5), SystemShape.of(("A", 2), ("B", 3)))
     ctx = _SearchContext(rho, 1, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     oracle = list(iter_candidates(rho.shape))
-    assert [sub.basis_indices for sub, _ in ctx.classify(range(ctx.count))] == oracle
+    assert [sub.basis_indices for sub, _ in ctx.classify(range(ctx.count), subspaces._CLASSES)] == oracle
     pairs = ctx.group((2, 2))
     assert pairs.tolist() == [
         pos for pos, c in enumerate(oracle) if all(len(idx) == 2 for idx in c)
@@ -295,7 +295,7 @@ def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
     # or per group, and one cut-rank SVD per slice.
     ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     calls = count_solver_calls(monkeypatch)
-    outcomes = [outcome.classification for _, outcome in ctx.classify(range(ctx.count))]
+    outcomes = [outcome.classification for _, outcome in ctx.classify(range(ctx.count), subspaces._CLASSES)]
     assert len(outcomes) == 3375
     assert calls["eigvalsh"] == 0
     assert 0 < calls["eigh"] <= 64
@@ -322,6 +322,72 @@ def test_search_stacks_all_survivor_cores_in_one_eigensolver_call(monkeypatch):
     assert (calls["eigh"], calls["svd"]) == (2, 1)
 
 
+def test_classify_stack_decomposes_each_distinct_core_once(monkeypatch):
+    # Per-party dims (2, 4).  A pure block with no zero row sits at rows
+    # {0, 1} x {0, 1} (flat 0, 1, 4, 5), where it is entangled, and with the
+    # same bytes at {0} x {0, 1, 2, 3} (flat 0-3), where it is a product:
+    # the rows belong to the key.  It also comes twice more at {0, 1} x
+    # {0, 1}, once as the core of a side-8 block padded at party B, and
+    # once perturbed by 1 ulp.
+    dims = (2, 4)
+    psi = np.array([1.0, 1.0, 1.0, -1.0]) / 2
+    pure = np.outer(psi, psi).astype(np.complex128)
+    nudged = pure.copy()
+    nudged[0, 0] = np.nextafter(0.25, 1.0)
+    padded = np.zeros((8, 8), dtype=np.complex128)
+    padded[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])] = pure
+    mixed = np.eye(4, dtype=np.complex128) / 4
+    entangled, product = np.array([0, 1, 4, 5]), np.arange(4)
+    fours = [(pure, entangled), (pure, product), (pure, entangled), (nudged, entangled), (mixed, product),
+             (mixed, product)]
+    stacks = [
+        (np.stack([b for b, _ in fours]), np.stack([r for _, r in fours])),
+        (padded[np.newaxis], np.arange(8)[np.newaxis]),
+    ]
+    calls = count_solver_calls(monkeypatch)
+    codes, ranks, smaller, decomposed = subspaces._classify_stack(stacks, dims, DEFAULT_TOLERANCE)
+    # The pure block at two row sets, the nudged copy and the mixed block.
+    assert decomposed == 4 and calls["eigh"] == 1
+    assert smaller.tolist() == [False] * 6 + [True]
+    alone = [
+        subspaces._classify_stack([(block[np.newaxis], rows[np.newaxis])], dims, DEFAULT_TOLERANCE)
+        for blocks, rows_of in stacks for block, rows in zip(blocks, rows_of)
+    ]
+    assert codes.tolist() == [int(a[0][0]) for a in alone]
+    assert ranks.tolist() == [a[1][0].tolist() for a in alone]
+    assert [subspaces._CLASSES[c] for c in codes] == (
+        ["pure-entangled", "pure-product", "pure-entangled", "pure-entangled", "mixed", "mixed", "pure-entangled"]
+    )
+    assert ranks[1].tolist() == [1, 1] and ranks[0].tolist() == ranks[-1].tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("require_entangled", [True, False], ids=["entangled", "pure"])
+def test_search_cuts_a_subspace_for_each_certificate_only(monkeypatch, prune, require_entangled):
+    # Zero, mixed and unwanted pure outcomes get no subspace; every party's
+    # columns of a subset are cut once and shared, read-only.
+    made = []
+    cut = LocalSubspace._from_checked.__func__
+    monkeypatch.setattr(LocalSubspace, "_from_checked", classmethod(lambda cls, *a: made.append(a) or cut(cls, *a)))
+    certs = find_dss(three_qubit_example(0.5), copies=2, prune=prune, require_entangled=require_entangled)
+    assert len(made) == len(certs) == (24 if require_entangled else 979)
+    columns = {}
+    for cert in certs:
+        for (label, vecs), idx in zip(cert.subspace.parties, cert.subspace.basis_indices):
+            assert not vecs.flags.writeable
+            assert columns.setdefault((label, idx), vecs) is vecs
+
+
+def test_purifying_search_cuts_a_subspace_for_each_mixed_outcome_only(monkeypatch):
+    ctx = _SearchContext(werner(0.9), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
+    mixed = [got for _, got in ctx.classify(ctx.group((2, 2)), subspaces._CLASSES) if got.classification == "mixed"]
+    made = []
+    cut = LocalSubspace._from_checked.__func__
+    monkeypatch.setattr(LocalSubspace, "_from_checked", classmethod(lambda cls, *a: made.append(a) or cut(cls, *a)))
+    find_purifying_subspaces(werner(0.9), copies=2)
+    assert len(made) == len(mixed) > 0
+
+
 @pytest.mark.parametrize("rho", [three_qubit_example(0.5), werner(0.9)], ids=["example3q", "werner"])
 def test_classify_of_a_power_keeps_the_bytes_of_project(rho):
     # Every candidate of the power (3375 and 225) on computational bases: the
@@ -331,7 +397,7 @@ def test_classify_of_a_power_keeps_the_bytes_of_project(rho):
     ctx = _SearchContext(rho, 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     power = tensor_power(rho, 2)
     seen = set()
-    for sub, got in ctx.classify(range(ctx.count)):
+    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
         want = project(power, sub)
         assert (got.classification, got.signature) == (want.classification, want.signature)
         assert np.float64(got.weight).tobytes() == np.float64(want.weight).tobytes()
@@ -398,7 +464,7 @@ def test_classify_outcomes_do_not_depend_on_the_slice_bound(monkeypatch, rho, ba
                 np.float64(got.weight).tobytes(),
                 None if got.state is None else got.state.mat.tobytes(),
             )
-            for _, got in ctx.classify(range(ctx.count))
+            for _, got in ctx.classify(range(ctx.count), subspaces._CLASSES)
         ]
 
     default = outcomes(subspaces._SLICE_ENTRIES)

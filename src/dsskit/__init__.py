@@ -70,6 +70,8 @@ from .entanglement import (
 )
 from .subspaces import (
     DssCertificate,
+    DssRecord,
+    DssSearch,
     LocalSubspace,
     ProjectionOutcome,
     PurifyingSubspace,
@@ -83,6 +85,7 @@ from .subspaces import (
     power_rank,
     project,
     rank_bound,
+    search_dss,
 )
 from .protocols import (
     BranchTrace,

@@ -53,13 +53,12 @@ from .states import (
     werner,
 )
 from .subspaces import (
-    DssCertificate,
     Refusal,
     candidate_count,
     check_certificate,
-    find_dss,
     power_rank,
     rank_bound,
+    search_dss,
 )
 
 EXIT_OK = 0
@@ -383,9 +382,9 @@ def _preset_flags(args) -> dict[str, Any]:
     return {"p": args.p, "F": args.F, "lambda": args.lam}
 
 
-def _resolve_state(args) -> tuple[DensityMatrix, dict]:
-    """The state ``--state`` names; a preset parameter flag it does not read
-    is a usage error."""
+def _resolve_state(args, tol: Tolerance) -> tuple[DensityMatrix, dict]:
+    """The state ``--state`` names, a state file checked to ``tol``; a preset
+    parameter flag it does not read is a usage error."""
     name = args.state
     flags = _preset_flags(args)
     if name in PRESETS:
@@ -400,14 +399,14 @@ def _resolve_state(args) -> tuple[DensityMatrix, dict]:
         return builder(args), inputs
     if os.path.exists(name):
         _refuse_with("a state file", **flags)
-        rho = fileio.read_state(name)
+        rho = fileio.read_state(name, tol)
         return rho, _file_input(name)
     raise CliUsageError(f"--state {name!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
 
 
-def _single_state(args) -> tuple[DensityMatrix, dict]:
+def _single_state(args, tol: Tolerance) -> tuple[DensityMatrix, dict]:
     """Resolve the single-copy state and check --copies, recorded in the inputs."""
-    single, inputs = _resolve_state(args)
+    single, inputs = _resolve_state(args, tol)
     copies = _copies(args)
     if copies < 1:
         raise CliUsageError(f"--copies must be >= 1, got {copies}")
@@ -428,25 +427,27 @@ def _refuse_with(context: str, **flags) -> None:
             raise CliUsageError(f"--{flag} cannot be combined with {context}")
 
 
+def _indices_doc(labels, indices) -> dict:
+    return {"per_party_indices": {label: list(idx) for label, idx in zip(labels, indices)}}
+
+
 def _subspace_doc(cert_subspace) -> dict:
     if cert_subspace.basis_indices is not None:
-        return {
-            "per_party_indices": {
-                label: list(idx)
-                for label, idx in zip(cert_subspace.labels, cert_subspace.basis_indices)
-            }
-        }
+        return _indices_doc(cert_subspace.labels, cert_subspace.basis_indices)
     return {
         "per_party_dims": {label: v.shape[1] for label, v in cert_subspace.parties}
     }
 
 
-def _certificate_doc(cert: DssCertificate) -> dict:
+def _certificate_doc(subspace_doc: dict, outcome) -> dict:
+    """A certificate's fields: its subspace's, and the ``weight``,
+    ``classification`` and ``signature`` of ``outcome``, a
+    :class:`ProjectionOutcome` or a search's record."""
     return {
-        "subspace": _subspace_doc(cert.subspace),
-        "weight": cert.outcome.weight,
-        "classification": cert.outcome.classification,
-        "signature": list(cert.outcome.signature),
+        "subspace": subspace_doc,
+        "weight": outcome.weight,
+        "classification": outcome.classification,
+        "signature": list(outcome.signature),
     }
 
 
@@ -463,34 +464,36 @@ def _rank_bound_doc(rank: int, bound: int) -> dict:
 
 
 def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
-    single, inputs = _single_state(args)
+    single, inputs = _single_state(args, tol)
     shape = _power_shape(single, inputs["copies"])
     bases = None
     if args.bases:
         bases = fileio.load_bases(fileio.read_json(args.bases), shape)
         inputs["bases"] = _file_input(args.bases)
     count = candidate_count(shape)
-    certs = find_dss(
+    # Rendered from the search's records: a zero-padded certificate gets no
+    # state, subspace or outcome object.
+    records = search_dss(
         single,
         bases,
         copies=inputs["copies"],
         require_entangled=args.require_entangled,
         min_signature=args.min_signature,
         tol=tol,
-    )
+    ).records
     results: dict[str, Any] = {
         "search_space_dims": list(shape.dims),
         "candidates": count,
-        "certificates_found": len(certs),
+        "certificates_found": len(records),
     }
     docs = []
-    rank = power_rank(single, inputs["copies"], tol) if certs else None
+    rank = power_rank(single, inputs["copies"], tol) if records else None
     bounds = {}  # one rank bound per distinct signature
-    for cert in certs:
-        signature = cert.outcome.signature
+    for record in records:
+        signature = record.signature
         if signature not in bounds:
             bounds[signature] = rank_bound(single.shape, inputs["copies"], signature)
-        doc = _certificate_doc(cert)
+        doc = _certificate_doc(_indices_doc(shape.labels, record.indices), record)
         doc["rank_bound_check"] = _rank_bound_doc(rank, bounds[signature])
         docs.append(doc)
     if docs:
@@ -505,7 +508,7 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
 def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
     # The n-copy state is never built: the subspace compression and the
     # rank both come from the single copy.
-    single, inputs = _single_state(args)
+    single, inputs = _single_state(args, tol)
     subspace = fileio.read_subspace(args.subspace)
     inputs["subspace"] = _file_input(args.subspace)
     verdict = check_certificate(single, subspace, tol, copies=inputs["copies"])
@@ -517,7 +520,7 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
             "classification": verdict.outcome.classification,
         }
     else:
-        results = {"accepted": True, **_certificate_doc(verdict)}
+        results = {"accepted": True, **_certificate_doc(_subspace_doc(verdict.subspace), verdict.outcome)}
         rank = power_rank(single, inputs["copies"], tol)
         bound = rank_bound(single.shape, inputs["copies"], verdict.outcome.signature)
         results["rank_bound_check"] = _rank_bound_doc(rank, bound)
@@ -550,7 +553,7 @@ def _cmd_decompose(args, tol, warnings) -> tuple[Report, int]:
 
 
 def _cmd_entanglement(args, tol, warnings) -> tuple[Report, int]:
-    single, inputs = _single_state(args)
+    single, inputs = _single_state(args, tol)
     copies = inputs["copies"]
     # The power itself is never built: a pure power's top eigenvector is
     # the regrouped kron of the single copy's.
@@ -660,7 +663,7 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
         return Report("simulate werner-example", {"F": args.F}, results, warnings), EXIT_OK
     if not args.protocol or not args.state:
         raise CliUsageError("simulate needs a builtin name, or both --protocol and --state")
-    single, inputs = _single_state(args)
+    single, inputs = _single_state(args, tol)
     rho = tensor_power(single, inputs["copies"])
     steps = fileio.read_protocol(args.protocol)
     inputs["protocol"] = _file_input(args.protocol)
@@ -685,7 +688,7 @@ def _cmd_rankbound(args, tol, warnings) -> tuple[Report, int]:
     measured = None
     if args.state:
         _refuse_with("--state", dims=args.dims)
-        single, inputs = _single_state(args)
+        single, inputs = _single_state(args, tol)
         shape = single.shape
         measured = power_rank(single, inputs["copies"], tol)
     elif args.dims:

@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import InvariantViolation, SchemaError
-from .linalg import as_int
+from .linalg import DEFAULT_TOLERANCE, Tolerance, as_int
 from .localops import LocalFactor, ProductOperator
 from .protocols import (
     Conditional,
@@ -156,11 +156,12 @@ def save_state(rho: DensityMatrix) -> dict:
     return {"parties": shape_to_doc(rho.shape), "matrix": matrix_to_doc(rho.mat)}
 
 
-def load_state(doc) -> DensityMatrix:
+def load_state(doc, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+    """The state of ``doc``, checked by the public constructor to ``tol``."""
     shape = shape_from_doc(doc, "state")
     d = shape.total_dim
     mat = matrix_from_doc(_require(doc, "matrix", "state"), d, d, "state: matrix")
-    return DensityMatrix(shape, mat)
+    return DensityMatrix(shape, mat, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +365,8 @@ def write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def read_state(path: str) -> DensityMatrix:
-    return load_state(read_json(path))
+def read_state(path: str, tol: Tolerance = DEFAULT_TOLERANCE) -> DensityMatrix:
+    return load_state(read_json(path), tol)
 
 
 def write_state(path: str, rho: DensityMatrix) -> None:

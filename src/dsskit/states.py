@@ -13,7 +13,7 @@ single copy, its trace as tr(rho)**n, its spectrum as eigenvalue products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import prod, sqrt
 from typing import Iterable, Sequence
 
@@ -24,6 +24,7 @@ from .linalg import (
     MAX_SIDE,
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
+    Tolerance,
     above_rank_cutoff,
     as_int,
     as_matrix,
@@ -177,11 +178,12 @@ def _mixed(shape: SystemShape, terms: Iterable[tuple]) -> np.ndarray:
     return mat
 
 
-def _validated_stack(shape: SystemShape, mats: np.ndarray) -> np.ndarray:
+def _validated_stack(shape: SystemShape, mats: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The read-only Hermitian parts of a stack ``(batch, d, d)`` of
     matrices once each passes the density matrix checks: side,
-    hermiticity, unit trace, and positivity of the eigenvalues of the
-    Hermitian part, each check over the whole stack before the next.  The
+    hermiticity to ``tol.herm_atol``, unit trace, and positivity to
+    ``tol.psd_atol`` of the eigenvalues of the Hermitian part, each check
+    over the whole stack before the next.  The
     first matrix that fails a check names it, with its own deviation,
     trace or eigenvalue.  One stacked ``eigvalsh`` call serves the stack,
     and it decomposes each matrix on its own."""
@@ -192,22 +194,22 @@ def _validated_stack(shape: SystemShape, mats: np.ndarray) -> np.ndarray:
             f"matrix side {mats.shape[1:]} does not match shape total dim {d}",
         )
     deviations = np.abs(mats - np.conj(mats.swapaxes(-1, -2))).max(axis=(-2, -1))
-    if deviations.max() > DEFAULT_TOLERANCE.herm_atol:
-        first = np.extract(deviations > DEFAULT_TOLERANCE.herm_atol, deviations)[0]
+    if deviations.max() > tol.herm_atol:
+        first = np.extract(deviations > tol.herm_atol, deviations)[0]
         raise InvariantViolation(
             "hermitian", f"density matrix is not Hermitian (max deviation {float(first):.3e})"
         )
     mats = _hermitian_part(mats)
     _require_unit_trace(mats.trace(axis1=-2, axis2=-1).real)
-    _require_psd(np.linalg.eigvalsh(mats))
+    _require_psd(np.linalg.eigvalsh(mats), tol)
     mats.setflags(write=False)
     return mats
 
 
-def _validated(shape: SystemShape, mat: np.ndarray) -> np.ndarray:
+def _validated(shape: SystemShape, mat: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The read-only Hermitian part of ``mat`` once it passes the density
     matrix checks: :func:`_validated_stack` on a stack of one."""
-    return _validated_stack(shape, mat[np.newaxis])[0]
+    return _validated_stack(shape, mat[np.newaxis], tol)[0]
 
 
 def _require_unit_trace(traces) -> None:
@@ -218,12 +220,12 @@ def _require_unit_trace(traces) -> None:
         raise InvariantViolation("trace", f"trace must be 1, got {float(first)!r}")
 
 
-def _require_psd(spectra: np.ndarray) -> None:
+def _require_psd(spectra: np.ndarray, tol: Tolerance) -> None:
     """Raise for the first of ``spectra`` (one spectrum, or one per row of
-    a stack) with an eigenvalue below ``-psd_atol``."""
+    a stack) with an eigenvalue below ``-tol.psd_atol``."""
     lowest = spectra.min(axis=-1)
-    if lowest.min() < -DEFAULT_TOLERANCE.psd_atol:
-        first = np.extract(lowest < -DEFAULT_TOLERANCE.psd_atol, lowest)[0]
+    if lowest.min() < -tol.psd_atol:
+        first = np.extract(lowest < -tol.psd_atol, lowest)[0]
         raise InvariantViolation(
             "positive-semidefinite", f"density matrix has a negative eigenvalue {float(first):.3e}"
         )
@@ -232,13 +234,16 @@ def _require_psd(spectra: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, positive-semidefinite, unit-trace matrix over a shape; built
-    directly, it is checked (see the module docstring).  No provenance."""
+    directly, it is checked (see the module docstring) to ``tol``, by
+    default ``DEFAULT_TOLERANCE``; ``tol`` is not stored.  No provenance."""
 
     shape: SystemShape
     mat: np.ndarray
+    tol: InitVar[Tolerance | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _validated(self.shape, as_matrix(self.mat)))
+    def __post_init__(self, tol: Tolerance | None):
+        tol = DEFAULT_TOLERANCE if tol is None else tol
+        object.__setattr__(self, "mat", _validated(self.shape, as_matrix(self.mat), tol))
 
     @classmethod
     def _derived(cls, shape: SystemShape, mat: np.ndarray) -> "DensityMatrix":
@@ -407,7 +412,7 @@ def _power_checks(rho: DensityMatrix, n: int) -> int:
     """
     n = _checked_copies(rho, n)
     _require_unit_trace(float(np.real(np.trace(rho.mat))) ** n)
-    _require_psd(_power_spectrum(rho, n))
+    _require_psd(_power_spectrum(rho, n), DEFAULT_TOLERANCE)
     return n
 
 
@@ -661,4 +666,4 @@ def _filter_example_stack(lams: np.ndarray) -> np.ndarray:
     checked by :func:`_validated_stack`, as the single state is built and
     checked, entry by entry."""
     shape = SystemShape.qubits("AB")
-    return _validated_stack(shape, _mixed(shape, _filter_terms(lams)))
+    return _validated_stack(shape, _mixed(shape, _filter_terms(lams)), DEFAULT_TOLERANCE)

@@ -17,7 +17,10 @@ rotated bases.
 Both searches run one pipeline over canonical candidate positions: a
 source of positions, an optional screen, and the classification of the
 remaining candidates by the kernel :func:`project` runs, on the cores of
-their blocks stacked by side.  Only their keep tests differ.
+their blocks stacked by side.  Only their keep tests differ.  The screened
+DSS search is core first: it classifies one block per distinct core of
+the survivors, and a survivor padded with zero rows takes its core's
+classification (:func:`search_dss`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import logging
 import time
 from dataclasses import dataclass
 from math import prod
-from typing import Collection, Iterator, Literal, Mapping, Sequence
+from typing import Collection, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -255,6 +258,33 @@ def _columns(basis: np.ndarray, idx: Sequence[int]) -> np.ndarray:
     return _read_only(basis[:, list(idx)])
 
 
+@functools.lru_cache(maxsize=64)
+def _party_digits(dims: tuple[int, ...]) -> np.ndarray:
+    """``(prod(dims), sum(dims))``, read-only: row ``x`` is 1.0 at each
+    party's index of flat index ``x``, the parties' columns in order."""
+    total, digits = prod(dims), np.unravel_index(np.arange(prod(dims)), dims)
+    out = np.zeros((total, sum(dims)))
+    for offset, digit in zip(itertools.accumulate(dims, initial=0), digits):
+        out[np.arange(total), offset + digit] = 1.0
+    return _read_only(out)
+
+
+def _held(live: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The padding rule, on ``live`` ``(n, prod(dims))``: block ``i``'s
+    nonzero rows at their flat indices in per-party dims ``dims``.  Returns
+    ``(n, sum(dims))``, each party's indices in order: those some nonzero
+    row of the block holds.  Each other index of the block is padding:
+    every row that holds it is zero."""
+    return live @ _party_digits(dims) > 0
+
+
+def _product(held: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """``(n, prod(dims))`` from ``(n, sum(dims))`` per-party index masks, as
+    :func:`_held` gives them: flat index ``x`` is set in row ``i`` when
+    every party's index of ``x`` is."""
+    return held @ _party_digits(dims).T == len(dims)
+
+
 def _classify_stack(
     stacks: Sequence[tuple[np.ndarray, np.ndarray]], dims: tuple[int, ...], tol: Tolerance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -276,7 +306,7 @@ def _classify_stack(
     only zero rows and columns, so the core has the block's spectrum but
     for zeros, and its top eigenvector is the block's without the zero
     entries; a block with no zero row is its own core.  The padding of all
-    blocks is found at once, at their rows' flat indices.
+    blocks is found at once by :func:`_held`, at their rows' flat indices.
 
     Each distinct core takes one decomposition.  Cores with the same rows
     and the same bytes are decomposed once and share the result, which is
@@ -295,17 +325,19 @@ def _classify_stack(
     count, total = firsts[-1], prod(dims)
     keeps = [states.any(axis=-1) for states, _ in stacks]  # rows not exactly zero
     if not all(keep.all() for keep in keeps):
-        # Party p's index is kept when a nonzero row holds it, and a block
-        # keeps the rows whose every index is kept: the product of the kept
-        # indices, taken over all blocks at once at the rows' flat indices.
-        held = np.zeros((count, total), dtype=bool)
-        for (_, rows), keep, first in zip(stacks, keeps, firsts):
-            held[first + np.arange(len(rows))[:, np.newaxis], rows] = keep
-        shaped, used = held.reshape((count,) + tuple(dims)), np.ones((count,) + (1,) * len(dims), dtype=bool)
-        for p in range(len(dims)):
-            used = used & shaped.any(axis=tuple(q + 1 for q in range(len(dims)) if q != p), keepdims=True)
-        held = used.reshape(count, total)
-        keeps = [held[first + np.arange(len(rows))[:, np.newaxis], rows] for (_, rows), first in zip(stacks, firsts)]
+        # A block keeps the rows whose every index some nonzero row holds
+        # (:func:`_held`), found on the grid of all prod(dims) flat indices.
+        # Blocks of total rows are that grid already (their rows are
+        # range(total)); the others are scattered onto it and gathered back.
+        if all(rows.shape[1] == total for _, rows in stacks):
+            held = _product(_held(np.concatenate(keeps), dims), dims)
+            keeps = [held[first:last] for first, last in zip(firsts, firsts[1:])]
+        else:
+            live = np.zeros((count, total), dtype=bool)
+            for (_, rows), keep, first in zip(stacks, keeps, firsts):
+                live[first + np.arange(len(rows))[:, np.newaxis], rows] = keep
+            held = _product(_held(live, dims), dims)
+            keeps = [held[first + np.arange(len(rows))[:, np.newaxis], rows] for (_, rows), first in zip(stacks, firsts)]
     cores = {}  # core side -> [(block numbers, cores, their rows)]
     smaller = []
     for (states, rows), keep, first in zip(stacks, keeps, firsts):
@@ -505,6 +537,24 @@ def _contract(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     return tensor
 
 
+def _diagonal_sums(diagonal: np.ndarray, mask: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """The real part of the complex sum of ``diagonal`` over each row of
+    ``mask`` ``(n, D)``, whose ``side[i]`` set entries are read in
+    ascending order: bit-equal to the trace of the block of those rows
+    (:func:`~dsskit.states._normalized_stack`'s weight), as it is the same
+    reduction over the same entries in the same order.  The rows are taken
+    by side, so that each side's sums are one reduction over a contiguous
+    run of entries."""
+    order = np.argsort(side, kind="stable")
+    entries, sums, first = diagonal[np.nonzero(mask[order])[1]], [], 0
+    for k, n in zip(*(a.tolist() for a in np.unique(side, return_counts=True))):
+        sums.append(entries[first:first + n * k].reshape(n, k).sum(axis=-1))
+        first += n * k
+    out = np.empty(len(side))
+    out[order] = np.concatenate(sums).real
+    return out
+
+
 class _SearchContext:
     """One search over ``rho^(x copies)``: the cap check on the power's
     shape, the power, the resolved bases, the power in the search basis
@@ -536,8 +586,8 @@ class _SearchContext:
         self.change = kron_all(self.bases)
         self.local = dagger(self.change) @ self.rho.mat @ self.change
         self.subsets, self.members, self.sizes = _tables(self.shape.dims)
-        # columns[p][j]: party p's basis columns of its j-th subset, cut when
-        # first asked for; a party of dim d has 2^d - 1 subsets.
+        # columns[p][idx]: party p's basis columns of its subset idx, cut
+        # when first asked for; a party of dim d has 2^d - 1 subsets.
         self.columns = [{} for _ in self.subsets]
 
     def group(self, sizes: Sequence[int]) -> np.ndarray:
@@ -624,90 +674,321 @@ class _SearchContext:
             keep = keep & ~product
         return np.flatnonzero(keep), counts
 
-    def subspace(self, pick: Sequence[int]) -> LocalSubspace:
-        """The candidate with party ``p``'s ``pick[p]``-th subset, cut from
-        the bases.  Each party's columns of a subset are cut once per
-        search and shared, read-only, by every subspace that holds them."""
+    def subspace(self, indices: Sequence[tuple[int, ...]]) -> LocalSubspace:
+        """The candidate with party ``p``'s subset ``indices[p]`` of its
+        basis, cut from the bases.  Each party's columns of a subset are cut
+        once per search and shared, read-only, by every subspace that holds
+        them."""
         columns = []
-        for basis, subsets, cut, j in zip(self.bases, self.subsets, self.columns, pick):
-            vecs = cut.get(j)
+        for basis, cut, idx in zip(self.bases, self.columns, indices):
+            vecs = cut.get(idx)
             if vecs is None:
-                vecs = cut[j] = _columns(basis, subsets[j])
+                vecs = cut[idx] = _columns(basis, idx)
             columns.append(vecs)
-        return LocalSubspace._from_checked(self.shape.labels, columns, [s[j] for s, j in zip(self.subsets, pick)])
+        return LocalSubspace._from_checked(self.shape.labels, columns, indices)
 
     def classify(
         self, positions: Sequence[int], keep: Collection[Classification]
     ) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
         """Each candidate at ``positions`` whose classification is in
         ``keep``, in that order: its :meth:`subspace`, and the outcome of the
-        power on it.  Only those candidates get a subspace, an outcome and
-        a copy of their state.
+        power on it (:meth:`_classified`)."""
+        for _, indices, outcome in self._classified(positions, keep):
+            yield self.subspace(indices), outcome
 
-        The positions are taken in order, in slices of consecutive ones.  A
-        candidate counts the larger of its block's entries and the power's
-        side ``D``, the length of its row mask and its top vector; a slice
-        holds about ``_SLICE_ENTRIES`` of them, or one candidate.  A
-        candidate's rows are the flat indices of its basis states,
-        ascending, read off the outer product of its per-party ``members``
-        rows: the order of :meth:`LocalSubspace.compression`'s columns.  In
-        a slice, each block side's blocks are read out of ``local`` by one
-        index, with no product or matrix multiply per candidate, and
-        normalized by one :func:`~dsskit.states._normalized_stack` call;
-        one :func:`_classify_stack` call, the kernel of :func:`project`,
-        classifies the slice, and its outcomes are yielded.  On
-        computational bases the blocks, and so the outcomes, are bit-equal
-        to :func:`project`'s on the power; on rotated ones they agree to
-        roundoff.  Every outcome owns a copy of its state, so none keeps a
-        slice alive.  ``smaller_cores`` counts the nonzero blocks whose core
-        is strictly smaller than the block, and ``decomposed`` the distinct
-        cores the kernel decomposed, summed over the slices.
+    def _classified(
+        self, positions: Sequence[int], keep: Collection[Classification]
+    ) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], ProjectionOutcome]]:
+        """Each candidate at ``positions`` whose classification is in
+        ``keep``, in that order: its index in ``positions``, its subset of
+        each party's basis and the outcome of the power on it, classified
+        from its own block.  Only those candidates get an outcome and a copy of their
+        state.
+
+        In each slice (:meth:`_slices`), the blocks are read by
+        :meth:`_read` and one :func:`_classify_stack` call, the kernel of
+        :func:`project`, classifies them.  On computational bases the
+        blocks, and so the outcomes, are bit-equal to :func:`project`'s on
+        the power; on rotated ones they agree to roundoff.  Every outcome
+        owns a copy of its state, so none keeps a slice alive.
+        ``smaller_cores`` counts the nonzero blocks whose core is strictly
+        smaller than the block, and ``decomposed`` the distinct cores the
+        kernel decomposed, summed over the slices.
         """
+        dims = self.shape.dims
+        wanted = np.array([c in keep for c in _CLASSES])
+        self.smaller_cores = self.decomposed = done = 0
+        for picks, side in self._slices(positions):
+            n = len(side)
+            weights, stacks = self._read(picks, side)
+            codes, ranks = np.zeros(n, dtype=np.int8), np.zeros((n, len(dims)), dtype=np.intp)
+            live = np.concatenate([at for at, _, _ in stacks])
+            codes[live], ranks[live], smaller, decomposed = _classify_stack(
+                [(blocks, rows) for _, blocks, rows in stacks], dims, self.tol
+            )
+            self.smaller_cores += int(np.count_nonzero(smaller))
+            self.decomposed += decomposed
+            states = dict(zip(live.tolist(), (block for _, blocks, _ in stacks for block in blocks)))
+            chosen = np.flatnonzero(wanted[codes])
+            for i, indices, weight, code, signature in zip(
+                chosen.tolist(),
+                self._indices([p[chosen] for p in picks]),
+                weights[chosen].tolist(),
+                codes[chosen].tolist(),
+                ranks[chosen].tolist(),
+            ):
+                state = states.get(i)
+                if state is not None:
+                    state = DensityMatrix._derived(self._state_shape(indices), state.copy())
+                yield done + i, indices, _outcome(weight, state, code, signature)
+            done += n
+
+    def _state_shape(self, indices: Sequence[tuple[int, ...]]) -> SystemShape:
+        """The shape of the states of the candidate with per-party subsets ``indices``."""
+        return _subspace_shape(self.shape.labels, tuple(map(len, indices)))
+
+    def _indices(self, picks: Sequence[np.ndarray]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Each candidate's subset of each party's basis, from its subset
+        numbers ``picks`` (one array per party)."""
+        return zip(*([s[j] for j in pick.tolist()] for s, pick in zip(self.subsets, picks)))
+
+    def _slices(self, positions: Sequence[int]) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+        """The candidates at ``positions`` in slices of consecutive ones:
+        per slice, their subset numbers (one array per party) and block
+        sides.  A candidate counts the larger of its block's entries and the
+        power's side ``D``, the length of its row mask and its top vector; a
+        slice holds about ``_SLICE_ENTRIES`` of them, or one candidate."""
         picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
         side = np.prod([s[pick] for s, pick in zip(self.sizes, picks)], axis=0, dtype=np.intp)
         cost = np.cumsum(np.maximum(side * side, self.shape.total_dim))
         ends = (np.flatnonzero(np.diff((cost - 1) // _SLICE_ENTRIES, append=-1)) + 1).tolist()
-        wanted = [_CLASSES.index(c) for c in keep]
-        self.smaller_cores = self.decomposed = 0
         for start, stop in zip([0] + ends, ends):
-            yield from self._classify_slice([pick[start:stop] for pick in picks], side[start:stop], wanted)
+            yield [pick[start:stop] for pick in picks], side[start:stop]
 
-    def _classify_slice(
-        self, picks: Sequence[np.ndarray], side: np.ndarray, wanted: Sequence[int]
-    ) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
-        """:meth:`classify` on one slice: the candidates with subset numbers
-        ``picks`` (one array per party) and block sides ``side``, yielded
-        when their code is in ``wanted``.  The slice's blocks go when the
-        last outcome is yielded."""
-        labels, dims, n = self.shape.labels, self.shape.dims, len(side)
-        mask = np.ones((n, 1), dtype=bool)  # mask[i, x]: the i-th candidate holds flat index x
-        for m, pick in zip(self.members, picks):
-            mask = (mask[:, :, np.newaxis] & (m[pick, np.newaxis, :] > 0)).reshape(n, -1)
-        weights, codes, ranks = np.zeros(n), np.zeros(n, dtype=np.int8), np.zeros((n, len(dims)), dtype=np.intp)
-        stacks, live = [], []
+    def _rows(self, picks: Sequence[np.ndarray]) -> np.ndarray:
+        """``mask[i, x]``: the ``i``-th candidate holds flat index ``x``, the
+        outer product of its per-party ``members`` rows.  Its rows, read in
+        ascending order, are the order of :meth:`LocalSubspace.compression`'s
+        columns."""
+        return _product(np.concatenate([m[pick] for m, pick in zip(self.members, picks)], axis=1), self.shape.dims)
+
+    def _read(
+        self, picks: Sequence[np.ndarray], side: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """The blocks of the candidates with subset numbers ``picks`` and
+        block sides ``side``: their weights and, per block side, the
+        candidates of nonzero weight, their normalized blocks and their
+        rows.  Each side's blocks are read out of ``local`` by one index,
+        with no product or matrix multiply per candidate, and normalized by
+        one :func:`~dsskit.states._normalized_stack` call."""
+        mask = self._rows(picks)
+        weights, stacks = np.zeros(len(side)), []
         for k in np.unique(side).tolist():
             at = np.flatnonzero(side == k)
             rows = np.nonzero(mask[at])[1].reshape(-1, k)
             weights[at], kept, blocks = _normalized_stack(self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])
-            stacks.append((blocks, rows[kept]))
-            live.extend(at[kept].tolist())
-        codes[live], ranks[live], smaller, decomposed = _classify_stack(stacks, dims, self.tol)
-        self.smaller_cores += int(np.count_nonzero(smaller))
-        self.decomposed += decomposed
-        states = dict(zip(live, (block for blocks, _ in stacks for block in blocks)))
-        chosen = np.flatnonzero(np.isin(codes, wanted))
-        for i, pick, weight, code, signature in zip(
-            chosen.tolist(),
-            zip(*(p[chosen].tolist() for p in picks)),
-            weights[chosen].tolist(),
-            codes[chosen].tolist(),
-            ranks[chosen].tolist(),
-        ):
-            subspace = self.subspace(pick)
-            state = states.get(i)
-            if state is not None:
-                state = DensityMatrix._derived(_subspace_shape(labels, subspace.dims), state.copy())
-            yield subspace, _outcome(weight, state, code, signature)
+            stacks.append((at[kept], blocks, rows[kept]))
+        return weights, stacks
+
+    def states(self, positions: Sequence[int]) -> Iterator[DensityMatrix]:
+        """The state of the power on each candidate at ``positions``, all of
+        nonzero weight, in order: its own block, normalized, as
+        :meth:`_classified` gives it."""
+        for picks, side in self._slices(positions):
+            _, stacks = self._read(picks, side)
+            states = dict(zip(
+                np.concatenate([at for at, _, _ in stacks]).tolist(),
+                (block for _, blocks, _ in stacks for block in blocks),
+            ))
+            for i, indices in enumerate(self._indices(picks)):
+                yield DensityMatrix._derived(self._state_shape(indices), states[i].copy())
+
+    def cores(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate's core position and weight, read off ``local``
+        without reading a block.
+
+        Party ``p``'s index ``a`` is padding for a candidate when every
+        row of ``local`` within the candidate whose party-``p`` index is
+        ``a`` is exactly zero, and so is its column: the rule of
+        :func:`_classify_stack` on the candidate's own block.  Removing every
+        padding index at once gives the core; as only zero rows and columns
+        go, the core has the candidate's classification and signature.  A
+        row is nonzero within the candidate when some basis state of the
+        candidate touches it: a nonzero entry of ``local`` in its row or its
+        column.  That is one product of the candidates' row masks with the
+        0/1 pattern of those entries.  When no diagonal entry of ``local``
+        is zero, every row is nonzero and each candidate is its own core.
+
+        The weight is the complex sum of ``local``'s diagonal over the
+        candidate's rows (:func:`_diagonal_sums`), bit-equal to its block's
+        weight.  A candidate of weight 0 has no nonzero row and no core; its
+        core position is not meaningful.
+        """
+        dims, counts = self.shape.dims, [len(s) for s in self.subsets]
+        diagonal = np.diagonal(self.local)
+        padding = not diagonal.all()
+        if padding:
+            nonzero = self.local != 0
+            touching = (nonzero | nonzero.T).astype(np.float32)
+            # A core position is sum_p (bitmask_p - 1) * stride_p over the
+            # bitmasks of the indices each party holds.
+            strides = [prod(counts[p + 1:]) for p in range(len(counts))]
+            place = np.array([(1 << a) * stride for d, stride in zip(dims, strides) for a in range(d)])
+        core_at, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+        for picks, side in self._slices(positions):
+            mask = self._rows(picks)
+            weights.append(_diagonal_sums(diagonal, mask, side))
+            if padding:
+                live = mask & (mask.astype(np.float32) @ touching > 0)
+                core_at.append(_held(live, dims) @ place - sum(strides))
+            else:
+                core_at.append(np.ravel_multi_index(picks, counts))
+        return np.concatenate(core_at), np.concatenate(weights)
+
+
+class DssRecord(NamedTuple):
+    """One certificate of a search, without its state: the subset of each
+    party's basis (``basis_indices``), the weight, the classification, the
+    signature, and the index of its core in :attr:`DssSearch.cores`."""
+
+    indices: tuple[tuple[int, ...], ...]
+    weight: float
+    classification: Classification
+    signature: tuple[int, ...]
+    core: int
+
+
+class DssSearch(NamedTuple):
+    """What :func:`search_dss` found.
+
+    ``records`` lists the certificates in canonical order, without states.
+    ``cores`` holds the distinct cores of those certificates, each a
+    certificate with its state, in canonical order.  A record whose
+    indices are not its core's is a zero-padded copy of it.  ``stats``
+    holds the search counts and seconds of the DEBUG record, ``padded``
+    (the records that are not their own core) among them.
+    """
+
+    records: tuple[DssRecord, ...]
+    cores: tuple[DssCertificate, ...]
+    stats: Mapping[str, float]
+
+
+def _search(
+    ctx: _SearchContext,
+    require_entangled: bool,
+    min_signature: Sequence[int] | None,
+    prune: bool,
+) -> tuple[DssSearch, list[int], dict[int, DssCertificate]]:
+    """The search behind :func:`search_dss` and :func:`find_dss`: the
+    :class:`DssSearch`, the positions of its records, and the certificates
+    built on the way, keyed on position: the cores' and, unpruned, every
+    record's."""
+    if min_signature is not None:
+        min_signature = tuple(as_int(m, "min_signature") for m in min_signature)
+        if len(min_signature) != len(ctx.single.shape.parties):
+            raise InvariantViolation("min_signature", "one entry per party required")
+    keep = ("pure-entangled",) if require_entangled else ("pure-product", "pure-entangled")
+
+    def certificates(positions: np.ndarray) -> dict[int, DssCertificate]:
+        return {
+            int(positions[i]): DssCertificate(ctx.subspace(indices), outcome)
+            for i, indices, outcome in ctx._classified(positions, keep)
+            if min_signature is None or all(n >= m for n, m in zip(outcome.signature, min_signature))
+        }
+
+    start = time.perf_counter()
+    if prune:
+        positions, counts = ctx.screen(require_entangled)
+    else:
+        positions, counts = np.arange(ctx.count), _ScreenCounts()
+    screened = time.perf_counter()
+    if prune:
+        # Core first: each survivor takes the classification of its core,
+        # and only the distinct cores are read.
+        core_at, weights = ctx.cores(positions)
+        live = np.flatnonzero(weights > ZERO_WEIGHT)
+        distinct, back = np.unique(core_at[live], return_inverse=True)
+        found = certificates(distinct)
+        chosen = live[np.array([c in found for c in distinct.tolist()], dtype=bool)[back]]
+        smaller = int(np.count_nonzero(core_at[live] != positions[live]))
+        at, core_at, weights = positions[chosen], core_at[chosen], weights[chosen]
+    else:
+        # The flat oracle: every candidate is classified from its own block.
+        found = certificates(positions)
+        at = np.fromiter(found, dtype=np.intp, count=len(found))
+        core_at, weights = ctx.cores(at)
+        # A core the rounding of its own weight put across a threshold is
+        # not a certificate here; its padded copy stands as its own core.
+        core_at = np.where(np.isin(core_at, at), core_at, at)
+        smaller = ctx.smaller_cores
+    cores = sorted(set(core_at.tolist()))
+    number = {c: i for i, c in enumerate(cores)}
+    indices = ctx._indices(np.unravel_index(at, [len(s) for s in ctx.subsets]))
+    at, core_at = at.tolist(), core_at.tolist()
+    records = []
+    for p, c, weight, subsets in zip(at, core_at, weights.tolist(), indices):
+        outcome = found.get(p, found[c]).outcome
+        records.append(DssRecord(subsets, weight, outcome.classification, outcome.signature, number[c]))
+    classified = time.perf_counter()
+    stats = {
+        "candidates": ctx.count,
+        "screened_zero": counts.zero,
+        "screened_mixed": counts.mixed,
+        "screened_product": counts.product,
+        "classified": len(positions),
+        "smaller_cores": smaller,
+        "decomposed": ctx.decomposed,
+        "certificates": len(records),
+        "padded": sum(p != c for p, c in zip(at, core_at)),
+        "screen_s": screened - start,
+        "classify_s": classified - screened,
+    }
+    _logger.debug(
+        "search_dss: %(candidates)d candidates, screened out %(screened_zero)d zero, %(screened_mixed)d mixed, "
+        "%(screened_product)d product; %(classified)d classified (%(smaller_cores)d on a smaller core, "
+        "%(decomposed)d distinct cores decomposed), %(certificates)d certificates (%(padded)d padded); "
+        "screen %(screen_s).6f s, classify %(classify_s).6f s",
+        stats,
+        extra={"search_stats": stats},
+    )
+    return DssSearch(tuple(records), tuple(found[c] for c in cores), stats), at, found
+
+
+def search_dss(
+    rho: DensityMatrix,
+    bases: Mapping[str, np.ndarray] | None = None,
+    *,
+    copies: int = 1,
+    require_entangled: bool = True,
+    min_signature: Sequence[int] | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    prune: bool = True,
+    candidate_cap: int = CANDIDATE_CAP,
+) -> DssSearch:
+    """The search of :func:`find_dss`, with the same parameters, as a
+    :class:`DssSearch`: a record of each certificate, without its state,
+    and the distinct cores with theirs.
+
+    With ``prune`` (the default) the search is core first.  After the
+    screen, each survivor's core is read off the zero pattern of the power
+    in the search basis, without reading its block
+    (:meth:`_SearchContext.cores`): the survivor without its padding
+    indices, those whose rows and columns within the survivor are all
+    exactly zero.  One block per distinct core is read and classified by
+    the kernel of :func:`project`; a core has no padding, so the kernel
+    drops nothing.  Each survivor takes its core's classification and
+    signature, which zero padding leaves unchanged, and its own weight, the
+    sum of the power's diagonal over its rows (bit-equal to its block's
+    trace).  A padded survivor is thus classified from its core normalized
+    by the core's weight, where its own block is normalized by its own
+    weight; the two weights differ at most in the last bit.  On
+    example3q(0.5)^⊗2 the 24 certificates have one core: one block is
+    read, and 23 records are padded.  With ``prune=False`` every candidate
+    is classified from its own block, the flat oracle, and each record's
+    core is found by the same zero pattern.
+    """
+    return _search(_SearchContext(rho, copies, bases, tol, candidate_cap), require_entangled, min_signature, prune)[0]
 
 
 def find_dss(
@@ -731,83 +1012,54 @@ def find_dss(
     parties, of local dimension ``d_p^n``; the cap is checked on its shape
     before :func:`~dsskit.states.tensor_power` builds it.
 
+    This is :func:`search_dss`'s run, materialized: each record becomes a
+    certificate whose state is read from its own block, so a padded
+    certificate's weight and state are its block's, as a core's are.
+
     The search takes every candidate position, screens them, and classifies
     what is left by the kernel of :func:`project`, which re-verifies every
     returned certificate against the full state and supplies its weight and
-    signature.  The survivors are taken in position order, in slices of
-    about ``_SLICE_ENTRIES`` entries (one slice on most screened searches).
-    Each survivor's block is read by index out of the power in the search
-    basis, formed once, and normalized with the others of its side in the
-    slice; a certificate's weight and state are its block's.  The pure test
-    and the signature run on the block's core, the block without the
-    indices whose rows are exactly zero.  In a slice, each distinct core
-    takes one decomposition (cores equal in rows and bytes share it): the
-    distinct cores of each side take one ``eigh``, and the pure ones one
-    cut-rank SVD call.  The screen decides all candidates at once from the
-    power's significant eigenpairs, which come from one ``eigh`` of the
-    single copy (the products of its eigenvalues and the regrouped
-    Kronecker products of its eigenvectors), by kernel contractions in
-    memory O(D^2 + candidates) for side ``D``, with no eigensolver per
-    candidate.  It drops candidates that are clearly zero-weight or clearly
-    mixed: weight at most a tenth of ``ZERO_WEIGHT``,
-    or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the projection ``P``
-    above ``20 * purity_atol``, which puts the residual weight beyond the
-    top eigenvalue above ``10 * purity_atol`` of the weight.  With
-    ``require_entangled`` it also drops candidates whose top eigenvector is
-    clearly product: at every party cut a bound on its second squared
-    Schmidt coefficient, from the reduced purities and the deficit, is at
-    most ``0.1 * rank_rtol``.  Both margins are ten times the thresholds of
-    :func:`project`, so pruned and unpruned searches return identical
-    results.  ``prune=False`` runs no screen.
+    signature; pruned, it classifies the distinct cores of the survivors
+    (:func:`search_dss`).  Blocks are taken in position order, in slices of
+    about ``_SLICE_ENTRIES`` entries, read by index out of the power in the
+    search basis, formed once, and normalized with the others of their side
+    in the slice.  In a slice, each distinct core takes one decomposition
+    (cores equal in rows and bytes share it).  The screen decides all
+    candidates at once from the power's significant eigenpairs, which come
+    from one ``eigh`` of the single copy (the products of its eigenvalues
+    and the regrouped Kronecker products of its eigenvectors), by kernel
+    contractions in memory O(D^2 + candidates) for side ``D``, with no
+    eigensolver per candidate.  It drops candidates that are clearly
+    zero-weight or clearly mixed: weight at most a tenth of
+    ``ZERO_WEIGHT``, or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the
+    projection ``P`` above ``20 * purity_atol``, which puts the residual
+    weight beyond the top eigenvalue above ``10 * purity_atol`` of the
+    weight.  With ``require_entangled`` it also drops candidates whose top
+    eigenvector is clearly product: at every party cut a bound on its
+    second squared Schmidt coefficient, from the reduced purities and the
+    deficit, is at most ``0.1 * rank_rtol``.  Both margins are ten times
+    the thresholds of :func:`project`, so pruned and unpruned searches
+    return identical results.  ``prune=False`` runs no screen and
+    classifies every candidate from its own block.
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
     screened out as zero, mixed and product, those classified, those of
     them classified on a strictly smaller core (``smaller_cores``), the
-    distinct cores decomposed (``decomposed``) and the certificates, and
-    the seconds spent screening and classifying.  Only the pure outcomes
-    of the kinds kept get a subspace cut from the bases.
+    distinct cores decomposed (``decomposed``), the certificates and the
+    padded ones among them (``padded``), and the seconds spent screening
+    and classifying.  Only the certificates get a subspace cut from the
+    bases.
     """
     ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
-    if min_signature is not None:
-        min_signature = tuple(as_int(m, "min_signature") for m in min_signature)
-        if len(min_signature) != len(rho.shape.parties):
-            raise InvariantViolation("min_signature", "one entry per party required")
-
-    start = time.perf_counter()
-    if prune:
-        positions, counts = ctx.screen(require_entangled)
-    else:
-        positions, counts = range(ctx.count), _ScreenCounts()
-    screened = time.perf_counter()
-    keep = ("pure-entangled",) if require_entangled else ("pure-product", "pure-entangled")
-    certificates = [
-        DssCertificate(subspace, outcome)
-        for subspace, outcome in ctx.classify(positions, keep)
-        if min_signature is None or all(n >= m for n, m in zip(outcome.signature, min_signature))
+    search, at, found = _search(ctx, require_entangled, min_signature, prune)
+    states = ctx.states([p for p in at if p not in found])
+    return [
+        found[p] if p in found else DssCertificate(
+            ctx.subspace(record.indices),
+            ProjectionOutcome(record.weight, next(states), record.classification, record.signature),
+        )
+        for p, record in zip(at, search.records)
     ]
-    classified = time.perf_counter()
-    _logger.debug(
-        "find_dss: %d candidates, screened out %d zero, %d mixed, %d product; "
-        "%d classified (%d on a smaller core, %d distinct cores decomposed), %d certificates; "
-        "screen %.6f s, classify %.6f s",
-        ctx.count, counts.zero, counts.mixed, counts.product, len(positions), ctx.smaller_cores,
-        ctx.decomposed, len(certificates), screened - start, classified - screened,
-        extra={
-            "search_stats": {
-                "candidates": ctx.count,
-                "screened_zero": counts.zero,
-                "screened_mixed": counts.mixed,
-                "screened_product": counts.product,
-                "classified": len(positions),
-                "smaller_cores": ctx.smaller_cores,
-                "decomposed": ctx.decomposed,
-                "certificates": len(certificates),
-                "screen_s": screened - start,
-                "classify_s": classified - screened,
-            }
-        },
-    )
-    return certificates
 
 
 @dataclass(frozen=True, eq=False)

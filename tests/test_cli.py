@@ -23,6 +23,7 @@ from dsskit import (
     find_dss,
     ghz_state,
     project,
+    search_dss,
     tensor_power,
     three_qubit_example,
     werner,
@@ -78,6 +79,31 @@ def test_find_two_copies_returns_certificate(capsys, tmp_path):
     assert first["rank_bound_check"]["satisfied"]
     assert first["rank_bound_check"]["bound"] == 57
     assert abs(first["weight"] - 0.125) < 1e-9
+
+
+def test_find_reads_no_padded_block(capsys, monkeypatch):
+    # 23 of the 24 certificates of example3q(0.5)^2 are zero-padded copies
+    # of one core: dss find reads that core's block only, and find_dss then
+    # reads the 23 padded ones for their states.
+    read = []
+    original = dsskit.subspaces._SearchContext._read
+
+    def recording_read(ctx, picks, side):
+        read.extend(np.ravel_multi_index(picks, [len(s) for s in ctx.subsets]).tolist())
+        return original(ctx, picks, side)
+
+    monkeypatch.setattr(dsskit.subspaces._SearchContext, "_read", recording_read)
+    code, out, _ = run_cli(capsys, "dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2")
+    assert code == 0 and "certificates_found: 24" in out
+    search = search_dss(three_qubit_example(0.5), copies=2)
+    assert [c.subspace.basis_indices for c in search.cores] == [((1, 2), (1, 2), (1, 2))]
+    # {1, 2} is subset 5 (bitmask 6) of each party's 15: position 1205, read
+    # once by the CLI's search and once by search_dss.
+    assert read == [1205, 1205]
+    read.clear()
+    certs = find_dss(three_qubit_example(0.5), copies=2)
+    assert len(read) == 24 and sorted(read[1:]) == sorted(set(read[1:]))
+    assert [c.subspace.basis_indices for c in certs] == [r.indices for r in search.records]
 
 
 def test_find_without_entanglement_reports_every_pure_projection(capsys):
@@ -540,6 +566,26 @@ def test_tolerance_profile_env(capsys, monkeypatch):
     assert code == 1
 
 
+def test_state_file_is_checked_to_the_resolved_tolerance(capsys, monkeypatch, tmp_path):
+    # Smallest eigenvalue -1e-8: outside the default psd_atol (1e-9), inside
+    # the loose profile's (1e-6) and inside --psd-atol 1e-7.
+    doc = {
+        "parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}],
+        "matrix": {"re": np.diag([0.6, 0.4 + 1e-8, 0.0, -1e-8]).tolist(), "im": np.zeros((4, 4)).tolist()},
+    }
+    path = str(tmp_path / "state.json")
+    fileio.write_json(path, doc)
+    query = ("rankbound", "--state", path, "--signature", "1,1")
+
+    code, _, err = run_cli(capsys, *query)
+    assert code == 1 and "negative eigenvalue -1.000e-08" in err
+    code, out, _ = run_cli(capsys, *query, "--psd-atol", "1e-7")
+    assert code == 0 and "measured_rank: 3" in out
+    monkeypatch.setenv("DSSKIT_TOLERANCE_PROFILE", "loose")
+    code, out, _ = run_cli(capsys, *query)
+    assert code == 0 and "measured_rank: 2" in out  # loose's rank_rtol, 1e-6, drops -1e-8
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -556,11 +602,11 @@ def test_help_lists_subcommands(capsys):
 def test_parser_is_built_once_and_leaks_no_state(capsys, monkeypatch):
     calls = []
 
-    def recording_find_dss(sigma, bases, **kwargs):
+    def recording_search_dss(sigma, bases, **kwargs):
         calls.append(kwargs)
-        return find_dss(sigma, bases, **kwargs)
+        return search_dss(sigma, bases, **kwargs)
 
-    monkeypatch.setattr(cli, "find_dss", recording_find_dss)
+    monkeypatch.setattr(cli, "search_dss", recording_search_dss)
     plain = ("dss", "find", "--state", "example3q", "--p", "0.5", "--copies", "2")
     code, reference, _ = run_cli(capsys, *plain)
     assert code == 0

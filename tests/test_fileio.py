@@ -9,6 +9,7 @@ from dsskit import (
     ProductOperator,
     SchemaError,
     SystemShape,
+    Tolerance,
     fileio,
     run,
     tensor_power,
@@ -51,6 +52,24 @@ def test_load_state_names_psd_invariant():
     with pytest.raises(InvariantViolation) as err:
         fileio.load_state(doc)
     assert err.value.invariant == "positive-semidefinite"
+
+
+def test_load_state_checks_to_the_given_tolerance():
+    # Smallest eigenvalue -1e-8 and an antihermitian part of 1e-8.
+    doc = {
+        "parties": [{"label": "A", "dim": 2}],
+        "matrix": {"re": [[1.0 + 1e-8, 0.0], [0.0, -1e-8]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    }
+    with pytest.raises(InvariantViolation) as err:
+        fileio.load_state(doc)
+    assert err.value.invariant == "positive-semidefinite"
+    assert fileio.load_state(doc, Tolerance(psd_atol=1e-7)).mat[1, 1] == -1e-8
+
+    doc["matrix"]["im"] = [[0.0, 1e-8], [0.0, 0.0]]
+    with pytest.raises(InvariantViolation) as err:
+        fileio.load_state(doc, Tolerance(psd_atol=1e-7))
+    assert err.value.invariant == "hermitian"
+    fileio.load_state(doc, Tolerance(psd_atol=1e-7, herm_atol=1e-7))
 
 
 def test_load_state_names_hermitian_invariant():

@@ -166,8 +166,8 @@ def exports_without_users(init_source: str, modules: dict[str, str], users: dict
 #: Exported names with no user in the package, README, demos or acceptance
 #: tests, each with the reason it stays.
 UNUSED_EXPORTS_KEPT = {
-    "eig_hermitian": "the checked eigensolver for raw matrices and the only reader of "
-    "herm_atol, kept until ROADMAP item 4 decides that tolerance; perfbench traces it",
+    "eig_hermitian": "the checked eigensolver for raw matrices, kept until ROADMAP item 4 "
+    "decides it; perfbench traces it",
 }
 
 

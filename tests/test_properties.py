@@ -9,7 +9,8 @@ the planted subspace is again basis-aligned.  A third kind searches a pure
 product state in bases that hold near-zero-weight projections, whose
 renormalization magnifies roundoff.  The searches' batched classification
 is checked candidate by candidate against ``project`` and against the
-classification written out for one candidate.
+classification written out for one candidate, and the core-first search's
+records against the flat search, certificate by certificate.
 
 The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
@@ -59,6 +60,7 @@ from dsskit import (
     project,
     run,
     schmidt,
+    search_dss,
     tensor_power,
     three_qubit_example,
     w_state,
@@ -333,6 +335,7 @@ def test_search_stats_logged(caplog):
         "smaller_cores": 23,
         "decomposed": 1,
         "certificates": 24,
+        "padded": 23,
     }
 
     certs, three = logged_stats(caplog, werner(0.9), copies=3)
@@ -346,6 +349,7 @@ def test_search_stats_logged(caplog):
         "smaller_cores": 0,
         "decomposed": 0,
         "certificates": 0,
+        "padded": 0,
     }
 
     two = tensor_power(werner(0.9), 2)
@@ -419,6 +423,137 @@ def test_padding_needs_a_whole_zero_row():
     codes, ranks, smaller, _ = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-product"
     assert ranks.tolist() == [[1, 1]] and smaller.tolist() == [True]
+
+
+# ---------------------------------------------------------------------------
+# The core-first search
+# ---------------------------------------------------------------------------
+
+
+def record_fields(record) -> tuple:
+    """A search record's indices, weight bytes, classification and signature."""
+    return record.indices, np.float64(record.weight).tobytes(), record.classification, record.signature
+
+
+def certificate_fields(cert) -> tuple:
+    """The same fields of a certificate."""
+    outcome = cert.outcome
+    return (
+        cert.subspace.basis_indices, np.float64(outcome.weight).tobytes(), outcome.classification, outcome.signature
+    )
+
+
+def assert_core_first_is_the_flat_search(state, bases, copies=1, **kwargs):
+    """``search_dss``'s records against the flat ``find_dss(..., prune=False)``
+    in order and fields, and ``find_dss`` (the same run as ``search_dss``,
+    materialized) against it in fields and state bytes.  Each record's core
+    is a certificate inside it with its classification and signature, and
+    ``padded`` counts the records that are not their own core.  Returns the
+    search."""
+    search = search_dss(state, bases, copies=copies, **kwargs)
+    flat = find_dss(state, bases, copies=copies, prune=False, **kwargs)
+    assert [record_fields(r) for r in search.records] == [certificate_fields(c) for c in flat]
+    certs = find_dss(state, bases, copies=copies, **kwargs)
+    assert [certificate_fields(c) for c in certs] == [certificate_fields(c) for c in flat]
+    for got, want in zip(certs, flat):
+        assert np.array_equal(got.outcome.state.mat, want.outcome.state.mat)
+    for record in search.records:
+        core = search.cores[record.core]
+        assert all(set(c) <= set(i) for c, i in zip(core.subspace.basis_indices, record.indices))
+        assert (core.outcome.classification, core.outcome.signature) == (record.classification, record.signature)
+    assert sorted({r.core for r in search.records}) == list(range(len(search.cores)))
+    padded = sum(r.indices != search.cores[r.core].subspace.basis_indices for r in search.records)
+    assert search.stats["padded"] == padded
+    return search
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(padded_instances(), search_instances().map(lambda instance: instance[:2])), st.booleans(), st.booleans())
+def test_core_first_search_equals_the_flat_search(instance, require_entangled, floor):
+    """States with exact-zero rows in computational and in block-rotated
+    bases, which keep the zeros, and the search instances (random, planted
+    and near-orthogonal, half of them in rotated bases)."""
+    state, bases = instance
+    floor = (2,) * len(state.shape.parties) if floor else None
+    assert_core_first_is_the_flat_search(state, bases, require_entangled=require_entangled, min_signature=floor)
+
+
+@pytest.mark.parametrize("bases", ["computational", "block-rotated", "rotated"])
+def test_core_first_search_of_a_power_equals_the_flat_search(bases):
+    # On computational bases 23 of the 24 certificates of example3q(0.5)^2
+    # are zero-padded copies of one (2,2,2) core; rotating each party's
+    # {0,1} and {2,3} among themselves keeps the zeros, a full rotation
+    # leaves none.
+    rng = np.random.default_rng(17)
+    rotations = {
+        "computational": lambda: None,
+        "block-rotated": lambda: np.kron(np.diag([1.0, 0.0]), random_unitary(rng, 2))
+        + np.kron(np.diag([0.0, 1.0]), random_unitary(rng, 2)),
+        "rotated": lambda: random_unitary(rng, 4),
+    }
+    rotation = rotations[bases]
+    power_bases = None if bases == "computational" else {label: rotation() for label in "ABC"}
+    rho = three_qubit_example(0.5)
+    for require_entangled in (True, False):
+        for floor in (None, (2, 2, 2)):
+            search = assert_core_first_is_the_flat_search(
+                rho, power_bases, copies=2, require_entangled=require_entangled, min_signature=floor
+            )
+            if bases == "computational" and require_entangled:
+                assert (len(search.records), len(search.cores), search.stats["padded"]) == (24, 1, 23)
+                assert (search.stats["classified"], search.stats["decomposed"]) == (24, 1)
+            if bases == "rotated":
+                assert search.stats["padded"] == 0
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_core_rule_reads_rows_and_columns(monkeypatch, transpose):
+    """A planted non-Hermitian state in the search basis: ``local[0, 3]`` is
+    nonzero and every other entry of row and column 3 (|11>) is zero, or
+    the transpose.  Index 1 is then padding at neither party, since |11>
+    touches |00>, and every candidate's core-first record must equal its
+    flat one, every candidate read: the whole space is pure and entangled
+    (its block's Hermitian part has |00> and |11> in its top eigenvector),
+    while dropping |11> for a zero row, or a zero column, leaves the core
+    [[1]], a product."""
+    ctx = _SearchContext(bell_state().to_density(), 1, None, Tolerance(), subspaces.CANDIDATE_CAP)
+    local = np.zeros((4, 4), dtype=np.complex128)
+    local[0, 0], local[0, 3] = 1.0, 0.5
+    ctx.local = local.T.copy() if transpose else local
+    monkeypatch.setattr(ctx, "screen", lambda require_entangled: (np.arange(ctx.count), subspaces._ScreenCounts()))
+    for require_entangled in (True, False):
+        core_first, _, _ = subspaces._search(ctx, require_entangled, None, True)
+        flat, _, _ = subspaces._search(ctx, require_entangled, None, False)
+        assert [record_fields(r) for r in core_first.records] == [record_fields(r) for r in flat.records]
+        assert ((0, 1), (0, 1)) in [r.indices for r in core_first.records]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_diagonal_sums_are_the_block_traces(seed):
+    """The search's weights, sums of the diagonal over each candidate's
+    rows, against the traces of its blocks read and normalized as
+    classification reads them, bit for bit, for every side from 1 to 64 and
+    random row sets of a PSD matrix with exact-zero rows.  Pairwise
+    summation regroups from 8 terms up, so a sum in any other order, or
+    over zeros interleaved, differs in the last bits."""
+    rng = np.random.default_rng(seed)
+    d = 80
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    local = a @ np.conj(a).T * 10.0 ** rng.uniform(-4, 4)
+    zero = rng.choice(d, size=10, replace=False)
+    local[zero], local[:, zero] = 0.0, 0.0
+    side = rng.permutation(np.repeat(np.arange(1, 65), 2))
+    mask = np.zeros((len(side), d), dtype=bool)
+    for row, k in zip(mask, side):
+        row[rng.choice(d, size=k, replace=False)] = True
+    got = subspaces._diagonal_sums(np.diagonal(local), mask, side)
+    want = np.empty(len(side))
+    for k in range(1, 65):
+        at = np.flatnonzero(side == k)
+        rows = np.nonzero(mask[at])[1].reshape(-1, k)
+        want[at] = states._normalized_stack(local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])[0]
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

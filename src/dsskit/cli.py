@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -113,55 +114,30 @@ class Report:
     timing_ms: float = 0.0
 
 
+#: The text writers of scalars, by exact type: a lookup, as in ``_JSON_SCALARS``.
+_TEXT_SCALARS = {
+    str: str,
+    float: "{:.12g}".format,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "none",
+}
+
+
 def _fmt_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if value is None:
-        return "none"
-    return str(value)
+    """A scalar's text; of a type outside ``_TEXT_SCALARS``, a ``float``
+    subclass (``np.float64``) is written as a float and any other by ``str``."""
+    text = _TEXT_SCALARS.get(type(value))
+    if text is not None:
+        return text(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+_CONTAINERS = (dict, list, tuple)
 
 
 def _is_scalar(value) -> bool:
-    return not isinstance(value, (dict, list, tuple))
-
-
-def _render_lines(value, indent: int) -> list[str]:
-    """Lines for a dict (``key: ...``) or a sequence (``- ...``) of values.
-    A report holds only what ``json.dumps`` takes, so its mappings are dicts."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        entries = [(f"{key}:", val) for key, val in value.items()]
-    else:
-        entries = [("-", item) for item in value]
-    lines: list[str] = []
-    for head, val in entries:
-        if _is_scalar(val):
-            lines.append(f"{pad}{head} {_fmt_scalar(val)}")
-        elif isinstance(val, (list, tuple)) and all(_is_scalar(v) for v in val):
-            lines.append(f"{pad}{head} [{', '.join(_fmt_scalar(v) for v in val)}]")
-        elif not val:
-            lines.append(f"{pad}{head} {{}}")
-        else:
-            lines.append(f"{pad}{head}")
-            lines.extend(_render_lines(val, indent + 1))
-    return lines
-
-
-def render_report(report: Report) -> str:
-    lines = [f"command: {report.command}"]
-    lines.append("inputs:")
-    lines.extend(_render_lines(report.inputs, 1))
-    lines.append("results:")
-    lines.extend(_render_lines(report.results, 1))
-    if report.warnings:
-        lines.append("warnings:")
-        lines.extend(_render_lines(report.warnings, 1))
-    else:
-        lines.append("warnings: []")
-    lines.append(f"elapsed ms: {report.timing_ms:.12g}")
-    return "\n".join(lines)
+    return not isinstance(value, _CONTAINERS)
 
 
 def _json_float(value: float) -> str:
@@ -202,59 +178,83 @@ _JSON_SCALARS = {
 }
 
 
-def _write_json(value, out: list[str], newline: str) -> None:
-    """Append ``value``'s JSON text to ``out``; ``newline`` starts a line at
-    the value's depth.  A scalar of a type in ``_JSON_SCALARS`` takes its
-    writer.  Any other value takes the rest of ``json``'s type tests in
-    ``json``'s order, so subclasses of ``str``, ``int`` and ``float``
-    (``np.float64`` among them) are written as their base (``bool`` and
-    ``None`` have no subclasses)."""
+def _json_scalar(value) -> str:
+    """The JSON text of a value that is no dict, list or tuple.  A type in
+    ``_JSON_SCALARS`` takes its writer.  Any other value takes the rest of
+    ``json``'s type tests in ``json``'s order, so subclasses of ``str``,
+    ``int`` and ``float`` (``np.float64`` among them) are written as their
+    base (``bool`` and ``None`` have no subclasses)."""
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
-        out.append(scalar(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
+        return scalar(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _walk(value, pad: str, lines: list[str], out: list[str] | None, newline: str) -> None:
+    """Append the text lines of a dict (``key: ...``) or a sequence (``-
+    ...``) of values, indented by ``pad``, to ``lines``, and unless ``out``
+    is None its JSON text to ``out``; ``newline`` starts a JSON line at the
+    value's depth.  A report holds only what ``json.dumps`` takes, so its
+    mappings are dicts."""
+    is_dict = isinstance(value, dict)
+    entries = value.items() if is_dict else zip(itertools.repeat(None), value)
+    inner, dash = newline + "  ", pad + "-"
+    if out is not None:
         if not value:
-            out.append("[]")
+            out.append("{}" if is_dict else "[]")
             return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in value:
+        sep = ("{" if is_dict else "[") + inner
+    for key, val in entries:
+        head = f"{pad}{key}:" if is_dict else dash
+        if out is not None:
+            if is_dict:
+                sep += encode_basestring_ascii(key if type(key) is str else _json_key(key)) + ": "
             out.append(sep)
-            sep = comma
-            _write_json(item, out, inner)
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key, item in value.items():
-            out.append(sep + encode_basestring_ascii(_json_key(key)) + ": ")
-            sep = comma
-            _write_json(item, out, inner)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+            sep = "," + inner
+        if not isinstance(val, _CONTAINERS):
+            text = _TEXT_SCALARS.get(type(val), _fmt_scalar)
+            lines.append(f"{head} {text(val)}")
+            if out is not None:
+                out.append(_JSON_SCALARS.get(type(val), _json_scalar)(val))
+        elif isinstance(val, dict) or not all(map(_is_scalar, val)):
+            lines.append(head if val else f"{head} {{}}")
+            _walk(val, pad + "  ", lines, out, inner)
+        else:
+            ints = set(map(type, val)) == {int}  # an exact int's text and JSON text are its repr
+            texts = list(map(int.__repr__ if ints else _fmt_scalar, val))
+            lines.append(f"{head} [{', '.join(texts)}]")
+            if out is not None:
+                deeper = inner + "  "
+                items = texts if ints else map(_json_scalar, val)
+                out.append("[" + deeper + ("," + deeper).join(items) + inner + "]" if val else "[]")
+    if out is not None:
+        out.append(newline + ("}" if is_dict else "]"))
 
 
-def _json_text(value) -> str:
-    """The text of ``json.dumps(value, indent=2)``, written in one recursive
-    pass.  With ``indent`` the standard library writes through its
-    pure-Python generator encoder; this writer appends to one list, quotes
-    strings with the same ASCII escaper, writes floats with
-    ``float.__repr__`` (``NaN`` and ``±Infinity`` as ``json`` does) and
-    raises ``TypeError`` where ``json.dumps`` would.  It does not look for
-    reference cycles, which no report holds."""
-    out: list[str] = []
-    _write_json(value, out, "\n")
-    return "".join(out)
+def _report_texts(report: Report, with_json: bool) -> tuple[str, str | None]:
+    """The text report and, with ``with_json``, ``json.dumps(fields,
+    indent=2)`` of its fields (else None), from one walk (:func:`_walk`).
+    The JSON quotes strings with ``json``'s ASCII escaper, writes floats with
+    ``float.__repr__`` (``NaN``, ``±Infinity`` as ``json`` does), raises
+    ``TypeError`` where ``json.dumps`` would and skips the cycle check."""
+    lines = [f"command: {report.command}"]
+    out = ['{\n  "command": ' + _json_scalar(report.command)] if with_json else None
+    for name, tree in (("inputs", report.inputs), ("results", report.results), ("warnings", report.warnings)):
+        lines.append(f"{name}: []" if name == "warnings" and not tree else f"{name}:")
+        if out is not None:
+            out.append(f',\n  "{name}": ')
+        _walk(tree, "  ", lines, out, "\n  ")
+    lines.append(f"elapsed ms: {report.timing_ms:.12g}")
+    if out is None:
+        return "\n".join(lines), None
+    out.append(',\n  "timing_ms": ' + _json_scalar(report.timing_ms) + "\n}")
+    return "\n".join(lines), "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +664,7 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
     if not args.protocol or not args.state:
         raise CliUsageError("simulate needs a builtin name, or both --protocol and --state")
     single, inputs = _single_state(args, tol)
-    rho = tensor_power(single, inputs["copies"])
+    rho = tensor_power(single, inputs["copies"], tol)
     steps = fileio.read_protocol(args.protocol)
     inputs["protocol"] = _file_input(args.protocol)
     outcome = run(steps, rho)
@@ -722,9 +722,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     report.inputs.setdefault("seed", args.seed)
     report.timing_ms = (time.perf_counter() - started) * 1000.0
-    print(render_report(report))
-    if args.json:
-        payload = _json_text({f.name: getattr(report, f.name) for f in fields(report)})
+    text, payload = _report_texts(report, bool(args.json))
+    print(text)
+    if payload is not None:
         if args.json == "-":
             print(payload)
         else:

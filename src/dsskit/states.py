@@ -396,15 +396,15 @@ def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
     return spectrum
 
 
-def _power_checks(rho: DensityMatrix, n: int) -> int:
+def _power_checks(rho: DensityMatrix, n: int, tol: Tolerance) -> int:
     """``n`` as a copy count of ``rho`` once ``rho``'s ``n``-th tensor power
-    passes the density matrix checks, all made on the single copy.
+    passes the density matrix checks to ``tol``, all made on the single copy.
 
     ``n`` must be an integer ``>= 1`` whose power stays within
     ``MAX_SIDE``.  The power's trace, ``tr(rho)**n``, must be 1 to
     ``TRACE_ATOL``; a copy inside that margin can leave its power outside.
     Its eigenvalues, the products :func:`_power_spectrum` gives, must pass
-    the positivity check against ``DEFAULT_TOLERANCE.psd_atol``.
+    the positivity check against ``tol.psd_atol``, as a state file does.
     Hermiticity needs no check: ``rho.mat`` is exactly Hermitian, and so is
     every Kronecker product of it, entry by entry.  Nothing of side
     ``d**n`` is allocated.  :func:`tensor_power` runs these checks, and so
@@ -412,11 +412,11 @@ def _power_checks(rho: DensityMatrix, n: int) -> int:
     """
     n = _checked_copies(rho, n)
     _require_unit_trace(float(np.real(np.trace(rho.mat))) ** n)
-    _require_psd(_power_spectrum(rho, n), DEFAULT_TOLERANCE)
+    _require_psd(_power_spectrum(rho, n), tol)
     return n
 
 
-def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
+def tensor_power(rho: DensityMatrix, n: int, tol: Tolerance | None = None) -> DensityMatrix:
     """``n`` copies of ``rho``, regrouped so each party holds all its copies.
 
     The flat kron of copies orders subsystems copy-major; here rows and
@@ -424,17 +424,18 @@ def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
     holds its copy-1 subsystems followed by copy-2 and so on, contiguously.
     Local subspaces of a party's enlarged space are then contiguous blocks.
 
-    The result is checked by :func:`_power_checks` on the single copy, so
-    no dense pass and no eigendecomposition of side ``d**n`` runs.  The
-    matrix is the one the public constructor would store, with no link back
-    to ``rho``.  The library's functions take ``(rho, copies=n)`` instead:
-    ``project`` builds no power, and the searches build it only once their
-    candidate cap holds.
+    The result is checked to ``tol`` (by default ``DEFAULT_TOLERANCE``, as
+    for the public constructor) by :func:`_power_checks` on the single copy,
+    so no dense pass and no eigendecomposition of side ``d**n`` runs.
+    The matrix is the one the public constructor would store, with no link
+    back to ``rho``.  The library's functions take ``(rho, copies=n)``
+    instead: ``project`` builds no power, and the searches build it only
+    once their candidate cap holds.
     """
     n = as_int(n, "copies")
     if n == 1:
         return rho
-    n = _power_checks(rho, n)
+    n = _power_checks(rho, n, DEFAULT_TOLERANCE if tol is None else tol)
     axes, order, shape = _party_major(rho.shape, n)
     perm = order + [len(axes) + o for o in order]
     total = shape.total_dim

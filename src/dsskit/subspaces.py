@@ -71,7 +71,9 @@ CANDIDATE_CAP = 1_000_000
 #: Entries a search classifies at once (2 MiB of complex128): it reads its
 #: survivors in slices of about this many block entries, each candidate
 #: counting at least the power's side, whatever their count
-#: (:meth:`_SearchContext.classify`).
+#: (:meth:`_SearchContext.classify`).  The core pass, which reads no block,
+#: takes slices of about this many row-mask entries, the power's side per
+#: candidate (:meth:`_SearchContext.cores`).
 _SLICE_ENTRIES = 1 << 17
 
 #: The classification kernel's codes, by index.
@@ -428,7 +430,7 @@ def project(
         m = dagger(subspace.compression())
         out = m @ rho.mat @ dagger(m)
     else:
-        copies = _power_checks(rho, copies)
+        copies = _power_checks(rho, copies, tol)
         subspace._check_against(rho.shape, copies)
         out = _power_sandwich(rho, copies, subspace.compression())
     weights, live, states = _normalized_stack(out[np.newaxis])
@@ -531,10 +533,20 @@ class _ScreenCounts:
 def _contract(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Sum the leading axes of ``tensor``, one per matrix, against the rows
     of ``mats``: ``out[..., i_1, ..., i_m] = sum tensor[t_1, ..., t_m, ...]
-    * prod mats[j][i_j, t_j]``.  The axes left over come first."""
+    * prod mats[j][i_j, t_j]``.  The axes left over come first.  Each step
+    is one matrix product of transposed views, with no copy of ``tensor``:
+    it equals ``np.tensordot(tensor, m, axes=(0, 1))`` to roundoff."""
     for m in mats:
-        tensor = np.tensordot(tensor, m, axes=(0, 1))
+        rest = tensor.shape[1:]
+        tensor = (tensor.reshape(len(tensor), -1).T @ m.T).reshape(rest + (len(m),))
     return tensor
+
+
+def _runs(cost: np.ndarray) -> Iterator[slice]:
+    """Runs of consecutive entries of ``cost``, in order, each summing to
+    about ``_SLICE_ENTRIES``, or a single entry above it."""
+    ends = (np.flatnonzero(np.diff((np.cumsum(cost) - 1) // _SLICE_ENTRIES, append=-1)) + 1).tolist()
+    return map(slice, [0] + ends, ends)
 
 
 def _diagonal_sums(diagonal: np.ndarray, mask: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -557,9 +569,12 @@ def _diagonal_sums(diagonal: np.ndarray, mask: np.ndarray, side: np.ndarray) -> 
 
 class _SearchContext:
     """One search over ``rho^(x copies)``: the cap check on the power's
-    shape, the power, the resolved bases, the power in the search basis
-    (``local = U† rho U`` for ``U = kron_all(bases)``) and the
-    :func:`_tables` of the power's local dims.  The screen's eigenpairs
+    shape, the power (checked to ``tol``), the resolved bases, the power in
+    the search basis (``local``) and the :func:`_tables` of the power's
+    local dims.  With no supplied basis the search basis is the product
+    basis: ``local`` is the power's own matrix, read as it is, and
+    ``change`` is None.  With supplied bases ``change`` is ``U =
+    kron_all(bases)`` and ``local = U† rho U``.  The screen's eigenpairs
     come from the single copy; the blocks that classification reads come
     from ``local``, one slice of consecutive positions at a time.
 
@@ -579,12 +594,15 @@ class _SearchContext:
         if self.count > candidate_cap:
             raise SearchSpaceTooLarge(self.count, candidate_cap)
         self.single, self.copies = rho, copies
-        self.rho = tensor_power(rho, copies)
+        self.rho = tensor_power(rho, copies, tol)
         self.shape = self.rho.shape
         self.tol = tol
         self.bases = _resolve_bases(self.shape, bases)
-        self.change = kron_all(self.bases)
-        self.local = dagger(self.change) @ self.rho.mat @ self.change
+        if bases:
+            self.change = kron_all(self.bases)
+            self.local = dagger(self.change) @ self.rho.mat @ self.change
+        else:
+            self.change, self.local = None, self.rho.mat
         self.subsets, self.members, self.sizes = _tables(self.shape.dims)
         # columns[p][idx]: party p's basis columns of its subset idx, cut
         # when first asked for; a party of dim d has 2^d - 1 subsets.
@@ -604,7 +622,7 @@ class _SearchContext:
         products (:func:`~dsskit.states._power_eigenpairs`), so one ``eigh``
         of the single copy's side runs and no decomposition of the power."""
         weights, vectors = _power_eigenpairs(self.single, self.copies, self.tol.rank_rtol)
-        coords = dagger(self.change) @ vectors
+        coords = vectors if self.change is None else dagger(self.change) @ vectors
         scaled = coords * np.sqrt(weights)[np.newaxis, :]
         return np.ascontiguousarray(scaled.T).reshape((len(weights),) + self.shape.dims)
 
@@ -752,18 +770,21 @@ class _SearchContext:
         numbers ``picks`` (one array per party)."""
         return zip(*([s[j] for j in pick.tolist()] for s, pick in zip(self.subsets, picks)))
 
-    def _slices(self, positions: Sequence[int]) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
-        """The candidates at ``positions`` in slices of consecutive ones:
-        per slice, their subset numbers (one array per party) and block
-        sides.  A candidate counts the larger of its block's entries and the
-        power's side ``D``, the length of its row mask and its top vector; a
-        slice holds about ``_SLICE_ENTRIES`` of them, or one candidate."""
+    def _picks(self, positions: Sequence[int]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The subset numbers (one array per party) and the block sides of
+        the candidates at ``positions``."""
         picks = np.unravel_index(np.asarray(positions, dtype=np.intp), [len(s) for s in self.subsets])
-        side = np.prod([s[pick] for s, pick in zip(self.sizes, picks)], axis=0, dtype=np.intp)
-        cost = np.cumsum(np.maximum(side * side, self.shape.total_dim))
-        ends = (np.flatnonzero(np.diff((cost - 1) // _SLICE_ENTRIES, append=-1)) + 1).tolist()
-        for start, stop in zip([0] + ends, ends):
-            yield [pick[start:stop] for pick in picks], side[start:stop]
+        return picks, np.prod([s[pick] for s, pick in zip(self.sizes, picks)], axis=0, dtype=np.intp)
+
+    def _slices(self, positions: Sequence[int]) -> Iterator[tuple[list[np.ndarray], np.ndarray]]:
+        """The candidates at ``positions`` in slices of consecutive ones, for
+        reading their blocks: per slice, their subset numbers (one array per
+        party) and block sides.  A candidate counts the larger of its block's
+        entries and the power's side ``D``, the length of its row mask and
+        its top vector (:func:`_runs`)."""
+        picks, side = self._picks(positions)
+        for run in _runs(np.maximum(side * side, self.shape.total_dim)):
+            yield [pick[run] for pick in picks], side[run]
 
     def _rows(self, picks: Sequence[np.ndarray]) -> np.ndarray:
         """``mask[i, x]``: the ``i``-th candidate holds flat index ``x``, the
@@ -822,7 +843,9 @@ class _SearchContext:
         The weight is the complex sum of ``local``'s diagonal over the
         candidate's rows (:func:`_diagonal_sums`), bit-equal to its block's
         weight.  A candidate of weight 0 has no nonzero row and no core; its
-        core position is not meaningful.
+        core position is not meaningful.  The candidates are taken in slices
+        of about ``_SLICE_ENTRIES`` row-mask entries, ``D`` per candidate for
+        the power's side ``D``, whatever their blocks' sides.
         """
         dims, counts = self.shape.dims, [len(s) for s in self.subsets]
         diagonal = np.diagonal(self.local)
@@ -835,7 +858,9 @@ class _SearchContext:
             strides = [prod(counts[p + 1:]) for p in range(len(counts))]
             place = np.array([(1 << a) * stride for d, stride in zip(dims, strides) for a in range(d)])
         core_at, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-        for picks, side in self._slices(positions):
+        every, sides = self._picks(positions)
+        for run in _runs(np.full(len(sides), self.shape.total_dim)):
+            picks, side = [pick[run] for pick in every], sides[run]
             mask = self._rows(picks)
             weights.append(_diagonal_sums(diagonal, mask, side))
             if padding:

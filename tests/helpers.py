@@ -176,3 +176,69 @@ def certificate_summary(cert) -> tuple:
         round(cert.outcome.weight, 10),
         cert.outcome.signature,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference text report and contraction
+# ---------------------------------------------------------------------------
+
+
+def _fmt_scalar_reference(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if value is None:
+        return "none"
+    return str(value)
+
+
+def _is_scalar_reference(value) -> bool:
+    return not isinstance(value, (dict, list, tuple))
+
+
+def render_lines_reference(value, indent: int) -> list[str]:
+    """The text writer's lines for a dict (``key: ...``) or a sequence
+    (``- ...``) of values, written as its own recursion over the tree."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        entries = [(f"{key}:", val) for key, val in value.items()]
+    else:
+        entries = [("-", item) for item in value]
+    lines: list[str] = []
+    for head, val in entries:
+        if _is_scalar_reference(val):
+            lines.append(f"{pad}{head} {_fmt_scalar_reference(val)}")
+        elif isinstance(val, (list, tuple)) and all(_is_scalar_reference(v) for v in val):
+            lines.append(f"{pad}{head} [{', '.join(_fmt_scalar_reference(v) for v in val)}]")
+        elif not val:
+            lines.append(f"{pad}{head} {{}}")
+        else:
+            lines.append(f"{pad}{head}")
+            lines.extend(render_lines_reference(val, indent + 1))
+    return lines
+
+
+def render_report_reference(report) -> str:
+    """The text of a ``cli.Report``: its command, inputs, results, warnings
+    and elapsed milliseconds."""
+    lines = [f"command: {report.command}", "inputs:"]
+    lines.extend(render_lines_reference(report.inputs, 1))
+    lines.append("results:")
+    lines.extend(render_lines_reference(report.results, 1))
+    if report.warnings:
+        lines.append("warnings:")
+        lines.extend(render_lines_reference(report.warnings, 1))
+    else:
+        lines.append("warnings: []")
+    lines.append(f"elapsed ms: {report.timing_ms:.12g}")
+    return "\n".join(lines)
+
+
+def contract_reference(tensor: np.ndarray, mats) -> np.ndarray:
+    """The search screen's contraction as a chain of ``np.tensordot``: each
+    matrix sums the leading axis against its rows, and its new axis goes
+    last."""
+    for m in mats:
+        tensor = np.tensordot(tensor, m, axes=(0, 1))
+    return tensor

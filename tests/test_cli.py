@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsskit
 from dsskit import (
@@ -31,6 +33,8 @@ from dsskit import (
 )
 from dsskit import cli
 from dsskit.cli import main
+
+from helpers import render_report_reference
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -586,6 +590,27 @@ def test_state_file_is_checked_to_the_resolved_tolerance(capsys, monkeypatch, tm
     assert code == 0 and "measured_rank: 2" in out  # loose's rank_rtol, 1e-6, drops -1e-8
 
 
+def test_power_of_a_state_file_is_checked_to_the_resolved_tolerance(capsys, monkeypatch, tmp_path):
+    # The file's smallest eigenvalue is -1e-8, its power's -6e-9: both
+    # outside the default psd_atol (1e-9), both inside --psd-atol 1e-7 and
+    # the loose profile's 1e-6.
+    doc = {
+        "parties": [{"label": "A", "dim": 2}, {"label": "B", "dim": 2}],
+        "matrix": {"re": np.diag([0.6, 0.4 + 1e-8, 0.0, -1e-8]).tolist(), "im": np.zeros((4, 4)).tolist()},
+    }
+    path = str(tmp_path / "state.json")
+    fileio.write_json(path, doc)
+    query = ("dss", "find", "--state", path, "--copies", "2")
+
+    code, _, err = run_cli(capsys, *query)
+    assert code == 1 and "negative eigenvalue" in err
+    code, _, err = run_cli(capsys, *query, "--psd-atol", "1e-7")
+    assert code in (0, 2) and err == ""
+    monkeypatch.setenv("DSSKIT_TOLERANCE_PROFILE", "loose")
+    code, _, err = run_cli(capsys, *query)
+    assert code in (0, 2) and err == ""
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -711,20 +736,26 @@ def test_json_golden_reports(capsys, tmp_path, monkeypatch, name, exit_code, arg
     assert json_report_without_timing(json_path) == expected
 
 
+def report_doc(report) -> dict:
+    """A report's fields, as ``--json`` writes them."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
 @pytest.mark.parametrize("name,exit_code,argv", JSON_GOLDENS, ids=[g[0] for g in JSON_GOLDENS])
 def test_raw_json_payload_is_the_standard_encoders(capsys, monkeypatch, name, exit_code, argv):
     """The raw ``--json -`` bytes, timing included, are ``json.dumps(...,
     indent=2)`` of the same report: the golden test above re-serializes its
     file, so it cannot see a layout change."""
     monkeypatch.chdir(os.path.join(GOLDEN_DIR, "json"))
-    reports, render = [], cli.render_report
-    monkeypatch.setattr(cli, "render_report", lambda report: reports.append(report) or render(report))
+    reports, texts = [], cli._report_texts
+    monkeypatch.setattr(
+        cli, "_report_texts", lambda report, with_json: reports.append(report) or texts(report, with_json)
+    )
     code, out, _ = run_cli(capsys, *argv, "--json", "-")
     assert code == exit_code
     (report,) = reports
-    text = render(report)
-    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-    assert out == text + "\n" + json.dumps(doc, indent=2) + "\n"
+    text = render_report_reference(report)
+    assert out == text + "\n" + json.dumps(report_doc(report), indent=2) + "\n"
 
 
 def test_json_writer_matches_the_standard_encoder_on_a_planted_tree():
@@ -735,15 +766,61 @@ def test_json_writer_matches_the_standard_encoder_on_a_planted_tree():
         "tuples": (1, (2, (3,)), ()),
         "bool vs int": [True, False, None, 1, 0, -7, 10**30],
         "nested": {"a": {"b": {"c": [{"d": 1.5}]}}},
+        "scalars": {"str": "x", "int": 1, "float": 1.0, "zero": -0.0, "none": None, "true": True, "false": False},
+        "empties": {"list": [], "dict": {}, "tuple": ()},
         1: "int key",
         2.5: "float key",
         float("nan"): "nan key",
         True: "bool key",
         None: "none key",
     }
-    assert cli._json_text(tree) == json.dumps(tree, indent=2)
-    for scalar in ("x", 1, 1.0, -0.0, None, True, False, [], {}, ()):
-        assert cli._json_text(scalar) == json.dumps(scalar, indent=2)
+    for report in (
+        cli.Report("planted", {"tree": tree}, tree, ["a warning", tree], 1.25),
+        cli.Report("empty", {}, {}, [], -0.0),
+    ):
+        text, payload = cli._report_texts(report, True)
+        assert payload == json.dumps(report_doc(report), indent=2)
+        assert text == render_report_reference(report)
+        assert cli._report_texts(report, False) == (text, None)
+
+
+#: What a report may hold: str, int, bool and None scalars, floats with
+#: NaN, ±inf, -0.0 and ``np.float64`` among them, nested in dicts with
+#: non-str keys, lists and tuples, empty ones included.
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]))
+REPORT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**20), 10**20), st.text(max_size=6),
+    JSON_FLOATS, JSON_FLOATS.map(np.float64),
+)
+REPORT_KEYS = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.booleans(), st.none(), JSON_FLOATS)
+REPORT_TREES = st.recursive(
+    REPORT_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(REPORT_KEYS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+REPORTS = st.builds(
+    cli.Report,
+    st.text(max_size=10),
+    st.dictionaries(REPORT_KEYS, REPORT_TREES, max_size=4),
+    st.dictionaries(REPORT_KEYS, REPORT_TREES, max_size=4),
+    st.lists(REPORT_TREES, max_size=3),
+    JSON_FLOATS,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(REPORTS)
+def test_report_writer_matches_the_references_on_generated_trees(report):
+    """One walk gives the text of the reference writer and the JSON of
+    ``json.dumps(..., indent=2)``; without JSON, the same text."""
+    text, payload = cli._report_texts(report, True)
+    assert payload == json.dumps(report_doc(report), indent=2)
+    assert text == render_report_reference(report)
+    assert cli._report_texts(report, False) == (text, None)
 
 
 @pytest.mark.parametrize(
@@ -752,10 +829,11 @@ def test_json_writer_matches_the_standard_encoder_on_a_planted_tree():
     ids=["int64", "bool_", "set", "bytes", "ndarray", "nested object", "tuple key"],
 )
 def test_json_writer_refuses_what_the_standard_encoder_refuses(value):
+    report = cli.Report("refused", {"seed": 0}, {"value": value})
     with pytest.raises(TypeError) as want:
-        json.dumps(value, indent=2)
+        json.dumps(report_doc(report), indent=2)
     with pytest.raises(TypeError) as got:
-        cli._json_text(value)
+        cli._report_texts(report, True)
     assert str(got.value) == str(want.value)
 
 

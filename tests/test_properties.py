@@ -51,6 +51,7 @@ from dsskit import (
     decompose,
     dimension_signature,
     fidelity_with_pure,
+    filter_example,
     find_dss,
     find_purifying_subspaces,
     ghz_distillation_steps,
@@ -74,6 +75,7 @@ from dsskit.subspaces import _SearchContext
 
 from helpers import (
     certificate_summary,
+    contract_reference,
     iter_candidates,
     planted_instance,
     random_density,
@@ -770,7 +772,8 @@ def test_single_copy_ensemble_has_the_gram_of_the_dense_one(seed, case, rotated)
 
     evals, evecs = power.eigh()
     keep = evals > tol.rank_rtol * max(1.0, float(evals[0]))
-    dense = (np.conj(ctx.change).T @ evecs[:, keep]) * np.sqrt(evals[keep])
+    # The search basis: the resolved bases, identities where none is supplied.
+    dense = (np.conj(kron_all(ctx.bases)).T @ evecs[:, keep]) * np.sqrt(evals[keep])
     assert len(ensemble) == np.count_nonzero(keep)
     gram = ensemble.T @ np.conj(ensemble)
     assert np.max(np.abs(gram - dense @ np.conj(dense).T)) <= 1e-12
@@ -1094,3 +1097,118 @@ def test_concurrence_stack_equals_concurrence_state_by_state(stack):
             assert abs(c - 1.0) <= 1e-9
         elif kind.startswith("werner"):
             assert abs(c - max(0.0, 2.0 * fidelity_with_pure(rho, bell_state("phi+")) - 1.0)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The search context: the power read as it is, and the screen's contractions
+# ---------------------------------------------------------------------------
+
+#: (state, copies) of the presets; the flat search runs on all but the last.
+CONTEXT_CASES = [
+    (three_qubit_example(0.3), 2),
+    (werner(0.9), 1),
+    (werner(0.9), 2),
+    (ghz_state().to_density(), 2),
+    (w_state().to_density(), 2),
+    (filter_example(0.4), 2),
+    (werner(0.9), 3),
+]
+CONTEXT_IDS = ["example3q-0.3-x2", "werner-x1", "werner-x2", "ghz-x2", "w-x2", "filter-x2", "werner-x3"]
+
+
+@pytest.mark.parametrize("rho,copies", CONTEXT_CASES, ids=CONTEXT_IDS)
+def test_search_context_without_bases_reads_the_power_itself(rho, copies):
+    ctx = _SearchContext(rho, copies, None, Tolerance(), subspaces.CANDIDATE_CAP)
+    assert ctx.change is None
+    assert ctx.local.tobytes() == tensor_power(rho, copies).mat.tobytes()
+
+
+def stats_counts(search) -> dict:
+    return {key: value for key, value in search.stats.items() if not key.endswith("_s")}
+
+
+@pytest.mark.parametrize("require_entangled", [True, False])
+@pytest.mark.parametrize("rho,copies", CONTEXT_CASES[:-1], ids=CONTEXT_IDS[:-1])
+def test_search_without_bases_equals_identity_bases_and_the_flat_search(rho, copies, require_entangled):
+    """No supplied basis reads the power itself; explicit identity bases
+    multiply it by identities.  Both give the same records, in fields and
+    weight bytes, and the same counts; the records are the flat search's."""
+    identities = {p.label: np.eye(p.dim) for p in states._power_shape(rho, copies).parties}
+    plain = search_dss(rho, copies=copies, require_entangled=require_entangled)
+    explicit = search_dss(rho, identities, copies=copies, require_entangled=require_entangled)
+    flat = find_dss(rho, copies=copies, prune=False, require_entangled=require_entangled)
+    assert [record_fields(r) for r in plain.records] == [record_fields(r) for r in explicit.records]
+    assert [record_fields(r) for r in plain.records] == [certificate_fields(c) for c in flat]
+    assert stats_counts(plain) == stats_counts(explicit)
+
+
+@st.composite
+def contraction_instances(draw):
+    """``(tensor, mats)``: a real or complex tensor of one to four leading
+    axes and up to two trailing ones, and per leading axis a random matrix
+    or a 0/1 indicator matrix, as the screen's ``members`` are."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    rest = draw(st.lists(st.integers(1, 6), max_size=2))
+    tensor = rng.normal(size=lead + rest)
+    if draw(st.booleans()):
+        tensor = tensor + 1j * rng.normal(size=tensor.shape)
+    mats = []
+    for d in lead:
+        rows = int(rng.integers(1, 9))
+        indicator = draw(st.booleans())
+        mats.append((rng.random((rows, d)) < 0.5).astype(float) if indicator else rng.normal(size=(rows, d)))
+    return tensor, mats
+
+
+@KERNEL_SETTINGS
+@given(contraction_instances())
+def test_contract_matches_the_tensordot_chain(instance):
+    """Equal to roundoff: within 1e-14 of the same contraction of absolute
+    values, the scale of the rounding error of any summation order."""
+    tensor, mats = instance
+    got = subspaces._contract(tensor, mats)
+    want = contract_reference(tensor, mats)
+    assert got.shape == want.shape
+    scale = contract_reference(np.abs(tensor), [np.abs(m) for m in mats])
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def assert_screen_decisions_match_the_tensordot_screen(rho, copies, bases, require_entangled):
+    """The screen's positions and counts, its contractions run as matrix
+    products, equal those of the same screen run on the tensordot chain.
+    Returns the counts."""
+    ctx = _SearchContext(rho, copies, bases, Tolerance(), subspaces.CANDIDATE_CAP)
+    positions, counts = ctx.screen(require_entangled)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subspaces, "_contract", contract_reference)
+        want_positions, want_counts = ctx.screen(require_entangled)
+    assert np.array_equal(positions, want_positions)
+    assert counts == want_counts
+    return counts
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        search_instances().map(lambda instance: (instance[0], 1, instance[1])),
+        padded_instances().map(lambda instance: (instance[0], 1, instance[1])),
+        search_power_instances().map(lambda instance: instance[:3]),
+    ),
+    st.booleans(),
+)
+def test_screen_decisions_match_the_tensordot_screen(instance, require_entangled):
+    assert_screen_decisions_match_the_tensordot_screen(*instance, require_entangled)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("rho,copies", [(three_qubit_example(0.5), 2), (werner(0.9), 2), (werner(0.9), 3)],
+                         ids=["example3q-0.5-x2", "werner-x2", "werner-x3"])
+def test_screen_decisions_of_the_workload_searches_match_the_tensordot_screen(rho, copies, rotated):
+    rng = np.random.default_rng(29)
+    shape = states._power_shape(rho, copies)
+    bases = {p.label: random_unitary(rng, p.dim) for p in shape.parties} if rotated else None
+    for require_entangled in (True, False):
+        counts = assert_screen_decisions_match_the_tensordot_screen(rho, copies, bases, require_entangled)
+        if copies == 2 and len(shape.parties) == 3 and not rotated and require_entangled:
+            assert (counts.zero, counts.mixed, counts.product) == (1167, 1229, 955)

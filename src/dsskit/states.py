@@ -408,7 +408,8 @@ def _power_checks(rho: DensityMatrix, n: int, tol: Tolerance) -> int:
     Hermiticity needs no check: ``rho.mat`` is exactly Hermitian, and so is
     every Kronecker product of it, entry by entry.  Nothing of side
     ``d**n`` is allocated.  :func:`tensor_power` runs these checks, and so
-    does :func:`~dsskit.subspaces.project` before :func:`_power_sandwich`.
+    does :func:`~dsskit.subspaces.project` at ``n > 1`` before it reads the
+    power's block (:func:`_power_block` or :func:`_power_sandwich`).
     """
     n = _checked_copies(rho, n)
     _require_unit_trace(float(np.real(np.trace(rho.mat))) ** n)
@@ -456,9 +457,10 @@ def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
     must have passed :func:`_power_checks`.
 
     Each contraction is a sum of elementwise products, earlier copies times
-    the next copy as in :func:`~dsskit.linalg.kron_all`.  So when ``b``'s
-    columns are computational basis vectors each entry is the very product
-    ``σ`` holds, and the result is bit-equal to the dense ``b† σ b``.
+    the next copy as in :func:`~dsskit.linalg.kron_all`, and the result
+    agrees with the dense ``b† σ b`` to roundoff.  :func:`~dsskit.subspaces.project`
+    calls it only for subspaces whose columns are not all computational
+    basis vectors; those take :func:`_power_block`.
     """
     dims = rho.shape.dims
     d, k = rho.shape.total_dim, b.shape[1]
@@ -475,6 +477,33 @@ def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
         x = acc.T.reshape(d, -1)
     # The rotations have brought the column axis to the front.
     return dagger(b) @ x.reshape(k, -1).T
+
+
+def _power_block(rho: DensityMatrix, n: int, picks: Sequence[np.ndarray]) -> np.ndarray:
+    """``tensor_power(rho, n).mat[np.ix_(rows, rows)]`` without forming the
+    power, where ``rows`` are the party-major flat indices of the product of
+    per-party local indices ``picks`` (each party's indices into its ``n``
+    copies, in the given order; the first party most significant).
+
+    An entry of the power is the product of ``n`` single-copy entries, one
+    per copy (Horn & Johnson, *Topics in Matrix Analysis*, ch. 4).  So each
+    copy's single-copy indices of the rows are read off the picks, ``rho``
+    is gathered at them, and the ``n`` gathers are multiplied left to right,
+    earlier copies times the next as in :func:`~dsskit.linalg.kron_all`:
+    each entry is bit-equal to the one the dense power holds.  That is
+    ``O(n k**2)`` work for ``k`` rows.  ``n`` must have passed
+    :func:`_checked_copies`.
+    """
+    # index[c] holds copy c's single-copy index of each row, in kron order.
+    index = np.zeros((n, 1), dtype=np.intp)
+    for d, pick in zip(rho.shape.dims, picks):
+        digits = np.asarray(pick) // d ** np.arange(n - 1, -1, -1)[:, np.newaxis] % d
+        index = (index[:, :, np.newaxis] * d + digits[:, np.newaxis, :]).reshape(n, -1)
+    gathered = rho.mat[index[:, :, np.newaxis], index[:, np.newaxis, :]]
+    block = gathered[0]
+    for c in range(1, n):
+        block = block * gathered[c]
+    return block
 
 
 def _power_vectors(rho: DensityMatrix, n: int, vecs: np.ndarray) -> np.ndarray:

@@ -52,7 +52,9 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     SystemShape,
+    _checked_copies,
     _normalized_stack,
+    _power_block,
     _power_checks,
     _power_eigenpairs,
     _power_sandwich,
@@ -186,6 +188,20 @@ class LocalSubspace:
 
     def subspace_shape(self) -> SystemShape:
         return _subspace_shape(self.labels, self.dims)
+
+    def _computational_rows(self) -> list[np.ndarray] | None:
+        """Each party's row of each of its columns when every column is a
+        computational basis vector byte for byte (1.0 at one row, +0.0 in
+        every other real and imaginary part), else None."""
+        rows = []
+        for _, v in self.parties:
+            at = np.argmax(v.real, axis=0)
+            one_hot = np.zeros(v.shape, dtype=v.dtype)
+            one_hot[at, np.arange(v.shape[1])] = 1.0
+            if one_hot.tobytes() != v.tobytes():
+                return None
+            rows.append(at)
+        return rows
 
     def _check_against(self, shape: SystemShape, copies: int = 1) -> None:
         """Raise unless the subspace has ``shape``'s parties in order, each
@@ -420,18 +436,26 @@ def project(
 
     With ``copies > 1`` the subspace lives on the party-major shape of
     :func:`~dsskit.states.tensor_power`, and the power is never formed: it
-    passes the same checks on the single copy, and its compression is
-    contracted copy by copy from ``rho`` (:func:`~dsskit.states._power_sandwich`;
-    bit-equal to the dense one on computational basis vectors, equal to
-    roundoff otherwise).  The classification that follows is the same.
+    passes the same checks on the single copy.  When every party's columns
+    are computational basis vectors, at any ``copies``, the compressed block
+    is read as products of single-copy entries, ``k**2`` of them for ``k``
+    columns (:func:`~dsskit.states._power_block`; bit-equal to the dense
+    power's).  Any other subspace is compressed densely with one copy and
+    contracted copy by copy from ``rho`` with more
+    (:func:`~dsskit.states._power_sandwich`; equal to roundoff).  The
+    classification that follows is the same.
     """
-    if copies == 1:
-        subspace._check_against(rho.shape)
+    copies = _checked_copies(rho, copies)
+    if copies > 1:
+        _power_checks(rho, copies, tol)
+    subspace._check_against(rho.shape, copies)
+    rows = subspace._computational_rows()
+    if rows is not None:
+        out = _power_block(rho, copies, rows)
+    elif copies == 1:
         m = dagger(subspace.compression())
         out = m @ rho.mat @ dagger(m)
     else:
-        copies = _power_checks(rho, copies, tol)
-        subspace._check_against(rho.shape, copies)
         out = _power_sandwich(rho, copies, subspace.compression())
     weights, live, states = _normalized_stack(out[np.newaxis])
     if not live[0]:
@@ -454,7 +478,9 @@ def check_certificate(
     Returns a certificate when the projection is pure and entangled, else a
     :class:`Refusal` naming the failed test.  Absence of a certificate is a
     result, not an error.  For a power, :func:`project` works from the
-    single copy, so no matrix of the power's side is built.
+    single copy, so no matrix of the power's side is built; on
+    computational basis vectors it reads only the ``k**2`` entries of the
+    block.
     """
     outcome = project(rho, subspace, tol, copies=copies)
     if outcome.classification == "zero":

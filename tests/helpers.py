@@ -7,7 +7,8 @@ from typing import Iterator
 
 import numpy as np
 
-from dsskit import DensityMatrix, PureState, SystemShape
+from dsskit import DensityMatrix, LocalSubspace, PureState, SystemShape
+from dsskit import states, subspaces
 
 
 def trace(rho: DensityMatrix) -> float:
@@ -242,3 +243,16 @@ def contract_reference(tensor: np.ndarray, mats) -> np.ndarray:
     for m in mats:
         tensor = np.tensordot(tensor, m, axes=(0, 1))
     return tensor
+
+
+def spy_on_the_general_path(monkeypatch) -> list[str]:
+    """Record, in order, each call of ``LocalSubspace.compression`` (as
+    "compression") and of ``states._power_sandwich``, under each name it is
+    imported by (as "sandwich")."""
+    calls = []
+    compression = LocalSubspace.compression
+    monkeypatch.setattr(LocalSubspace, "compression", lambda self: calls.append("compression") or compression(self))
+    sandwich = states._power_sandwich
+    for module in (states, subspaces):
+        monkeypatch.setattr(module, "_power_sandwich", lambda *args: calls.append("sandwich") or sandwich(*args))
+    return calls

@@ -34,7 +34,7 @@ from dsskit import (
 from dsskit import cli
 from dsskit.cli import main
 
-from helpers import render_report_reference
+from helpers import render_report_reference, spy_on_the_general_path
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -713,7 +713,29 @@ JSON_GOLDENS = [
     ("check_example3q_0.5_x2_mixed.json", 0,
      ("dss", "check", "--state", "example3q", "--p", "0.5", "--copies", "2",
       "--subspace", "subspace_x2_mixed.json")),
+    # The certificate's span in rotated, complex per-party bases: the
+    # compressed and contracted path, not the computational one.
+    ("check_example3q_0.5_x2_rotated.json", 0,
+     ("dss", "check", "--state", "example3q", "--p", "0.5", "--copies", "2",
+      "--subspace", "subspace_x2_rotated.json")),
 ]
+
+
+@pytest.mark.parametrize("subspace,copies,general", [
+    ("subspace_x3_certificate.json", "3", False),
+    ("subspace_x2_certificate.json", "2", False),
+    ("subspace_x2_rotated.json", "2", True),
+])
+def test_check_compresses_only_subspaces_off_the_computational_basis(capsys, monkeypatch, subspace, copies, general):
+    """``dss check`` on a computational subspace file reads its block from
+    single-copy entries, with no compression and no copy-by-copy
+    contraction; on a rotated one it takes both."""
+    monkeypatch.chdir(os.path.join(GOLDEN_DIR, "json"))
+    calls = spy_on_the_general_path(monkeypatch)
+    code, _, _ = run_cli(capsys, "dss", "check", "--state", "example3q", "--p", "0.6",
+                         "--copies", copies, "--subspace", subspace)
+    assert code == 0
+    assert calls == (["compression", "sandwich"] if general else [])
 
 
 def json_report_without_timing(path) -> str:

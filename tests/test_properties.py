@@ -15,9 +15,10 @@ records against the flat search, certificate by certificate.
 The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
 pure power) against the dense computation on the n-copy matrix, and the
-projection of a power contracted copy by copy from the single copy against
-the projection of the dense power.  The searches handed the single copy and
-``copies`` are checked against the same searches of the built power.
+projection of a power, read from single-copy entries or contracted copy by
+copy, against the projection of the dense power.  The searches handed the
+single copy and ``copies`` are checked against the same searches of the
+built power.
 
 The kernel examples check ``kron_all`` against chained ``np.kron``, the
 sliced measurement outcomes against dense padded post-selection, and the
@@ -26,6 +27,7 @@ stacked two-qubit concurrence against ``concurrence`` state by state.
 
 import functools
 import itertools
+import json
 import logging
 import tracemalloc
 
@@ -67,7 +69,7 @@ from dsskit import (
     w_state,
     werner,
 )
-from dsskit import states, subspaces
+from dsskit import fileio, states, subspaces
 from dsskit.cli import main
 from dsskit.entanglement import _concurrence_stack, _cut_ranks
 from dsskit.linalg import ZERO_WEIGHT, Tolerance, kron_all
@@ -780,54 +782,97 @@ def test_single_copy_ensemble_has_the_gram_of_the_dense_one(seed, case, rotated)
 
 
 # ---------------------------------------------------------------------------
-# Projections of a tensor power, contracted from the single copy
+# Projections of a tensor power, read or contracted from the single copy
 # ---------------------------------------------------------------------------
 
-#: (shape, copies) pairs up to side 512, one copy included.
-PROJECTION_CASES = [(SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 1)] + POWER_CASES
+#: Shapes by copy count, up to side 512: on two and three parties, and a
+#: party of two qubit subsystems beside a qutrit party.
+PROJECTION_CASES = {
+    1: [SystemShape.of(("A", 2), ("B", 2), ("C", 2)), SystemShape.of(("A", (2, 2)), ("B", 3))],
+    2: [shape for shape, copies in POWER_CASES if copies == 2] + [SystemShape.of(("A", (2, 2)), ("B", 3))],
+    3: [shape for shape, copies in POWER_CASES if copies == 3],
+}
+
+#: How a subspace's columns are made.  The first three are computational
+#: basis vectors; the look-alikes differ from one in a single column: an
+#: entry -1.0 or 1j in place of 1.0, or -0.0 in its zero entries.
+COMPUTATIONAL_KINDS = ("sorted", "unsorted", "file")
+SUBSPACE_KINDS = COMPUTATIONAL_KINDS + ("rotated", "minus-one", "imaginary-unit", "negative-zeros")
+
+
+def subspace_of_kind(rng, shape: SystemShape, sizes, kind: str) -> LocalSubspace:
+    """A product subspace of ``shape`` with ``sizes[p]`` columns for party
+    ``p``, made as ``kind`` (one of ``SUBSPACE_KINDS``) says: indices in
+    ascending or random order, explicit one-hot columns written and read
+    back by ``fileio``, random isometries, or a look-alike."""
+    picks = {p.label: [int(i) for i in rng.permutation(p.dim)[:m]] for p, m in zip(shape.parties, sizes)}
+    if kind == "sorted":
+        return LocalSubspace.from_indices(shape, {label: sorted(idx) for label, idx in picks.items()})
+    if kind == "unsorted":
+        return LocalSubspace.from_indices(shape, picks)
+    if kind == "rotated":
+        return LocalSubspace(tuple(
+            (p.label, random_unitary(rng, p.dim)[:, :m]) for p, m in zip(shape.parties, sizes)
+        ))
+    columns = [np.eye(p.dim, dtype=np.complex128)[:, picks[p.label]] for p in shape.parties]
+    if kind == "file":
+        explicit = LocalSubspace(tuple(zip(shape.labels, columns)))
+        return fileio.load_subspace(json.loads(json.dumps(fileio.save_subspace(explicit))))
+    party = int(rng.integers(len(columns)))
+    column = columns[party][:, int(rng.integers(columns[party].shape[1]))]
+    one = np.flatnonzero(column)
+    if kind == "minus-one":
+        column[one] = -1.0
+    elif kind == "imaginary-unit":
+        column[one] = 1j
+    else:
+        column[column == 0] = complex(-0.0, -0.0)
+    return LocalSubspace(tuple(zip(shape.labels, columns)))
 
 
 @st.composite
 def power_projection_instances(draw):
-    """``(state, copies, subspace, computational)``: a random state of rank
-    1 to 3 with a planted spectrum, and a product subspace of its n-copy
-    shape with 1 to 3 vectors per party, cut from the computational basis or
-    from random isometries."""
+    """``(state, copies, subspace, kind)``: a random complex state of rank
+    1 to full, and a product subspace of its n-copy shape with 1 to 3
+    vectors per party, made as ``kind`` says (``subspace_of_kind``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape, copies = PROJECTION_CASES[draw(st.integers(0, len(PROJECTION_CASES) - 1))]
+    copies = int(rng.integers(1, 4))
+    shape = PROJECTION_CASES[copies][int(rng.integers(len(PROJECTION_CASES[copies])))]
+    kind = SUBSPACE_KINDS[int(rng.integers(len(SUBSPACE_KINDS)))]
     weights = np.zeros(shape.total_dim)
-    rank = int(rng.choice([1, 1, 2, 3]))  # pure in half the examples
+    rank = int(rng.integers(1, shape.total_dim + 1))
     weights[:rank] = rng.dirichlet(np.ones(rank))
     rho = state_with_spectrum(rng, shape, weights)
-    power_shape = tensor_power(rho, copies).shape
+    power_shape = states._power_shape(rho, copies)
     sizes = [min(int(rng.choice([1, 2, 2, 3])), p.dim) for p in power_shape.parties]
-    computational = bool(rng.integers(2))
-    if computational:
-        subspace = LocalSubspace.from_indices(power_shape, {
-            p.label: sorted(rng.choice(p.dim, size=m, replace=False))
-            for p, m in zip(power_shape.parties, sizes)
-        })
-    else:
-        subspace = LocalSubspace(tuple(
-            (p.label, random_unitary(rng, p.dim)[:, :m]) for p, m in zip(power_shape.parties, sizes)
-        ))
-    return rho, copies, subspace, computational
+    return rho, copies, subspace_of_kind(rng, power_shape, sizes, kind), kind
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(power_projection_instances())
 def test_power_projection_matches_the_dense_power(instance):
-    rho, copies, subspace, computational = instance
+    """``project`` at ``copies`` against the dense oracle ``B† rho^n B``,
+    formed by matrix products with the built power and normalized as
+    ``project`` normalizes.  On computational basis vectors the weight and
+    state bytes equal the oracle's; on every other subspace, look-alikes
+    included, they agree to 1e-12.  The classification and signature are
+    those of projecting the built power."""
+    rho, copies, subspace, kind = instance
     got = project(rho, subspace, copies=copies)
-    want = project(tensor_power(rho, copies), subspace)
+    power = tensor_power(rho, copies)
+    b = subspace.compression()
+    weights, live, normalized = states._normalized_stack((np.conj(b).T @ power.mat @ b)[np.newaxis])
+    want = project(power, subspace)
     assert got.classification == want.classification
     assert got.signature == want.signature
-    if computational:
-        assert got.weight == want.weight
-        assert np.array_equal(got.state.mat, want.state.mat)
+    if not live[0]:
+        assert got.classification == "zero"
+    elif kind in COMPUTATIONAL_KINDS:
+        assert got.weight == weights[0]
+        assert got.state.mat.tobytes() == normalized[0].tobytes()
     else:
-        assert abs(got.weight - want.weight) <= 1e-12
-        assert np.max(np.abs(got.state.mat - want.state.mat)) <= 1e-12
+        assert abs(got.weight - weights[0]) <= 1e-12
+        assert np.max(np.abs(got.state.mat - normalized[0])) <= 1e-12
 
 
 def test_power_projection_refuses_what_tensor_power_refuses():

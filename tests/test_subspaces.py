@@ -25,7 +25,7 @@ from dsskit import (
     three_qubit_example,
     werner,
 )
-from dsskit import subspaces
+from dsskit import states, subspaces
 from dsskit.linalg import DEFAULT_TOLERANCE
 from dsskit.states import DensityMatrix, PureState, product_basis_vector
 from dsskit.subspaces import CANDIDATE_CAP, _SearchContext, _tables
@@ -37,6 +37,7 @@ from helpers import (
     planted_instance,
     random_density,
     random_unitary,
+    spy_on_the_general_path,
 )
 
 
@@ -170,6 +171,52 @@ def test_project_zero_weight():
     assert outcome.classification == "zero"
     assert outcome.weight == 0.0
     assert outcome.state is None
+
+
+@pytest.mark.parametrize("copies", [True, 1.0, np.float64(1.0)], ids=["True", "1.0", "float64"])
+def test_project_refuses_a_copy_count_that_tensor_power_refuses(copies):
+    """A bool or a float is not a copy count, even when it equals 1."""
+    rho = three_qubit_example(0.5)
+    with pytest.raises(InvariantViolation) as dense:
+        tensor_power(rho, copies)
+    assert dense.value.invariant == "copies"
+    rng = np.random.default_rng(5)
+    rotated = LocalSubspace(tuple((label, random_unitary(rng, 2)) for label in "ABC"))
+    for subspace in (LocalSubspace.full(rho.shape), rotated):
+        for call in (project, check_certificate):
+            with pytest.raises(InvariantViolation) as got:
+                call(rho, subspace, copies=copies)
+            assert got.value.invariant == "copies"
+            assert str(got.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_project_reads_computational_blocks_without_the_compression(monkeypatch, copies):
+    """On computational basis vectors ``project`` reads the block from
+    single-copy entries: no compression and no copy-by-copy contraction.
+    Every other subspace, a look-alike with one entry -1.0 included, is
+    compressed, and contracted from the single copy when ``copies > 1``."""
+    rng = np.random.default_rng(copies)
+    rho = three_qubit_example(0.5)
+    shape = states._power_shape(rho, copies)
+    calls = spy_on_the_general_path(monkeypatch)
+    dim = 2**copies
+    for indices in ({label: (1, 0) for label in "ABC"}, {"A": (0,), "B": tuple(range(dim))[::-1], "C": (dim - 1,)}):
+        for subspace in (LocalSubspace.from_indices(shape, indices), LocalSubspace(tuple(
+            (label, np.eye(dim)[:, idx]) for label, idx in indices.items()
+        ))):
+            project(rho, subspace, copies=copies)
+            check_certificate(rho, subspace, copies=copies)
+    assert calls == []
+    general = ["compression"] + ["sandwich"] * (copies > 1)
+    rotated = LocalSubspace(tuple((label, random_unitary(rng, dim)[:, :2]) for label in "ABC"))
+    minus_one = np.eye(dim)[:, [0, 1]]
+    minus_one[1, 1] = -1.0
+    look_alike = LocalSubspace(tuple((label, minus_one) for label in "ABC"))
+    for subspace in (rotated, look_alike):
+        calls.clear()
+        project(rho, subspace, copies=copies)
+        assert calls == general
 
 
 def test_project_weight_monotone_under_nesting():

@@ -270,7 +270,7 @@ def _resolve_ref(value, base_dir: str, loader: Callable, context: str):
                 value = json.load(fh)
         except OSError as exc:
             raise SchemaError(f"{context}: cannot read referenced file {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"{context}: referenced file {path!r} is not valid JSON") from exc
     try:
         return loader(value)
@@ -355,7 +355,7 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path!r} is not valid JSON: {exc}") from exc
 
 

@@ -16,10 +16,10 @@ rotated bases.
 
 Both searches run one pipeline over canonical candidate positions: a
 source of positions, an optional screen, and the classification of the
-remaining candidates by the kernel :func:`project` runs, on the cores of
-their blocks stacked by side.  Only their keep tests differ.  The screened
-DSS search is core first: it classifies one block per distinct core of
-the survivors, and a survivor padded with zero rows takes its core's
+remaining candidates by the kernel :func:`project` runs, on their blocks
+stacked by side.  Only their keep tests differ.  The screened DSS search
+is core first: it classifies one block per distinct core of the
+survivors, and a survivor padded with zero rows takes its core's
 classification (:func:`search_dss`).
 """
 
@@ -304,103 +304,50 @@ def _product(held: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 
 def _classify_stack(
-    stacks: Sequence[tuple[np.ndarray, np.ndarray]], dims: tuple[int, ...], tol: Tolerance
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    stacks: Sequence[tuple[np.ndarray, np.ndarray]], tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
     """The classification kernel of :func:`project` and the searches.
 
     Each of ``stacks`` pairs normalized, exactly Hermitian blocks of
-    nonzero weight ``(n, k, k)`` with their rows ``(n, k)``: ascending flat
-    indices in a space of per-party dims ``dims``.  Returns, for every
-    block of every stack in order, its index into ``_CLASSES`` ("mixed" or
-    pure), its ranks at the single-party cuts (zero unless pure) and
-    whether its core is strictly smaller than the block; and the number of
-    distinct cores decomposed.  Each block's result is that of the block
-    alone.
+    nonzero weight ``(n, k, k)`` with their per-party sizes ``(n,
+    parties)``, whose product is ``k``: a block's rows are row-major over
+    its sizes, as the ascending flat indices of a product of ascending
+    per-party index sets are.  Returns, for every block of every stack in
+    order, its index into ``_CLASSES`` ("mixed" or pure) and its ranks at
+    the single-party cuts (zero unless pure).  Each block's result is that
+    of the block alone; the kernel classifies the blocks it is given, zero
+    rows and all.
 
-    The pure test and the cut ranks run on each block's core: the block
-    with every padding index removed.  Party ``p``'s index ``a`` is padding
-    when every row of the block whose party-``p`` index is ``a`` is exactly
-    0.0; the columns of those rows are then zero too.  Removing them drops
-    only zero rows and columns, so the core has the block's spectrum but
-    for zeros, and its top eigenvector is the block's without the zero
-    entries; a block with no zero row is its own core.  The padding of all
-    blocks is found at once by :func:`_held`, at their rows' flat indices.
-
-    Each distinct core takes one decomposition.  Cores with the same rows
-    and the same bytes are decomposed once and share the result, which is
-    exact: equal input bytes give equal LAPACK results.  The rows belong to
-    the key, since equal bytes at rows of other per-party sizes have other
-    cut ranks.  The distinct cores of all stacks are stacked by side,
-    whatever their blocks' sides: each side takes one ``eigh``.  A block
-    is pure when its top eigenvalue is at least ``1 - purity_atol``.  The
-    top eigenvector of each distinct pure core, put at its rows in a zero
-    vector of ``prod(dims)`` entries, goes into one
+    Each stack takes one ``eigh``.  A block is pure when its top eigenvalue
+    is at least ``1 - purity_atol``.  The top eigenvector of each pure
+    block, reshaped to the block's sizes and zero-padded on each party's
+    axis to the largest sizes among the pure blocks, goes into one
     :func:`~dsskit.entanglement._cut_ranks` call (zero entries add only
     zero singular values); a pure block is entangled when some rank
     exceeds 1.
     """
-    firsts = list(itertools.accumulate((len(rows) for _, rows in stacks), initial=0))
-    count, total = firsts[-1], prod(dims)
-    keeps = [states.any(axis=-1) for states, _ in stacks]  # rows not exactly zero
-    if not all(keep.all() for keep in keeps):
-        # A block keeps the rows whose every index some nonzero row holds
-        # (:func:`_held`), found on the grid of all prod(dims) flat indices.
-        # Blocks of total rows are that grid already (their rows are
-        # range(total)); the others are scattered onto it and gathered back.
-        if all(rows.shape[1] == total for _, rows in stacks):
-            held = _product(_held(np.concatenate(keeps), dims), dims)
-            keeps = [held[first:last] for first, last in zip(firsts, firsts[1:])]
-        else:
-            live = np.zeros((count, total), dtype=bool)
-            for (_, rows), keep, first in zip(stacks, keeps, firsts):
-                live[first + np.arange(len(rows))[:, np.newaxis], rows] = keep
-            held = _product(_held(live, dims), dims)
-            keeps = [held[first + np.arange(len(rows))[:, np.newaxis], rows] for (_, rows), first in zip(stacks, firsts)]
-    cores = {}  # core side -> [(block numbers, cores, their rows)]
-    smaller = []
-    for (states, rows), keep, first in zip(stacks, keeps, firsts):
-        n, k = rows.shape
-        core = keep.sum(axis=-1)
-        for c in set(core.tolist()):
-            sel = np.flatnonzero(core == c)
-            if c == k:
-                got = (states, rows) if len(sel) == n else (states[sel], rows[sel])
-            else:
-                kept = np.nonzero(keep[sel])[1].reshape(-1, c)
-                blocks = states[sel[:, np.newaxis, np.newaxis], kept[:, :, np.newaxis], kept[:, np.newaxis, :]]
-                got = blocks, rows[sel[:, np.newaxis], kept]
-            cores.setdefault(c, []).append((first + sel,) + got)
-        smaller.append(core < k)
-    codes = np.ones(count, dtype=np.int8)
-    ranks = np.zeros((count, len(dims)), dtype=np.intp)
-    pure_at, tops, twins, decomposed = [], [], [], 0
-    for c in sorted(cores):
-        pieces = cores.pop(c)
-        at, blocks, rows = pieces[0] if len(pieces) == 1 else (np.concatenate(a) for a in zip(*pieces))
-        if len(at) > 1:
-            seen = {}  # (rows, core bytes) -> the first such core here; the keys copy the cores
-            keys = zip(map(np.ndarray.tobytes, rows), map(np.ndarray.tobytes, blocks))
-            first = [seen.setdefault(key, i) for i, key in enumerate(keys)]
-            if len(seen) < len(at):
-                twins.append((at, at[first]))  # each block and the block whose result it takes
-                heads = list(seen.values())
-                at, blocks, rows = at[heads], blocks[heads], rows[heads]
-            del seen
-        decomposed += len(at)
-        evals, evecs = np.linalg.eigh(blocks)
-        pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
-        if len(pure):
-            top = np.zeros((len(pure), total), dtype=evecs.dtype)
-            top[np.arange(len(pure))[:, np.newaxis], rows[pure]] = evecs[pure, :, -1]
-            pure_at.append(at[pure])
-            tops.append(top)
-    if pure_at:
-        pure_at = np.concatenate(pure_at)
-        ranks[pure_at] = got = _cut_ranks(np.concatenate(tops), dims, tol.rank_rtol)
-        codes[pure_at] = 2 + np.logical_or.reduce(got > 1, axis=-1)
-    for at, head in twins:
-        codes[at], ranks[at] = codes[head], ranks[head]
-    return codes, ranks, np.concatenate(smaller), decomposed
+    count = sum(len(blocks) for blocks, _ in stacks)
+    codes, ranks = np.ones(count, dtype=np.int8), np.zeros((count, stacks[0][1].shape[1]), dtype=np.intp)
+    tops, first = [], 0
+    for blocks, sizes in stacks:
+        if len(blocks):
+            evals, evecs = np.linalg.eigh(blocks)
+            pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
+            if len(pure):
+                tops.append((first + pure, evecs[pure, :, -1], sizes[pure]))
+        first += len(blocks)
+    if tops:
+        at = np.concatenate([a for a, _, _ in tops])
+        frame = tuple(np.concatenate([sizes for _, _, sizes in tops]).max(axis=0).tolist())
+        padded, row = np.zeros((len(at),) + frame, dtype=np.complex128), 0
+        for _, top, sizes in tops:
+            for shape in set(map(tuple, sizes.tolist())):
+                sel = np.flatnonzero((sizes == shape).all(axis=-1))
+                padded[(row + sel,) + tuple(map(slice, shape))] = top[sel].reshape((len(sel),) + shape)
+            row += len(top)
+        ranks[at] = got = _cut_ranks(padded.reshape(len(at), -1), frame, tol.rank_rtol)
+        codes[at] = 2 + np.logical_or.reduce(got > 1, axis=-1)
+    return codes, ranks
 
 
 def _outcome(weight: float, state: DensityMatrix | None, code: int, signature: Sequence[int]) -> ProjectionOutcome:
@@ -429,10 +376,8 @@ def project(
     top eigenvalue fraction reaches ``1 - purity_atol``; a pure projection
     is entangled when some entry of its dimension signature exceeds 1.  The
     classification is the kernel the searches run
-    (:func:`_classify_stack`), here on a stack of one block whose rows are
-    its own indices in the subspace's dims: the pure test and the signature
-    come from the block's core, the block with every index whose rows are
-    exactly zero removed, and the weight and state from the block itself.
+    (:func:`_classify_stack`), here on a stack of one block at the
+    subspace's dims.
 
     With ``copies > 1`` the subspace lives on the party-major shape of
     :func:`~dsskit.states.tensor_power`, and the power is never formed: it
@@ -460,7 +405,7 @@ def project(
     weights, live, states = _normalized_stack(out[np.newaxis])
     if not live[0]:
         return _outcome(0.0, None, 0, ())
-    codes, ranks, _, _ = _classify_stack([(states, np.arange(len(out))[np.newaxis])], subspace.dims, tol)
+    codes, ranks = _classify_stack([(states, np.array([subspace.dims]))], tol)
     state = DensityMatrix._derived(subspace.subspace_shape(), states[0])
     return _outcome(float(weights[0]), state, int(codes[0]), ranks[0].tolist())
 
@@ -746,33 +691,29 @@ class _SearchContext:
         """Each candidate at ``positions`` whose classification is in
         ``keep``, in that order: its index in ``positions``, its subset of
         each party's basis and the outcome of the power on it, classified
-        from its own block.  Only those candidates get an outcome and a copy of their
-        state.
+        from its own block.  Only those candidates get an outcome and a copy
+        of their state.
 
         In each slice (:meth:`_slices`), the blocks are read by
         :meth:`_read` and one :func:`_classify_stack` call, the kernel of
-        :func:`project`, classifies them.  On computational bases the
-        blocks, and so the outcomes, are bit-equal to :func:`project`'s on
-        the power; on rotated ones they agree to roundoff.  Every outcome
-        owns a copy of its state, so none keeps a slice alive.
-        ``smaller_cores`` counts the nonzero blocks whose core is strictly
-        smaller than the block, and ``decomposed`` the distinct cores the
-        kernel decomposed, summed over the slices.
+        :func:`project`, classifies them at their per-party subset sizes.
+        On computational bases the blocks, and so the outcomes, are
+        bit-equal to :func:`project`'s on the power; on rotated ones they
+        agree to roundoff.  Every outcome owns a copy of its state, so none
+        keeps a slice alive.  ``decomposed`` counts the blocks handed to the
+        kernel, those of nonzero weight, summed over the slices.
         """
-        dims = self.shape.dims
         wanted = np.array([c in keep for c in _CLASSES])
-        self.smaller_cores = self.decomposed = done = 0
+        self.decomposed = done = 0
         for picks, side in self._slices(positions):
             n = len(side)
             weights, stacks = self._read(picks, side)
-            codes, ranks = np.zeros(n, dtype=np.int8), np.zeros((n, len(dims)), dtype=np.intp)
-            live = np.concatenate([at for at, _, _ in stacks])
-            codes[live], ranks[live], smaller, decomposed = _classify_stack(
-                [(blocks, rows) for _, blocks, rows in stacks], dims, self.tol
-            )
-            self.smaller_cores += int(np.count_nonzero(smaller))
-            self.decomposed += decomposed
-            states = dict(zip(live.tolist(), (block for _, blocks, _ in stacks for block in blocks)))
+            sizes = np.stack([s[pick] for s, pick in zip(self.sizes, picks)], axis=-1)
+            codes, ranks = np.zeros(n, dtype=np.int8), np.zeros(sizes.shape, dtype=np.intp)
+            live = np.concatenate([at for at, _ in stacks])
+            codes[live], ranks[live] = _classify_stack([(blocks, sizes[at]) for at, blocks in stacks], self.tol)
+            self.decomposed += len(live)
+            states = dict(zip(live.tolist(), (block for _, blocks in stacks for block in blocks)))
             chosen = np.flatnonzero(wanted[codes])
             for i, indices, weight, code, signature in zip(
                 chosen.tolist(),
@@ -806,8 +747,8 @@ class _SearchContext:
         """The candidates at ``positions`` in slices of consecutive ones, for
         reading their blocks: per slice, their subset numbers (one array per
         party) and block sides.  A candidate counts the larger of its block's
-        entries and the power's side ``D``, the length of its row mask and
-        its top vector (:func:`_runs`)."""
+        entries and the power's side ``D``, the length of its row mask
+        (:func:`_runs`)."""
         picks, side = self._picks(positions)
         for run in _runs(np.maximum(side * side, self.shape.total_dim)):
             yield [pick[run] for pick in picks], side[run]
@@ -821,20 +762,20 @@ class _SearchContext:
 
     def _read(
         self, picks: Sequence[np.ndarray], side: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
         """The blocks of the candidates with subset numbers ``picks`` and
         block sides ``side``: their weights and, per block side, the
-        candidates of nonzero weight, their normalized blocks and their
-        rows.  Each side's blocks are read out of ``local`` by one index,
-        with no product or matrix multiply per candidate, and normalized by
-        one :func:`~dsskit.states._normalized_stack` call."""
+        candidates of nonzero weight and their normalized blocks.  Each
+        side's blocks are read out of ``local`` by one index, with no product
+        or matrix multiply per candidate, and normalized by one
+        :func:`~dsskit.states._normalized_stack` call."""
         mask = self._rows(picks)
         weights, stacks = np.zeros(len(side)), []
         for k in np.unique(side).tolist():
             at = np.flatnonzero(side == k)
             rows = np.nonzero(mask[at])[1].reshape(-1, k)
             weights[at], kept, blocks = _normalized_stack(self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])
-            stacks.append((at[kept], blocks, rows[kept]))
+            stacks.append((at[kept], blocks))
         return weights, stacks
 
     def states(self, positions: Sequence[int]) -> Iterator[DensityMatrix]:
@@ -844,8 +785,8 @@ class _SearchContext:
         for picks, side in self._slices(positions):
             _, stacks = self._read(picks, side)
             states = dict(zip(
-                np.concatenate([at for at, _, _ in stacks]).tolist(),
-                (block for _, blocks, _ in stacks for block in blocks),
+                np.concatenate([at for at, _ in stacks]).tolist(),
+                (block for _, blocks in stacks for block in blocks),
             ))
             for i, indices in enumerate(self._indices(picks)):
                 yield DensityMatrix._derived(self._state_shape(indices), states[i].copy())
@@ -856,15 +797,16 @@ class _SearchContext:
 
         Party ``p``'s index ``a`` is padding for a candidate when every
         row of ``local`` within the candidate whose party-``p`` index is
-        ``a`` is exactly zero, and so is its column: the rule of
-        :func:`_classify_stack` on the candidate's own block.  Removing every
-        padding index at once gives the core; as only zero rows and columns
-        go, the core has the candidate's classification and signature.  A
-        row is nonzero within the candidate when some basis state of the
-        candidate touches it: a nonzero entry of ``local`` in its row or its
-        column.  That is one product of the candidates' row masks with the
-        0/1 pattern of those entries.  When no diagonal entry of ``local``
-        is zero, every row is nonzero and each candidate is its own core.
+        ``a`` is exactly zero, and so is its column.  This is the only home
+        of the padding rule: the kernel classifies whole blocks.  Removing
+        every padding index at once gives the core; as only zero rows and
+        columns go, the core has the candidate's classification and
+        signature.  A row is nonzero within the candidate when some basis
+        state of the candidate touches it: a nonzero entry of ``local`` in
+        its row or its column.  That is one product of the candidates' row
+        masks with the 0/1 pattern of those entries.  When no diagonal entry
+        of ``local`` is zero, every row is nonzero and each candidate is its
+        own core.
 
         The weight is the complex sum of ``local``'s diagonal over the
         candidate's rows (:func:`_diagonal_sums`), bit-equal to its block's
@@ -954,25 +896,24 @@ def _search(
     else:
         positions, counts = np.arange(ctx.count), _ScreenCounts()
     screened = time.perf_counter()
+    core_at, weights = ctx.cores(positions)
+    live = np.flatnonzero(weights > ZERO_WEIGHT)
+    smaller = int(np.count_nonzero(core_at[live] != positions[live]))
     if prune:
         # Core first: each survivor takes the classification of its core,
         # and only the distinct cores are read.
-        core_at, weights = ctx.cores(positions)
-        live = np.flatnonzero(weights > ZERO_WEIGHT)
         distinct, back = np.unique(core_at[live], return_inverse=True)
         found = certificates(distinct)
         chosen = live[np.array([c in found for c in distinct.tolist()], dtype=bool)[back]]
-        smaller = int(np.count_nonzero(core_at[live] != positions[live]))
-        at, core_at, weights = positions[chosen], core_at[chosen], weights[chosen]
     else:
-        # The flat oracle: every candidate is classified from its own block.
+        # The flat oracle: every candidate is classified from its own block
+        # (the positions are 0, 1, ..., so a position is its own index).
         found = certificates(positions)
-        at = np.fromiter(found, dtype=np.intp, count=len(found))
-        core_at, weights = ctx.cores(at)
+        chosen = np.fromiter(found, dtype=np.intp, count=len(found))
         # A core the rounding of its own weight put across a threshold is
         # not a certificate here; its padded copy stands as its own core.
-        core_at = np.where(np.isin(core_at, at), core_at, at)
-        smaller = ctx.smaller_cores
+        core_at = np.where(np.isin(core_at, chosen), core_at, positions)
+    at, core_at, weights = positions[chosen], core_at[chosen], weights[chosen]
     cores = sorted(set(core_at.tolist()))
     number = {c: i for i, c in enumerate(cores)}
     indices = ctx._indices(np.unravel_index(at, [len(s) for s in ctx.subsets]))
@@ -998,7 +939,7 @@ def _search(
     _logger.debug(
         "search_dss: %(candidates)d candidates, screened out %(screened_zero)d zero, %(screened_mixed)d mixed, "
         "%(screened_product)d product; %(classified)d classified (%(smaller_cores)d on a smaller core, "
-        "%(decomposed)d distinct cores decomposed), %(certificates)d certificates (%(padded)d padded); "
+        "%(decomposed)d blocks decomposed), %(certificates)d certificates (%(padded)d padded); "
         "screen %(screen_s).6f s, classify %(classify_s).6f s",
         stats,
         extra={"search_stats": stats},
@@ -1027,17 +968,18 @@ def search_dss(
     (:meth:`_SearchContext.cores`): the survivor without its padding
     indices, those whose rows and columns within the survivor are all
     exactly zero.  One block per distinct core is read and classified by
-    the kernel of :func:`project`; a core has no padding, so the kernel
-    drops nothing.  Each survivor takes its core's classification and
-    signature, which zero padding leaves unchanged, and its own weight, the
-    sum of the power's diagonal over its rows (bit-equal to its block's
-    trace).  A padded survivor is thus classified from its core normalized
-    by the core's weight, where its own block is normalized by its own
-    weight; the two weights differ at most in the last bit.  On
+    the kernel of :func:`project`.  Each survivor takes its core's
+    classification and signature, which zero padding leaves unchanged, and
+    its own weight, the sum of the power's diagonal over its rows
+    (bit-equal to its block's trace).  A padded survivor is thus classified
+    from its core normalized by the core's weight, where its own block is
+    normalized by its own weight; the two weights differ at most in the
+    last bit.  On
     example3q(0.5)^⊗2 the 24 certificates have one core: one block is
     read, and 23 records are padded.  With ``prune=False`` every candidate
-    is classified from its own block, the flat oracle, and each record's
-    core is found by the same zero pattern.
+    is classified from its own block, the flat oracle, which shares no
+    padding rule with the core-first search; each record's core, and the
+    ``smaller_cores`` count, come from the same zero pattern.
     """
     return _search(_SearchContext(rho, copies, bases, tol, candidate_cap), require_entangled, min_signature, prune)[0]
 
@@ -1074,15 +1016,14 @@ def find_dss(
     (:func:`search_dss`).  Blocks are taken in position order, in slices of
     about ``_SLICE_ENTRIES`` entries, read by index out of the power in the
     search basis, formed once, and normalized with the others of their side
-    in the slice.  In a slice, each distinct core takes one decomposition
-    (cores equal in rows and bytes share it).  The screen decides all
-    candidates at once from the power's significant eigenpairs, which come
-    from one ``eigh`` of the single copy (the products of its eigenvalues
-    and the regrouped Kronecker products of its eigenvectors), by kernel
-    contractions in memory O(D^2 + candidates) for side ``D``, with no
-    eigensolver per candidate.  It drops candidates that are clearly
-    zero-weight or clearly mixed: weight at most a tenth of
-    ``ZERO_WEIGHT``, or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the
+    in the slice; each block side in a slice takes one decomposition.  The
+    screen decides all candidates at once from the power's significant
+    eigenpairs, which come from one ``eigh`` of the single copy (the
+    products of its eigenvalues and the regrouped Kronecker products of its
+    eigenvectors), by kernel contractions in memory O(D^2 + candidates) for
+    side ``D``, with no eigensolver per candidate.  It drops candidates
+    that are clearly zero-weight or clearly mixed: weight at most a tenth
+    of ``ZERO_WEIGHT``, or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the
     projection ``P`` above ``20 * purity_atol``, which puts the residual
     weight beyond the top eigenvalue above ``10 * purity_atol`` of the
     weight.  With ``require_entangled`` it also drops candidates whose top
@@ -1095,11 +1036,12 @@ def find_dss(
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those
     screened out as zero, mixed and product, those classified, those of
-    them classified on a strictly smaller core (``smaller_cores``), the
-    distinct cores decomposed (``decomposed``), the certificates and the
-    padded ones among them (``padded``), and the seconds spent screening
-    and classifying.  Only the certificates get a subspace cut from the
-    bases.
+    them of nonzero weight whose core is strictly smaller
+    (``smaller_cores``), the blocks decomposed (``decomposed``: one per
+    distinct core pruned, one per nonzero block unpruned), the
+    certificates and the padded ones among them (``padded``), and the
+    seconds spent screening and classifying.  Only the certificates get a
+    subspace cut from the bases.
     """
     ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
     search, at, found = _search(ctx, require_entangled, min_signature, prune)

@@ -404,6 +404,26 @@ def test_flags_that_would_go_unread_are_usage_errors(capsys, argv, flag):
     assert err.startswith(f"error: {flag} cannot be combined with")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dss", "find", "--state", "{path}"),
+        ("dss", "find", "--state", "werner", "--F", "0.9", "--bases", "{path}"),
+        ("dss", "check", "--state", "ghz", "--subspace", "{path}"),
+        ("decompose", "--operator", "{path}"),
+        ("simulate", "--protocol", "{path}", "--state", "werner", "--F", "0.9"),
+    ],
+    ids=["state", "bases", "subspace", "operator", "protocol"],
+)
+def test_an_undecodable_input_file_is_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and out == ""
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert err == f"error: {str(path)!r} is not valid JSON: {decode}\n"
+
+
 def test_preset_flags_with_a_state_file_are_usage_errors(capsys, tmp_path):
     path = tmp_path / "state.json"
     fileio.write_state(str(path), werner(0.9))

@@ -124,6 +124,17 @@ def test_read_json_errors(tmp_path):
         fileio.read_json(str(garbage))
 
 
+def test_undecodable_bytes_are_not_valid_json(tmp_path):
+    # A UTF-16 byte-order mark is not UTF-8: a schema error, not a
+    # UnicodeDecodeError, read directly or as a protocol's referenced file.
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(SchemaError, match="is not valid JSON: 'utf-8' codec can't decode byte 0xff"):
+        fileio.read_json(str(path))
+    with pytest.raises(SchemaError, match="referenced file .* is not valid JSON"):
+        fileio.load_protocol({"steps": [{"kind": "project", "subspace": "utf16.json"}]}, base_dir=str(tmp_path))
+
+
 def test_operator_round_trip(tmp_path):
     shape = SystemShape.qubits("AB")
     op = ProductOperator.from_parts(shape, {"A": np.diag([0.5, np.sqrt(3) / 2]).astype(complex)})

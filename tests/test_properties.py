@@ -400,15 +400,21 @@ def padded_instances(draw):
 @PROPERTY_SETTINGS
 @given(padded_instances())
 def test_classification_on_cores_equals_the_full_block(instance):
-    """Every candidate, classified on its core (the block without the
-    indices whose rows are exactly zero), against the classification
-    written out on its full block; some candidates do have a smaller
-    core."""
+    """Every candidate, classified on its full block, against the
+    classification written out on that block, and against its core's (the
+    candidate without the indices whose rows and columns are exactly zero,
+    from ``cores``); some candidates do have a smaller core."""
     state, bases = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
-    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
-        assert reference_classification(state, sub, ctx.tol) == (got.classification, got.signature)
-    assert ctx.smaller_cores > 0
+    got = []
+    for sub, outcome in ctx.classify(range(ctx.count), subspaces._CLASSES):
+        got.append((outcome.classification, outcome.signature))
+        assert reference_classification(state, sub, ctx.tol) == got[-1]
+    positions = np.arange(ctx.count)
+    core_at, weights = ctx.cores(positions)
+    live = np.flatnonzero(weights > ZERO_WEIGHT)
+    assert [got[c] for c in core_at[live]] == [got[i] for i in live]
+    assert np.any(core_at[live] != positions[live])
 
 
 def test_padding_needs_a_whole_zero_row():
@@ -416,17 +422,22 @@ def test_padding_needs_a_whole_zero_row():
     # padding, so the core is the block, whose top eigenvector lies on |00>
     # and |11>.  A rule keyed on the diagonal alone would drop index 1 at
     # both parties and leave the 1x1 core [[1]], a product.
+    # The kernel classifies the whole block; the core comes from ``cores``
+    # on a search whose ``local`` is the planted block, where the candidate
+    # {0, 1} x {0, 1} is position 8 and {0} x {0} position 0.
     c = 0.25
     block = np.zeros((1, 4, 4), dtype=np.complex128)
     block[0, 0, 0], block[0, 0, 3], block[0, 3, 0] = 1.0, c, c
-    codes, ranks, smaller, _ = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
+    ctx = _SearchContext(bell_state().to_density(), 1, None, Tolerance(), subspaces.CANDIDATE_CAP)
+    ctx.local = block[0]
+    codes, ranks = subspaces._classify_stack([(block, np.array([[2, 2]]))], Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-entangled"
-    assert ranks.tolist() == [[2, 2]] and smaller.tolist() == [False]
+    assert ranks.tolist() == [[2, 2]] and ctx.cores([8])[0].tolist() == [8]
     # With the row zeroed, index 1 is padding at both parties.
     block[0, 0, 3] = block[0, 3, 0] = 0.0
-    codes, ranks, smaller, _ = subspaces._classify_stack([(block, np.arange(4)[np.newaxis])], (2, 2), Tolerance())
+    codes, ranks = subspaces._classify_stack([(block, np.array([[2, 2]]))], Tolerance())
     assert subspaces._CLASSES[codes[0]] == "pure-product"
-    assert ranks.tolist() == [[1, 1]] and smaller.tolist() == [True]
+    assert ranks.tolist() == [[1, 1]] and ctx.cores([8])[0].tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

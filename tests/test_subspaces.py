@@ -21,6 +21,7 @@ from dsskit import (
     find_purifying_subspaces,
     project,
     rank_bound,
+    search_dss,
     tensor_power,
     three_qubit_example,
     werner,
@@ -369,43 +370,44 @@ def test_search_stacks_all_survivor_cores_in_one_eigensolver_call(monkeypatch):
     assert (calls["eigh"], calls["svd"]) == (2, 1)
 
 
-def test_classify_stack_decomposes_each_distinct_core_once(monkeypatch):
-    # Per-party dims (2, 4).  A pure block with no zero row sits at rows
-    # {0, 1} x {0, 1} (flat 0, 1, 4, 5), where it is entangled, and with the
-    # same bytes at {0} x {0, 1, 2, 3} (flat 0-3), where it is a product:
-    # the rows belong to the key.  It also comes twice more at {0, 1} x
-    # {0, 1}, once as the core of a side-8 block padded at party B, and
-    # once perturbed by 1 ulp.
-    dims = (2, 4)
+def test_classify_stack_reads_each_top_at_its_own_sizes(monkeypatch):
+    # Side-4 blocks at per-party sizes (2, 2), (1, 4) and (4, 1), as in a
+    # search of per-party dims (4, 4), and a side-8 block at (2, 4) whose
+    # rows 2, 3, 6 and 7 are zero.  The pure block has the same bytes at
+    # every size: it is entangled at (2, 2) and a product at (1, 4) and
+    # (4, 1), so each top must be read at its own block's sizes, whatever
+    # the frame the one cut-rank call pads them to.
     psi = np.array([1.0, 1.0, 1.0, -1.0]) / 2
     pure = np.outer(psi, psi).astype(np.complex128)
-    nudged = pure.copy()
-    nudged[0, 0] = np.nextafter(0.25, 1.0)
+    mixed = np.eye(4, dtype=np.complex128) / 4
     padded = np.zeros((8, 8), dtype=np.complex128)
     padded[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])] = pure
-    mixed = np.eye(4, dtype=np.complex128) / 4
-    entangled, product = np.array([0, 1, 4, 5]), np.arange(4)
-    fours = [(pure, entangled), (pure, product), (pure, entangled), (nudged, entangled), (mixed, product),
-             (mixed, product)]
+    fours = [(pure, (2, 2)), (pure, (1, 4)), (pure, (4, 1)), (mixed, (2, 2)), (pure, (2, 2))]
     stacks = [
-        (np.stack([b for b, _ in fours]), np.stack([r for _, r in fours])),
-        (padded[np.newaxis], np.arange(8)[np.newaxis]),
+        (np.stack([b for b, _ in fours]), np.array([s for _, s in fours])),
+        (padded[np.newaxis], np.array([[2, 4]])),
     ]
     calls = count_solver_calls(monkeypatch)
-    codes, ranks, smaller, decomposed = subspaces._classify_stack(stacks, dims, DEFAULT_TOLERANCE)
-    # The pure block at two row sets, the nudged copy and the mixed block.
-    assert decomposed == 4 and calls["eigh"] == 1
-    assert smaller.tolist() == [False] * 6 + [True]
+    codes, ranks = subspaces._classify_stack(stacks, DEFAULT_TOLERANCE)
+    assert (calls["eigh"], calls["svd"]) == (2, 1)
     alone = [
-        subspaces._classify_stack([(block[np.newaxis], rows[np.newaxis])], dims, DEFAULT_TOLERANCE)
-        for blocks, rows_of in stacks for block, rows in zip(blocks, rows_of)
+        subspaces._classify_stack([(block[np.newaxis], sizes[np.newaxis])], DEFAULT_TOLERANCE)
+        for blocks, sizes_of in stacks for block, sizes in zip(blocks, sizes_of)
     ]
     assert codes.tolist() == [int(a[0][0]) for a in alone]
     assert ranks.tolist() == [a[1][0].tolist() for a in alone]
     assert [subspaces._CLASSES[c] for c in codes] == (
-        ["pure-entangled", "pure-product", "pure-entangled", "pure-entangled", "mixed", "mixed", "pure-entangled"]
+        ["pure-entangled", "pure-product", "pure-product", "mixed", "pure-entangled", "pure-entangled"]
     )
-    assert ranks[1].tolist() == [1, 1] and ranks[0].tolist() == ranks[-1].tolist() == [2, 2]
+    assert ranks.tolist() == [[2, 2], [1, 1], [1, 1], [0, 0], [2, 2], [2, 2]]
+
+
+def test_unpruned_search_decomposes_every_nonzero_block():
+    # The flat oracle hands the kernel every block of nonzero weight, 2208 of
+    # example3q(0.5)^2's 3375 candidates, each whole; the core pass finds
+    # that 2107 of them have a strictly smaller core.
+    stats = search_dss(three_qubit_example(0.5), copies=2, prune=False).stats
+    assert (stats["smaller_cores"], stats["decomposed"]) == (2107, 2208)
 
 
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])

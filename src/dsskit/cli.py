@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -370,11 +369,11 @@ def _resolve_tolerance(args) -> tuple[Tolerance, list[str]]:
     return replace(TOLERANCE_PROFILES[profile_name], **overrides), warnings
 
 
-def _file_input(path: str) -> dict:
-    """How a report records an input file: its path and a short SHA-256."""
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    return {"path": path, "sha256": digest}
+def _read_input(path: str) -> tuple[Any, dict]:
+    """The JSON document of an input file and how a report records the
+    file, its path and a short SHA-256, both from one read."""
+    doc, digest = fileio.read_document(path)
+    return doc, {"path": path, "sha256": digest[:16]}
 
 
 def _preset_flags(args) -> dict[str, Any]:
@@ -399,8 +398,8 @@ def _resolve_state(args, tol: Tolerance) -> tuple[DensityMatrix, dict]:
         return builder(args), inputs
     if os.path.exists(name):
         _refuse_with("a state file", **flags)
-        rho = fileio.read_state(name, tol)
-        return rho, _file_input(name)
+        doc, inputs = _read_input(name)
+        return fileio.load_state(doc, tol), inputs
     raise CliUsageError(f"--state {name!r} is neither a preset ({', '.join(sorted(PRESETS))}) nor a file")
 
 
@@ -468,8 +467,8 @@ def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
     shape = _power_shape(single, inputs["copies"])
     bases = None
     if args.bases:
-        bases = fileio.load_bases(fileio.read_json(args.bases), shape)
-        inputs["bases"] = _file_input(args.bases)
+        doc, inputs["bases"] = _read_input(args.bases)
+        bases = fileio.load_bases(doc, shape)
     count = candidate_count(shape)
     # Rendered from the search's records: a zero-padded certificate gets no
     # state, subspace or outcome object.
@@ -509,8 +508,8 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
     # The n-copy state is never built: the subspace compression and the
     # rank both come from the single copy.
     single, inputs = _single_state(args, tol)
-    subspace = fileio.read_subspace(args.subspace)
-    inputs["subspace"] = _file_input(args.subspace)
+    doc, inputs["subspace"] = _read_input(args.subspace)
+    subspace = fileio.load_subspace(doc)
     verdict = check_certificate(single, subspace, tol, copies=inputs["copies"])
     if isinstance(verdict, Refusal):
         results = {
@@ -528,8 +527,9 @@ def _cmd_dss_check(args, tol, warnings) -> tuple[Report, int]:
 
 
 def _cmd_decompose(args, tol, warnings) -> tuple[Report, int]:
-    op = fileio.read_operator(args.operator)
-    inputs = {"operator": _file_input(args.operator)}
+    doc, recorded = _read_input(args.operator)
+    op = fileio.load_operator(doc)
+    inputs = {"operator": recorded}
     factors = []
     for factor in op.factors:
         parts = decompose(factor, tol)
@@ -665,8 +665,9 @@ def _cmd_simulate(args, tol, warnings) -> tuple[Report, int]:
         raise CliUsageError("simulate needs a builtin name, or both --protocol and --state")
     single, inputs = _single_state(args, tol)
     rho = tensor_power(single, inputs["copies"], tol)
-    steps = fileio.read_protocol(args.protocol)
-    inputs["protocol"] = _file_input(args.protocol)
+    doc, recorded = _read_input(args.protocol)
+    steps = fileio.load_protocol(doc, fileio.protocol_dir(args.protocol))
+    inputs["protocol"] = recorded
     outcome = run(steps, rho)
     results = {
         "steps": len(steps),

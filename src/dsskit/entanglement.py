@@ -46,34 +46,38 @@ EOF_CHECK_ATOL = 1e-12
 FILTER_UPGRADE_MATRIX = np.diag([0.5, sqrt(3.0) / 2.0]).astype(np.complex128)
 
 
-def _cut_ranks(amplitudes: np.ndarray, dims: Sequence[int], rtol: float) -> np.ndarray:
-    """Rank at each single-party cut of one or a stack of state vectors.
+def _cut_ranks(groups: Sequence[tuple[np.ndarray, Sequence[int]]], rtol: float) -> np.ndarray:
+    """Rank at each single-party cut of stacks of state vectors.
 
-    ``amplitudes`` has shape ``(..., prod(dims))``.  At each party's cut the
-    amplitude tensor is reshaped to a (party) x (rest) matrix; its squared
-    singular values are the eigenvalues of the party's reduced state, and
-    the rank counts those :func:`~dsskit.linalg.above_rank_cutoff` keeps,
-    as :func:`~dsskit.linalg.numerical_rank` does for the reduced state.
-    Every cut, turned wide and padded with zeros to one shape, goes into a
-    single stacked SVD call; the padding adds only zero singular values, and
-    each matrix is decomposed on its own.  For the same reason a state of
-    smaller per-party dims, zero-padded on each party's axis to ``dims``,
-    has the ranks of the unpadded state: that lets one call take the states
-    of many subspace shapes.  Returns an integer array of shape ``(...,
-    len(dims))``; an empty stack gives an empty one.
+    Each of ``groups`` pairs a stack ``(n, prod(dims))`` of amplitudes with
+    its per-party ``dims``; every group has the same number of parties.  At
+    each party's cut the amplitude tensor is reshaped to a (party) x (rest)
+    matrix; its squared singular values are the eigenvalues of the party's
+    reduced state, and the rank counts those
+    :func:`~dsskit.linalg.above_rank_cutoff` keeps, as
+    :func:`~dsskit.linalg.numerical_rank` does for the reduced state.  Every
+    cut of every group, turned wide and padded with zeros to one shape,
+    goes into a single stacked SVD call; the padding adds only zero
+    singular values, and each matrix is decomposed on its own.  Returns the
+    ranks ``(sum of n, parties)``, the groups' rows in order.
     """
-    batch = amplitudes.shape[:-1]
-    tensor = amplitudes.reshape(batch + tuple(dims))
-    total = prod(dims)
-    sides = [sorted((d, total // d)) for d in dims]
-    cuts = np.zeros(batch + (len(dims), max(s for s, _ in sides), max(w for _, w in sides)), amplitudes.dtype)
-    lead = list(range(len(batch)))
-    for p, (d, (short, wide)) in enumerate(zip(dims, sides)):
-        rest = [len(batch) + q for q in range(len(dims)) if q != p]
-        cut = tensor.transpose(lead + [len(batch) + p] + rest).reshape(batch + (d, total // d))
-        cuts[..., p, :short, :wide] = cut if d == short else np.swapaxes(cut, -1, -2)
+    sides = [(d, prod(dims) // d) for _, dims in groups for d in dims]
+    parties = range(len(groups[0][1]))
+    count = sum(len(amplitudes) for amplitudes, _ in groups)
+    cuts = np.zeros((count, len(parties), max(map(min, sides)), max(map(max, sides))), dtype=np.complex128)
+    row, side = 0, iter(sides)
+    for amplitudes, dims in groups:
+        n = len(amplitudes)
+        tensor = amplitudes.reshape((n,) + tuple(dims))
+        for p, (d, rest) in zip(parties, side):
+            cut = tensor.transpose([0, p + 1] + [q + 1 for q in parties if q != p]).reshape(n, d, rest)
+            if d <= rest:
+                cuts[row : row + n, p, :d, :rest] = cut
+            else:
+                cuts[row : row + n, p, :rest, :d] = cut.swapaxes(1, 2)
+        row += n
     s2 = np.linalg.svd(cuts, compute_uv=False) ** 2
-    return np.count_nonzero(above_rank_cutoff(s2, rtol), axis=-1)
+    return above_rank_cutoff(s2, rtol).sum(axis=-1)
 
 
 def dimension_signature(psi: PureState, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, ...]:
@@ -82,7 +86,7 @@ def dimension_signature(psi: PureState, tol: Tolerance = DEFAULT_TOLERANCE) -> t
     Every entry is at least 1 and at most the party's dimension; an entry
     above 1 witnesses entanglement across that party's cut.
     """
-    ranks = _cut_ranks(psi.amplitudes, psi.shape.dims, tol.rank_rtol)
+    ranks = _cut_ranks([(psi.amplitudes[np.newaxis], psi.shape.dims)], tol.rank_rtol)[0]
     return tuple(int(n) for n in ranks)
 
 

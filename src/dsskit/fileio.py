@@ -11,6 +11,7 @@ trip reproduces every entry exactly.  Schema problems raise
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Any, Callable, Mapping
@@ -44,7 +45,7 @@ def _convert(cast: Callable, value, context: str):
     """``cast(value)``; a value it cannot convert is a SchemaError naming ``context``."""
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{context}: {exc}") from exc
 
 
@@ -228,13 +229,31 @@ def load_subspace(doc) -> LocalSubspace:
         vecs_doc = _require(entry, "vectors", where)
         if not isinstance(vecs_doc, list) or not vecs_doc:
             raise SchemaError(f"{where}: 'vectors' must be a nonempty list")
-        first_re = _convert(_reals, _require(vecs_doc[0], "re", where), f"{where}: re")
-        length = first_re.shape[0] if first_re.ndim == 1 else 0
-        if length == 0:
-            raise SchemaError(f"{where}: vectors must be nonempty 1-D")
-        cols = [vector_from_doc(v, length, f"{where} vector {j}") for j, v in enumerate(vecs_doc)]
-        parties.append((label, np.column_stack(cols)))
+        parties.append((label, _party_vectors(vecs_doc, where)))
     return LocalSubspace(tuple(parties))
+
+
+def _party_vectors(vecs_doc: list, where: str) -> np.ndarray:
+    """A subspace party's vector documents as the columns of one matrix.
+
+    The ``re`` rows of all vectors take one conversion and their ``im``
+    rows another.  Documents that do not give two equal ``(vectors,
+    length)`` arrays that way, with ``length >= 1``, are read vector by
+    vector, which names the first fault, or fills a missing ``im`` with
+    zeros.  Both ways convert each entry as :func:`_reals` does.
+    """
+    try:
+        re = np.asarray([v["re"] for v in vecs_doc], dtype=float)
+        im = np.asarray([v["im"] for v in vecs_doc], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        re = im = None
+    if re is not None and re.ndim == 2 and re.shape[1] > 0 and im.shape == re.shape:
+        return (re + 1j * im).T
+    first_re = _convert(_reals, _require(vecs_doc[0], "re", where), f"{where}: re")
+    length = first_re.shape[0] if first_re.ndim == 1 else 0
+    if length == 0:
+        raise SchemaError(f"{where}: vectors must be nonempty 1-D")
+    return np.column_stack([vector_from_doc(v, length, f"{where} vector {j}") for j, v in enumerate(vecs_doc)])
 
 
 def load_bases(doc, shape: SystemShape) -> dict[str, np.ndarray]:
@@ -266,11 +285,12 @@ def _resolve_ref(value, base_dir: str, loader: Callable, context: str):
         path = value if os.path.isabs(value) else os.path.join(base_dir, value)
         where = f"{context}: file {path!r}"
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                value = json.load(fh)
+            data = _read_bytes(path)
         except OSError as exc:
             raise SchemaError(f"{context}: cannot read referenced file {path!r}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        try:
+            value = _decoded(data)
+        except _NOT_JSON as exc:
             raise SchemaError(f"{context}: referenced file {path!r} is not valid JSON") from exc
     try:
         return loader(value)
@@ -349,14 +369,50 @@ def load_protocol(doc, base_dir: str = ".") -> list[ProtocolStep]:
 # ---------------------------------------------------------------------------
 
 
-def read_json(path: str):
+#: What :func:`_decoded` raises for bytes that are no JSON document: a
+#: syntax error, bytes that are not UTF-8, or nesting deeper than the
+#: decoder's recursion limit.
+_NOT_JSON = (json.JSONDecodeError, UnicodeDecodeError, RecursionError)
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decoded(data: bytes):
+    """The JSON document of a file's bytes, read as a UTF-8 text file is
+    read: strictly decoded, with CRLF and CR line ends as LF."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
+
+
+def _read(path: str) -> tuple[Any, bytes]:
+    """The JSON document of the file at ``path`` and the bytes it came from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        data = _read_bytes(path)
     except OSError as exc:
         raise SchemaError(f"cannot read {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    try:
+        return _decoded(data), data
+    except _NOT_JSON as exc:
         raise SchemaError(f"{path!r} is not valid JSON: {exc}") from exc
+
+
+def read_json(path: str):
+    """The JSON document of the file at ``path``.  A file that cannot be
+    read, or holds no JSON document, raises
+    :class:`~dsskit.errors.SchemaError`."""
+    return _read(path)[0]
+
+
+def read_document(path: str) -> tuple[Any, str]:
+    """:func:`read_json` and the SHA-256 hex digest of the file's bytes,
+    both from one read."""
+    doc, data = _read(path)
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def write_json(path: str, doc) -> None:
@@ -390,4 +446,9 @@ def write_operator(path: str, op: ProductOperator) -> None:
 
 
 def read_protocol(path: str) -> list[ProtocolStep]:
-    return load_protocol(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
+    return load_protocol(read_json(path), base_dir=protocol_dir(path))
+
+
+def protocol_dir(path: str) -> str:
+    """The directory a protocol file's referenced files are relative to."""
+    return os.path.dirname(os.path.abspath(path))

@@ -239,7 +239,7 @@ def above_rank_cutoff(values: np.ndarray, rtol: float) -> np.ndarray:
     axis: the rank cutoff of every numerical rank in the package.  The floor
     of 1 makes the cutoff absolute for small values, so a near-zero matrix
     has rank 0 instead of being rescaled into full rank."""
-    return values > rtol * np.maximum(1.0, np.max(values, axis=-1, keepdims=True))
+    return values > rtol * np.maximum(1.0, values.max(axis=-1, keepdims=True))
 
 
 def identity(n: int) -> np.ndarray:

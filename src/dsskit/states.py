@@ -13,6 +13,7 @@ single copy, its trace as tr(rho)**n, its spectrum as eigenvalue products.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 from math import prod, sqrt
 from typing import Iterable, Sequence
@@ -36,6 +37,11 @@ from .linalg import (
 
 TRACE_ATOL = 1e-9
 NORM_ATOL = 1e-9
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _stored(cls, **fields):
@@ -129,10 +135,11 @@ class SystemShape:
 
     @classmethod
     def qubits(cls, labels: str | int) -> "SystemShape":
-        """A register of single qubits, e.g. ``qubits("ABC")`` or ``qubits(3)``."""
+        """A register of single qubits, e.g. ``qubits("ABC")`` or ``qubits(3)``:
+        built once per labels (shapes are immutable)."""
         if isinstance(labels, int):
             labels = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[:labels]
-        return cls(tuple(Party(ch, (2,)) for ch in labels))
+        return _qubits(tuple(labels))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -157,6 +164,11 @@ class SystemShape:
         return self.parties[self.party_index(label)]
 
 
+@functools.lru_cache(maxsize=64)
+def _qubits(labels: tuple[str, ...]) -> SystemShape:
+    return SystemShape(tuple(Party(ch, (2,)) for ch in labels))
+
+
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(m + m†)/2`` of a matrix, or of each in a stack: fresh, exactly
     Hermitian, rid of a product's roundoff."""
@@ -178,15 +190,16 @@ def _mixed(shape: SystemShape, terms: Iterable[tuple]) -> np.ndarray:
     return mat
 
 
-def _validated_stack(shape: SystemShape, mats: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _validated_stack(shape: SystemShape, mats: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """The read-only Hermitian parts of a stack ``(batch, d, d)`` of
-    matrices once each passes the density matrix checks: side,
-    hermiticity to ``tol.herm_atol``, unit trace, and positivity to
-    ``tol.psd_atol`` of the eigenvalues of the Hermitian part, each check
-    over the whole stack before the next.  The
-    first matrix that fails a check names it, with its own deviation,
-    trace or eigenvalue.  One stacked ``eigvalsh`` call serves the stack,
-    and it decomposes each matrix on its own."""
+    matrices and their eigenvalues ``(batch, d)``, ascending and read-only,
+    once each passes the density matrix checks: side, hermiticity to
+    ``tol.herm_atol``, unit trace, and positivity to ``tol.psd_atol`` of
+    the eigenvalues of the Hermitian part, each check over the whole stack
+    before the next.  The first matrix that fails a check names it, with
+    its own deviation, trace or eigenvalue.  One stacked ``eigvalsh`` call
+    serves the stack, and it decomposes each matrix on its own: each row is
+    bit-equal to ``eigvalsh`` of that matrix alone."""
     d = shape.total_dim
     if mats.shape[1:] != (d, d):
         raise InvariantViolation(
@@ -201,15 +214,9 @@ def _validated_stack(shape: SystemShape, mats: np.ndarray, tol: Tolerance) -> np
         )
     mats = _hermitian_part(mats)
     _require_unit_trace(mats.trace(axis1=-2, axis2=-1).real)
-    _require_psd(np.linalg.eigvalsh(mats), tol)
-    mats.setflags(write=False)
-    return mats
-
-
-def _validated(shape: SystemShape, mat: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The read-only Hermitian part of ``mat`` once it passes the density
-    matrix checks: :func:`_validated_stack` on a stack of one."""
-    return _validated_stack(shape, mat[np.newaxis], tol)[0]
+    spectra = np.linalg.eigvalsh(mats)
+    _require_psd(spectra, tol)
+    return _read_only(mats), _read_only(spectra)
 
 
 def _require_unit_trace(traces) -> None:
@@ -235,7 +242,11 @@ def _require_psd(spectra: np.ndarray, tol: Tolerance) -> None:
 class DensityMatrix:
     """A Hermitian, positive-semidefinite, unit-trace matrix over a shape; built
     directly, it is checked (see the module docstring) to ``tol``, by
-    default ``DEFAULT_TOLERANCE``; ``tol`` is not stored.  No provenance."""
+    default ``DEFAULT_TOLERANCE``; ``tol`` is not stored.  No provenance.
+
+    A state keeps its eigenvalues (:attr:`_spectrum`): the public
+    constructor stores those its check computed, and a derived state
+    computes them on first use."""
 
     shape: SystemShape
     mat: np.ndarray
@@ -243,7 +254,22 @@ class DensityMatrix:
 
     def __post_init__(self, tol: Tolerance | None):
         tol = DEFAULT_TOLERANCE if tol is None else tol
-        object.__setattr__(self, "mat", _validated(self.shape, as_matrix(self.mat), tol))
+        mats, spectra = _validated_stack(self.shape, as_matrix(self.mat)[np.newaxis], tol)
+        object.__setattr__(self, "mat", mats[0])
+        # Shadows the cached property below: the check's eigvalsh is stored.
+        object.__setattr__(self, "_spectrum", spectra[0])
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """``eigvalsh(mat)``, ascending and read-only, computed once; not a
+        dataclass field, so repr ignores it.  ``mat`` is immutable, so it
+        stays valid.  :func:`_power_spectrum` reads it."""
+        return _read_only(np.linalg.eigvalsh(self.mat))
+
+    @functools.cached_property
+    def _power_spectra(self) -> dict[int, np.ndarray]:
+        """The eigenvalue products of :func:`_power_spectrum`, by copy count."""
+        return {}
 
     @classmethod
     def _derived(cls, shape: SystemShape, mat: np.ndarray) -> "DensityMatrix":
@@ -383,16 +409,23 @@ def _power_shape(rho: DensityMatrix, n: int) -> SystemShape:
 
 
 def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
-    """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted: the
-    ``n``-fold products of the eigenvalues of ``rho`` (Horn & Johnson,
-    *Topics in Matrix Analysis*, Thm 4.2.12).  Regrouping the copies is a
-    permutation similarity, so it leaves them unchanged.  Raises where
+    """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted and
+    read-only: the ``n``-fold products of ``rho``'s stored eigenvalues
+    (Horn & Johnson, *Topics in Matrix Analysis*, Thm 4.2.12), formed once
+    per state and ``n``.  Regrouping the copies is a permutation
+    similarity, so it leaves them unchanged.  Raises where
     :func:`tensor_power` would: for ``n < 1`` and above ``MAX_SIDE``."""
-    n = _checked_copies(rho, n)
-    base = np.linalg.eigvalsh(rho.mat)
-    spectrum = base
-    for _ in range(n - 1):
-        spectrum = np.multiply.outer(spectrum, base).reshape(-1)
+    return _power_products(rho, _checked_copies(rho, n))
+
+
+def _power_products(rho: DensityMatrix, n: int) -> np.ndarray:
+    """:func:`_power_spectrum` for an ``n`` that passed :func:`_checked_copies`."""
+    spectrum = rho._power_spectra.get(n)
+    if spectrum is None:
+        base = spectrum = rho._spectrum
+        for _ in range(n - 1):
+            spectrum = np.multiply.outer(spectrum, base).reshape(-1)
+        rho._power_spectra[n] = _read_only(spectrum)
     return spectrum
 
 
@@ -412,8 +445,8 @@ def _power_checks(rho: DensityMatrix, n: int, tol: Tolerance) -> int:
     power's block (:func:`_power_block` or :func:`_power_sandwich`).
     """
     n = _checked_copies(rho, n)
-    _require_unit_trace(float(np.real(np.trace(rho.mat))) ** n)
-    _require_psd(_power_spectrum(rho, n), tol)
+    _require_unit_trace(float(rho.mat.trace().real) ** n)
+    _require_psd(_power_products(rho, n), tol)
     return n
 
 
@@ -479,7 +512,7 @@ def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
     return dagger(b) @ x.reshape(k, -1).T
 
 
-def _power_block(rho: DensityMatrix, n: int, picks: Sequence[np.ndarray]) -> np.ndarray:
+def _power_block(rho: DensityMatrix, n: int, picks: Sequence[Sequence[int]]) -> np.ndarray:
     """``tensor_power(rho, n).mat[np.ix_(rows, rows)]`` without forming the
     power, where ``rows`` are the party-major flat indices of the product of
     per-party local indices ``picks`` (each party's indices into its ``n``
@@ -494,11 +527,15 @@ def _power_block(rho: DensityMatrix, n: int, picks: Sequence[np.ndarray]) -> np.
     ``O(n k**2)`` work for ``k`` rows.  ``n`` must have passed
     :func:`_checked_copies`.
     """
-    # index[c] holds copy c's single-copy index of each row, in kron order.
-    index = np.zeros((n, 1), dtype=np.intp)
+    # index[c] holds copy c's single-copy index of each row, in kron order:
+    # n*k small integers, built in Python, against the n*k**2 entries read.
+    index = [[0] for _ in range(n)]
     for d, pick in zip(rho.shape.dims, picks):
-        digits = np.asarray(pick) // d ** np.arange(n - 1, -1, -1)[:, np.newaxis] % d
-        index = (index[:, :, np.newaxis] * d + digits[:, np.newaxis, :]).reshape(n, -1)
+        for c in range(n):
+            scale = d ** (n - 1 - c)
+            digits = [local // scale % d for local in pick]
+            index[c] = [i * d + digit for i in index[c] for digit in digits]
+    index = np.array(index)
     gathered = rho.mat[index[:, :, np.newaxis], index[:, np.newaxis, :]]
     block = gathered[0]
     for c in range(1, n):
@@ -585,22 +622,43 @@ def product_basis_vector(shape: SystemShape, occupations: Sequence[int]) -> np.n
     return basis_vector(shape.total_dim, flat)
 
 
+# The presets' parameter-free parts, built once per process and read-only:
+# a preset call sums and checks only its weighted mixture.
+_AB, _ABC = SystemShape.qubits("AB"), SystemShape.qubits("ABC")
+_S = 1.0 / sqrt(2.0)
+_BELL_STATES = {
+    kind: PureState(_AB, np.array(entries, dtype=np.complex128))
+    for kind, entries in (
+        ("phi+", [_S, 0, 0, _S]),
+        ("phi-", [_S, 0, 0, -_S]),
+        ("psi+", [0, _S, _S, 0]),
+        ("psi-", [0, _S, -_S, 0]),
+    )
+}
+
+
+def _ket(*occupations: int) -> np.ndarray:
+    return product_basis_vector(_ABC if len(occupations) == 3 else _AB, occupations)
+
+
+_GHZ = PureState(_ABC, (_ket(0, 0, 0) + _ket(1, 1, 1)) / sqrt(2.0))
+_W = PureState(_ABC, (_ket(1, 0, 0) + _ket(0, 1, 0) + _ket(0, 0, 1)) / sqrt(3.0))
+_W_VARIANT = PureState(_ABC, (_ket(1, 0, 0) + _ket(0, 1, 0) + _ket(0, 1, 1)) / sqrt(3.0))
+_KET_011 = _read_only(_ket(0, 1, 1))
+#: :func:`filter_example`'s psi and |01>.
+_FILTER_VECTORS = (_read_only(sqrt(3.0) / 2.0 * _ket(0, 0) + 0.5 * _ket(1, 1)), _read_only(_ket(0, 1)))
+
+
 def bell_vectors() -> dict[str, np.ndarray]:
-    """The four Bell vectors on two qubits, keyed phi+/phi-/psi+/psi-."""
-    s = 1.0 / sqrt(2.0)
-    return {
-        "phi+": np.array([s, 0, 0, s], dtype=np.complex128),
-        "phi-": np.array([s, 0, 0, -s], dtype=np.complex128),
-        "psi+": np.array([0, s, s, 0], dtype=np.complex128),
-        "psi-": np.array([0, s, -s, 0], dtype=np.complex128),
-    }
+    """The four Bell vectors on two qubits, keyed phi+/phi-/psi+/psi-: a
+    fresh dict of shared, read-only vectors."""
+    return {kind: psi.amplitudes for kind, psi in _BELL_STATES.items()}
 
 
 def bell_state(kind: str = "phi+") -> PureState:
-    vecs = bell_vectors()
-    if kind not in vecs:
-        raise InvariantViolation("kind", f"unknown Bell state {kind!r}, expected one of {sorted(vecs)}")
-    return PureState(SystemShape.qubits("AB"), vecs[kind])
+    if kind not in _BELL_STATES:
+        raise InvariantViolation("kind", f"unknown Bell state {kind!r}, expected one of {sorted(_BELL_STATES)}")
+    return _BELL_STATES[kind]
 
 
 def werner(F: float) -> DensityMatrix:
@@ -608,30 +666,19 @@ def werner(F: float) -> DensityMatrix:
     F = float(F)
     if not 0.0 <= F <= 1.0:
         raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
-    vecs = bell_vectors()
     q = (1.0 - F) / 3.0
-    return DensityMatrix.mixture(
-        SystemShape.qubits("AB"),
-        [(F, vecs["phi+"]), (q, vecs["phi-"]), (q, vecs["psi+"]), (q, vecs["psi-"])],
-    )
+    weights = {"phi+": F, "phi-": q, "psi+": q, "psi-": q}
+    return DensityMatrix.mixture(_AB, [(w, _BELL_STATES[kind].amplitudes) for kind, w in weights.items()])
 
 
 def ghz_state() -> PureState:
     """``(|000> + |111>)/sqrt(2)`` on three qubits A, B, C."""
-    shape = SystemShape.qubits("ABC")
-    v = (product_basis_vector(shape, (0, 0, 0)) + product_basis_vector(shape, (1, 1, 1))) / sqrt(2.0)
-    return PureState(shape, v)
+    return _GHZ
 
 
 def w_state() -> PureState:
     """The standard W state ``(|100> + |010> + |001>)/sqrt(3)``."""
-    shape = SystemShape.qubits("ABC")
-    v = (
-        product_basis_vector(shape, (1, 0, 0))
-        + product_basis_vector(shape, (0, 1, 0))
-        + product_basis_vector(shape, (0, 0, 1))
-    ) / sqrt(3.0)
-    return PureState(shape, v)
+    return _W
 
 
 def w_state_variant() -> PureState:
@@ -641,13 +688,7 @@ def w_state_variant() -> PureState:
     is kept alongside :func:`w_state` because both appear in circulation.
     Its single-party reduced ranks are (2, 2, 2), like the standard W.
     """
-    shape = SystemShape.qubits("ABC")
-    v = (
-        product_basis_vector(shape, (1, 0, 0))
-        + product_basis_vector(shape, (0, 1, 0))
-        + product_basis_vector(shape, (0, 1, 1))
-    ) / sqrt(3.0)
-    return PureState(shape, v)
+    return _W_VARIANT
 
 
 def three_qubit_example(p: float) -> DensityMatrix:
@@ -659,10 +700,7 @@ def three_qubit_example(p: float) -> DensityMatrix:
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise InvariantViolation("p", f"p must lie in (0, 1], got {p}")
-    shape = SystemShape.qubits("ABC")
-    ghz = ghz_state().amplitudes
-    prod_state = product_basis_vector(shape, (0, 1, 1))
-    return DensityMatrix.mixture(shape, [(p, ghz), (1.0 - p, prod_state)])
+    return DensityMatrix.mixture(_ABC, [(p, _GHZ.amplitudes), (1.0 - p, _KET_011)])
 
 
 def _filter_lambda(lam) -> float:
@@ -676,9 +714,8 @@ def _filter_lambda(lam) -> float:
 def _filter_terms(lam) -> list[tuple]:
     """The (weight, vector) terms of :func:`filter_example`; ``lam`` is a
     checked weight, or an array of them for a stack of the states."""
-    shape = SystemShape.qubits("AB")
-    psi = sqrt(3.0) / 2.0 * product_basis_vector(shape, (0, 0)) + 0.5 * product_basis_vector(shape, (1, 1))
-    return [(lam, psi), (1.0 - lam, product_basis_vector(shape, (0, 1)))]
+    psi, product = _FILTER_VECTORS
+    return [(lam, psi), (1.0 - lam, product)]
 
 
 def filter_example(lam: float) -> DensityMatrix:
@@ -687,7 +724,7 @@ def filter_example(lam: float) -> DensityMatrix:
     A rank-2 two-qubit mixture whose entanglement of formation a local
     filter can raise; see :func:`dsskit.entanglement.filter_comparison`.
     """
-    return DensityMatrix.mixture(SystemShape.qubits("AB"), _filter_terms(_filter_lambda(lam)))
+    return DensityMatrix.mixture(_AB, _filter_terms(_filter_lambda(lam)))
 
 
 def _filter_example_stack(lams: np.ndarray) -> np.ndarray:
@@ -695,5 +732,4 @@ def _filter_example_stack(lams: np.ndarray) -> np.ndarray:
     weights, as one read-only stack: the terms summed and the states
     checked by :func:`_validated_stack`, as the single state is built and
     checked, entry by entry."""
-    shape = SystemShape.qubits("AB")
-    return _validated_stack(shape, _mixed(shape, _filter_terms(lams)), DEFAULT_TOLERANCE)
+    return _validated_stack(_AB, _mixed(_AB, _filter_terms(lams)), DEFAULT_TOLERANCE)[0]

@@ -60,6 +60,7 @@ from .states import (
     _power_sandwich,
     _power_shape,
     _power_spectrum,
+    _read_only,
     tensor_power,
 )
 
@@ -77,6 +78,9 @@ CANDIDATE_CAP = 1_000_000
 #: takes slices of about this many row-mask entries, the power's side per
 #: candidate (:meth:`_SearchContext.cores`).
 _SLICE_ENTRIES = 1 << 17
+
+#: The bytes of a complex128 1.0's real part.
+_ONE = np.float64(1.0).tobytes()
 
 #: The classification kernel's codes, by index.
 _CLASSES: tuple[Classification, ...] = ("zero", "mixed", "pure-product", "pure-entangled")
@@ -169,11 +173,11 @@ class LocalSubspace:
             recorded.append(idx)
         return cls._from_checked(shape.labels, [_columns(b, idx) for b, idx in zip(resolved, recorded)], recorded)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.parties)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         """Subspace dimension per party."""
         return tuple(v.shape[1] for _, v in self.parties)
@@ -189,16 +193,18 @@ class LocalSubspace:
     def subspace_shape(self) -> SystemShape:
         return _subspace_shape(self.labels, self.dims)
 
-    def _computational_rows(self) -> list[np.ndarray] | None:
+    def _computational_rows(self) -> list[list[int]] | None:
         """Each party's row of each of its columns when every column is a
         computational basis vector byte for byte (1.0 at one row, +0.0 in
         every other real and imaginary part), else None."""
         rows = []
         for _, v in self.parties:
-            at = np.argmax(v.real, axis=0)
-            one_hot = np.zeros(v.shape, dtype=v.dtype)
-            one_hot[at, np.arange(v.shape[1])] = 1.0
-            if one_hot.tobytes() != v.tobytes():
+            at = v.real.argmax(axis=0).tolist()
+            one_hot = bytearray(v.nbytes)
+            for j, row in enumerate(at):
+                start = (row * len(at) + j) * v.itemsize
+                one_hot[start : start + len(_ONE)] = _ONE
+            if one_hot != v.tobytes():
                 return None
             rows.append(at)
         return rows
@@ -266,11 +272,6 @@ class Refusal:
     outcome: ProjectionOutcome
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _columns(basis: np.ndarray, idx: Sequence[int]) -> np.ndarray:
     """The columns ``idx`` of ``basis``, read-only."""
     return _read_only(basis[:, list(idx)])
@@ -319,34 +320,28 @@ def _classify_stack(
     rows and all.
 
     Each stack takes one ``eigh``.  A block is pure when its top eigenvalue
-    is at least ``1 - purity_atol``.  The top eigenvector of each pure
-    block, reshaped to the block's sizes and zero-padded on each party's
-    axis to the largest sizes among the pure blocks, goes into one
-    :func:`~dsskit.entanglement._cut_ranks` call (zero entries add only
-    zero singular values); a pure block is entangled when some rank
-    exceeds 1.
+    is at least ``1 - purity_atol``.  The top eigenvectors of the pure
+    blocks, grouped by their blocks' sizes and each read at them, go into
+    one :func:`~dsskit.entanglement._cut_ranks` call; a pure block is
+    entangled when some rank exceeds 1.
     """
-    count = sum(len(blocks) for blocks, _ in stacks)
-    codes, ranks = np.ones(count, dtype=np.int8), np.zeros((count, stacks[0][1].shape[1]), dtype=np.intp)
-    tops, first = [], 0
+    groups, at, first = [], [], 0
     for blocks, sizes in stacks:
         if len(blocks):
             evals, evecs = np.linalg.eigh(blocks)
-            pure = np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol)
-            if len(pure):
-                tops.append((first + pure, evecs[pure, :, -1], sizes[pure]))
+            by_sizes: dict[tuple[int, ...], list[int]] = {}
+            shapes = sizes.tolist()
+            for i in np.flatnonzero(evals[:, -1] >= 1.0 - tol.purity_atol).tolist():
+                by_sizes.setdefault(tuple(shapes[i]), []).append(i)
+            for shape, rows in by_sizes.items():
+                groups.append((evecs[rows, :, -1], shape))
+                at.extend(first + i for i in rows)
         first += len(blocks)
-    if tops:
-        at = np.concatenate([a for a, _, _ in tops])
-        frame = tuple(np.concatenate([sizes for _, _, sizes in tops]).max(axis=0).tolist())
-        padded, row = np.zeros((len(at),) + frame, dtype=np.complex128), 0
-        for _, top, sizes in tops:
-            for shape in set(map(tuple, sizes.tolist())):
-                sel = np.flatnonzero((sizes == shape).all(axis=-1))
-                padded[(row + sel,) + tuple(map(slice, shape))] = top[sel].reshape((len(sel),) + shape)
-            row += len(top)
-        ranks[at] = got = _cut_ranks(padded.reshape(len(at), -1), frame, tol.rank_rtol)
-        codes[at] = 2 + np.logical_or.reduce(got > 1, axis=-1)
+    codes, ranks = np.ones(first, dtype=np.int8), np.zeros((first, stacks[0][1].shape[1]), dtype=np.intp)
+    if groups:
+        at = np.array(at)
+        ranks[at] = got = _cut_ranks(groups, tol.rank_rtol)
+        codes[at] = 2 + (got.max(axis=-1) > 1)
     return codes, ranks
 
 

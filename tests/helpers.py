@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import itertools
+import os
 from typing import Iterator
 
 import numpy as np
@@ -255,4 +257,34 @@ def spy_on_the_general_path(monkeypatch) -> list[str]:
     sandwich = states._power_sandwich
     for module in (states, subspaces):
         monkeypatch.setattr(module, "_power_sandwich", lambda *args: calls.append("sandwich") or sandwich(*args))
+    return calls
+
+
+def count_solver_calls(monkeypatch) -> dict[str, int]:
+    """Count the ``np.linalg`` ``svd``, ``eigvalsh`` and ``eigh`` calls made
+    from here on."""
+    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _solver=solver, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def count_opens(monkeypatch) -> dict[str, int]:
+    """Count the ``open`` calls made from here on, by absolute path."""
+    calls: dict[str, int] = {}
+    opener = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)):
+            path = os.path.abspath(os.fsdecode(file))
+            calls[path] = calls.get(path, 0) + 1
+        return opener(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
     return calls

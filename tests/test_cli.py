@@ -34,7 +34,7 @@ from dsskit import (
 from dsskit import cli
 from dsskit.cli import main
 
-from helpers import render_report_reference, spy_on_the_general_path
+from helpers import count_opens, count_solver_calls, render_report_reference, spy_on_the_general_path
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -404,7 +404,8 @@ def test_flags_that_would_go_unread_are_usage_errors(capsys, argv, flag):
     assert err.startswith(f"error: {flag} cannot be combined with")
 
 
-@pytest.mark.parametrize(
+#: One command per input-file flag, the file at ``{path}``.
+FILE_INPUTS = pytest.mark.parametrize(
     "argv",
     [
         ("dss", "find", "--state", "{path}"),
@@ -415,6 +416,9 @@ def test_flags_that_would_go_unread_are_usage_errors(capsys, argv, flag):
     ],
     ids=["state", "bases", "subspace", "operator", "protocol"],
 )
+
+
+@FILE_INPUTS
 def test_an_undecodable_input_file_is_one_error_line(capsys, tmp_path, argv):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -422,6 +426,66 @@ def test_an_undecodable_input_file_is_one_error_line(capsys, tmp_path, argv):
     assert code == 1 and out == ""
     decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
     assert err == f"error: {str(path)!r} is not valid JSON: {decode}\n"
+
+
+def nested_json(depth: int = 100_000) -> str:
+    """A JSON array nested deeper than the decoder's recursion limit."""
+    return "[" * depth + "]" * depth
+
+
+@FILE_INPUTS
+def test_a_deeply_nested_input_file_is_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "deep.json"
+    path.write_text(nested_json())
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {str(path)!r} is not valid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
+def test_a_deeply_nested_referenced_file_is_one_error_line(capsys, tmp_path):
+    (tmp_path / "deep.json").write_text(nested_json())
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(json.dumps({"steps": [{"kind": "project", "subspace": "deep.json"}]}))
+    code, out, err = run_cli(capsys, "simulate", "--protocol", str(protocol), "--state", "werner", "--F", "0.9")
+    assert code == 1 and out == ""
+    assert err == f"error: protocol: step 0: referenced file {str(tmp_path / 'deep.json')!r} is not valid JSON\n"
+
+
+def test_dss_check_opens_its_subspace_file_once(capsys, tmp_path, monkeypatch):
+    shape = SystemShape(tuple(Party(label, (2,) * 3) for label in "ABC"))
+    path = tmp_path / "sub.json"
+    fileio.write_subspace(str(path), LocalSubspace.from_indices(shape, {label: (2, 4) for label in "ABC"}))
+    opens = count_opens(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "dss", "check", "--state", "example3q", "--p", "0.6", "--copies", "3",
+        "--subspace", str(path), "--json", "-",
+    )
+    assert code == 0 and "accepted: true" in out
+    assert opens == {str(path): 1}
+
+
+def test_a_state_file_query_opens_the_state_file_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    fileio.write_state(str(path), werner(0.9))
+    opens = count_opens(monkeypatch)
+    code, out, _ = run_cli(capsys, "entanglement", "--state", str(path), "--json", "-")
+    assert code == 0 and '"sha256"' in out
+    assert opens == {str(path): 1}
+
+
+def test_dss_check_decomposes_the_single_copy_once(capsys, tmp_path, monkeypatch):
+    # The state's check computes its spectrum, and project's power checks
+    # and the rank bound read it.
+    shape = SystemShape(tuple(Party(label, (2,) * 3) for label in "ABC"))
+    path = tmp_path / "sub.json"
+    fileio.write_subspace(str(path), LocalSubspace.from_indices(shape, {label: (2, 4) for label in "ABC"}))
+    calls = count_solver_calls(monkeypatch)
+    code, _, _ = run_cli(
+        capsys, "dss", "check", "--state", "example3q", "--p", "0.6", "--copies", "3", "--subspace", str(path),
+    )
+    assert code == 0
+    assert calls["eigvalsh"] == 1
 
 
 def test_preset_flags_with_a_state_file_are_usage_errors(capsys, tmp_path):

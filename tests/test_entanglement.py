@@ -75,7 +75,7 @@ def test_cut_ranks_match_reduced_state_ranks():
     for psi in states:
         assert dimension_signature(psi, tol) == reduced_state_signature(psi, tol)
     stacked = np.stack([psi.amplitudes for psi in states[-6:]])
-    assert [tuple(row) for row in _cut_ranks(stacked, states[-1].shape.dims, tol.rank_rtol)] == [
+    assert [tuple(row) for row in _cut_ranks([(stacked, states[-1].shape.dims)], tol.rank_rtol)] == [
         reduced_state_signature(psi, tol) for psi in states[-6:]
     ]
 
@@ -109,9 +109,9 @@ def test_cut_ranks_of_zero_padded_vectors_near_cutoff(common):
     rtol = Tolerance().rank_rtol
     cores = [np.sqrt([1 - eps, 0, 0, eps]) for eps in (2e-9, 5e-10, 1.05 * rtol, 0.95 * rtol)]
     stack = np.stack([np.kron(u, v) @ core.astype(complex) for core in cores])
-    want = _cut_ranks(stack, (2, 2), rtol)
+    want = _cut_ranks([(stack, (2, 2))], rtol)
     assert [tuple(row) for row in want] == [(2, 2), (1, 1), (2, 2), (1, 1)]
-    assert np.array_equal(_cut_ranks(zero_padded(stack, (2, 2), common), common, rtol), want)
+    assert np.array_equal(_cut_ranks([(zero_padded(stack, (2, 2), common), common)], rtol), want)
 
 
 def test_cut_ranks_of_zero_padded_vectors_match_unpadded():
@@ -128,9 +128,9 @@ def test_cut_ranks_of_zero_padded_vectors_match_unpadded():
         states = states + [random_pure_state(rng, shape) for _ in range(4)]
         states.append(PureState(shape, product_basis_vector(shape, (0,) * len(dims))))
         stack = np.stack([psi.amplitudes for psi in states])
-        want = _cut_ranks(stack, dims, rtol)
+        want = _cut_ranks([(stack, dims)], rtol)
         assert [tuple(row) for row in want] == [reduced_state_signature(psi, Tolerance()) for psi in states]
-        assert np.array_equal(_cut_ranks(zero_padded(stack, dims, common), common, rtol), want)
+        assert np.array_equal(_cut_ranks([(zero_padded(stack, dims, common), common)], rtol), want)
 
 
 def test_schmidt_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -178,6 +179,57 @@ def test_subspace_round_trip(tmp_path):
     assert loaded.labels == sub.labels
     for (_, got), (_, want) in zip(loaded.parties, sub.parties):
         assert np.array_equal(got, want)
+
+
+E0 = {"re": [1.0, 0.0], "im": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "vectors,message",
+    [
+        ([[1.0, 0.0]], "subspace: party 0: expected an object, got list"),
+        ([E0, "x"], "subspace: party 0 vector 1: expected an object, got str"),
+        ([E0, {"im": [0.0, 0.0]}], "subspace: party 0 vector 1: missing required field 're'"),
+        ([E0, {"re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]}], "subspace: party 0 vector 1: expected a vector of length 2"),
+        ([E0, {"re": [0.0, 1.0], "im": [0.0]}], "subspace: party 0 vector 1: expected a vector of length 2"),
+        ([E0, {"re": [0.0, "x"], "im": [0.0, 0.0]}], "subspace: party 0 vector 1: re: could not convert string to float: 'x'"),
+        ([E0, {"re": [0.0, 1.0], "im": [0.0, {}]}],
+         "subspace: party 0 vector 1: im: float() argument must be a string or a real number, not 'dict'"),
+        ([E0, {"re": [0.0, 10**400], "im": [0.0, 0.0]}], "subspace: party 0 vector 1: re: int too large to convert to float"),
+        ([{"re": [[1.0, 0.0]], "im": [[0.0, 0.0]]}], "subspace: party 0: vectors must be nonempty 1-D"),
+        ([{"re": [], "im": []}], "subspace: party 0: vectors must be nonempty 1-D"),
+        ([{"re": 1.0, "im": 0.0}], "subspace: party 0: vectors must be nonempty 1-D"),
+    ],
+    ids=["list", "string", "no-re", "ragged-re", "short-im", "text", "object", "huge", "nested", "empty", "scalar"],
+)
+def test_malformed_subspace_vectors_name_their_first_fault(vectors, message):
+    # A party's vectors are converted in one pass; a document that pass
+    # cannot take is read vector by vector, which names the first fault.
+    with pytest.raises(SchemaError) as err:
+        fileio.load_subspace({"parties": [{"label": "A", "vectors": vectors}]})
+    assert str(err.value) == message
+
+
+def test_subspace_vectors_without_im_are_real():
+    doc = {"parties": [{"label": "A", "vectors": [{"re": [0.0, 1.0]}, {"re": [1.0, 0.0], "im": None}]},
+                       {"label": "B", "vectors": [{"re": [0.0, 1.0], "im": [0.0, 0.0]}, {"re": [1.0, 0.0]}]}]}
+    sub = fileio.load_subspace(doc)
+    for _, v in sub.parties:
+        assert v.tobytes() == np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex).tobytes()
+
+
+def test_read_document_digests_the_bytes_it_parsed(tmp_path):
+    path = tmp_path / "crlf.json"
+    data = b'{"a":\r\n [1,\r 2]}'
+    path.write_bytes(data)
+    assert fileio.read_document(str(path)) == ({"a": [1, 2]}, hashlib.sha256(data).hexdigest())
+    # Line ends are read as a text file reads them: an error names the same place.
+    path.write_bytes(b'{"a":\r\n [1,\r 2,]}')
+    with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as want:
+        json.load(fh)
+    with pytest.raises(SchemaError) as got:
+        fileio.read_json(str(path))
+    assert str(got.value) == f"{str(path)!r} is not valid JSON: {want.value}"
 
 
 def test_load_bases_requires_full_basis():

@@ -181,7 +181,7 @@ def old_screen_verdict(ensemble, tol, indices) -> str:
     if float(np.sum(s[1:] ** 2)) > 10.0 * tol.purity_atol * weight:
         return "mixed"
     sizes = [len(idx) for idx in indices]
-    return "product" if np.all(_cut_ranks(u[:, 0], sizes, 0.1 * tol.rank_rtol) <= 1) else "keep"
+    return "product" if np.all(_cut_ranks([(u[np.newaxis, :, 0], sizes)], 0.1 * tol.rank_rtol) <= 1) else "keep"
 
 
 @PROPERTY_SETTINGS
@@ -959,6 +959,45 @@ def test_stored_states_are_exactly_hermitian():
         stored += [psi.reduced(shape.labels[:1]), rho.reduced(shape.labels[1:])]
     for state in stored:
         assert np.array_equal(state.mat, np.conj(state.mat).T)
+
+
+#: Shapes of side 2 to 64 for the stored-spectrum examples.
+SPECTRUM_SHAPES = [
+    SystemShape.of(("A", 2)),
+    SystemShape.of(("A", 2), ("B", 3)),
+    SystemShape.of(("A", 2), ("B", 2), ("C", 2)),
+    SystemShape.of(("A", 3), ("B", 5)),
+    SystemShape.of(("A", 4), ("B", 8)),
+    SystemShape.of(("A", 8), ("B", 8)),
+]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SPECTRUM_SHAPES), st.integers(1, 4))
+def test_stored_spectrum_is_bit_equal_to_eigvalsh(seed, shape, rank):
+    """The public constructor stores the eigenvalues its check computed, in
+    one stacked call; a derived state computes them on first use.  Either
+    way they are the bytes of a fresh ``eigvalsh`` of the stored matrix,
+    which the power checks and ranks read in its place."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, shape, rank=rank)
+    doc = json.loads(json.dumps(fileio.save_state(rho)))
+    vectors = [random_pure_vector(rng, shape.total_dim) for _ in range(2)]
+    checked = [rho, DensityMatrix(shape, rho.mat.copy()), fileio.load_state(doc)]
+    checked.append(DensityMatrix.mixture(shape, [(0.25, vectors[0]), (0.75, vectors[1])]))
+    sub = LocalSubspace(tuple((p.label, random_unitary(rng, p.dim)[:, : max(1, p.dim - 1)]) for p in shape.parties))
+    derived = [
+        DensityMatrix._derived(shape, states._hermitian_part(rho.mat @ rho.mat)),
+        PureState(shape, vectors[0]).to_density(),
+        project(rho, sub).state,
+        rho.reduced(shape.labels[:1]),
+    ]
+    if shape.total_dim <= 8:
+        derived.append(tensor_power(rho, 2))
+    for state in checked + derived:
+        assert state._spectrum.tobytes() == np.linalg.eigvalsh(state.mat).tobytes()
+        assert not state._spectrum.flags.writeable
+    assert states._power_spectrum(rho, 2) is states._power_spectrum(rho, 2)
 
 
 # ---------------------------------------------------------------------------

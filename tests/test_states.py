@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from dsskit import (
     werner,
 )
 from dsskit.linalg import identity, numerical_rank, partial_trace
-from dsskit.states import Party, basis_vector, product_basis_vector
+from dsskit import states
+from dsskit.states import Party, basis_vector, bell_vectors, product_basis_vector
 
 from helpers import maximally_mixed, random_density, trace
 
@@ -33,6 +36,32 @@ def test_shape_basics():
     assert shape.dims == (2, 2, 2)
     assert shape.total_dim == 8
     assert shape.party("B").dim == 2
+
+
+def test_cached_preset_vectors_and_shapes_cannot_be_written():
+    """The presets' parameter-free parts are built once per process and
+    shared: no caller can write to them and so change a later query."""
+    before = [werner(0.9).mat.copy(), three_qubit_example(0.5).mat.copy(), filter_example(0.7).mat.copy()]
+    vectors = [ghz_state().amplitudes, w_state().amplitudes, w_state_variant().amplitudes]
+    vectors += list(bell_vectors().values()) + [bell_state(kind).amplitudes for kind in bell_vectors()]
+    vectors += [states._KET_011, *states._FILTER_VECTORS]
+    for v in vectors:
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 0.5
+    vecs = bell_vectors()
+    vecs["phi+"] = vecs.pop("psi-")
+    assert bell_vectors()["phi+"][0] != 0
+    shape = SystemShape.qubits("AB")
+    assert SystemShape.qubits("AB") is shape
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.parties = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.parties[0].dims = (3,)
+    after = [werner(0.9).mat, three_qubit_example(0.5).mat, filter_example(0.7).mat]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    abc = SystemShape.qubits("ABC")
+    ghz = (product_basis_vector(abc, (0, 0, 0)) + product_basis_vector(abc, (1, 1, 1))) / np.sqrt(2)
+    assert ghz_state().amplitudes.tobytes() == ghz.tobytes()
 
 
 def test_shape_rejects_duplicate_labels():

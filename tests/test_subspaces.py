@@ -33,6 +33,7 @@ from dsskit.subspaces import CANDIDATE_CAP, _SearchContext, _tables
 
 from helpers import (
     certificate_summary,
+    count_solver_calls,
     iter_candidates,
     maximally_mixed,
     planted_instance,
@@ -320,21 +321,6 @@ def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled
     positions, _ = ctx.screen(require_entangled)
     assert calls == {"svd": 0, "eigvalsh": 0, "eigh": 1}
     assert len(positions) == (24 if require_entangled else 979)
-
-
-def count_solver_calls(monkeypatch) -> dict[str, int]:
-    """Count the ``np.linalg`` ``svd``, ``eigvalsh`` and ``eigh`` calls made
-    from here on."""
-    calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
-    for name in calls:
-        solver = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _solver=solver, **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):

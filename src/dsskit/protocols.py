@@ -36,7 +36,6 @@ from .linalg import (
 from .localops import ProductOperator
 from .states import (
     DensityMatrix,
-    Party,
     SystemShape,
     _hermitian_part,
     _normalized,
@@ -194,14 +193,13 @@ def _measure_branch(step: MeasureAndDiscard, branch: BranchTrace) -> tuple[list[
         blocks = np.einsum("oaipcq,cd->oaipdq", blocks, basis)
 
     remaining_dims = party.dims[: step.subsystem] + party.dims[step.subsystem + 1 :]
-    if remaining_dims:
-        new_parties = list(shape.parties)
-        new_parties[pi] = Party(party.label, remaining_dims)
-    else:
-        new_parties = [p for i, p in enumerate(shape.parties) if i != pi]
+    new_parties = [(p.label, remaining_dims if i == pi else p.dims) for i, p in enumerate(shape.parties)]
+    if not remaining_dims:
+        del new_parties[pi]
         if not new_parties:
             raise InvariantViolation("parties", "cannot discard the last remaining subsystem")
-    new_shape = SystemShape(tuple(new_parties))
+    # Derived from the checked shape: its labels, and fewer of its dims.
+    new_shape = SystemShape._derived(new_parties)
 
     branches: list[BranchTrace] = []
     lost = 0.0

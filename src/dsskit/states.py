@@ -26,7 +26,6 @@ from .linalg import (
     DEFAULT_TOLERANCE,
     ZERO_WEIGHT,
     Tolerance,
-    above_rank_cutoff,
     as_int,
     as_matrix,
     as_vector,
@@ -177,16 +176,24 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return h
 
 
+def _outer(vec) -> np.ndarray:
+    """``|v><v|`` as ``np.outer(v, conj(v))``; for a :class:`PureState`, its
+    stored projector."""
+    if isinstance(vec, PureState):
+        return vec._projector
+    v = as_vector(vec)
+    return np.outer(v, np.conj(v))
+
+
 def _mixed(shape: SystemShape, terms: Iterable[tuple]) -> np.ndarray:
     """``sum w |v><v|`` over (weight, vector) terms, added in order to a
-    zero matrix.  A weight may be an array of shape ``(batch,)``, which
-    gives the stack ``(batch, d, d)`` of the mixtures, one per entry, each
-    summed as the single one is."""
+    zero matrix; a vector may be a :class:`PureState`.  A weight may be an
+    array of shape ``(batch,)``, which gives the stack ``(batch, d, d)`` of
+    the mixtures, one per entry, each summed as the single one is."""
     d = shape.total_dim
     mat = np.zeros((d, d), dtype=np.complex128)
     for w, vec in terms:
-        v = as_vector(vec)
-        mat = mat + np.multiply.outer(w, np.outer(v, np.conj(v)))
+        mat = mat + np.multiply.outer(w, _outer(vec))
     return mat
 
 
@@ -286,8 +293,10 @@ class DensityMatrix:
         return cls._derived(psi.shape, _hermitian_part(np.outer(v, np.conj(v))))
 
     @classmethod
-    def mixture(cls, shape: SystemShape, terms: Iterable[tuple[float, np.ndarray]]) -> "DensityMatrix":
-        """Convex mixture of pure components given as (weight, vector) pairs."""
+    def mixture(cls, shape: SystemShape, terms: Iterable[tuple[float, np.ndarray | PureState]]) -> "DensityMatrix":
+        """Convex mixture of pure components given as (weight, vector)
+        pairs.  A vector may be a :class:`PureState`, whose projector is
+        formed once per state."""
         return cls(shape, _mixed(shape, ((float(w), vec) for w, vec in terms)))
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -331,6 +340,12 @@ class PureState:
         vec = vec.copy()
         vec.setflags(write=False)
         object.__setattr__(self, "amplitudes", vec)
+
+    @functools.cached_property
+    def _projector(self) -> np.ndarray:
+        """``|v><v|`` as :meth:`DensityMatrix.mixture` adds it, read-only,
+        formed once; not a dataclass field."""
+        return _read_only(_outer(self.amplitudes))
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix.from_pure(self)
@@ -554,27 +569,6 @@ def _power_vectors(rho: DensityMatrix, n: int, vecs: np.ndarray) -> np.ndarray:
     return big.reshape(axes + (-1,)).transpose(order + [len(axes)]).reshape(big.shape)
 
 
-def _power_eigenpairs(rho: DensityMatrix, n: int, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of ``tensor_power(rho, n)`` that pass
-    :func:`~dsskit.linalg.above_rank_cutoff` and their eigenvectors as
-    columns, without forming the power: the ``n``-fold products of the
-    eigenvalues of ``rho`` (as in :func:`_power_spectrum`) and the
-    :func:`_power_vectors` of its eigenvectors.  One ``eigh`` of ``rho``'s
-    side runs.  A product above the power's cutoff has every factor above
-    ``rho``'s (no eigenvalue is larger in magnitude than the largest), so
-    only those columns enter the products.  With ``n = 1`` these are
-    ``rho``'s own eigenpairs above the cutoff, largest first."""
-    n = _checked_copies(rho, n)
-    w, v = rho.eigh()
-    kept = above_rank_cutoff(w, rtol)
-    w, v = w[kept], v[:, kept]
-    values = w
-    for _ in range(n - 1):
-        values = np.multiply.outer(values, w).reshape(-1)
-    keep = above_rank_cutoff(values, rtol)
-    return values[keep], _power_vectors(rho, n, v)[:, keep]
-
-
 def _power_top_eigenstate(rho: DensityMatrix, n: int) -> PureState:
     """The top eigenvector of ``tensor_power(rho, n)`` without forming the
     power: the :func:`_power_vectors` of ``rho``'s top eigenvector, at
@@ -622,8 +616,9 @@ def product_basis_vector(shape: SystemShape, occupations: Sequence[int]) -> np.n
     return basis_vector(shape.total_dim, flat)
 
 
-# The presets' parameter-free parts, built once per process and read-only:
-# a preset call sums and checks only its weighted mixture.
+# The presets' parameter-free parts, built once per process and read-only,
+# their projectors too: a preset call sums and checks only its weighted
+# mixture.
 _AB, _ABC = SystemShape.qubits("AB"), SystemShape.qubits("ABC")
 _S = 1.0 / sqrt(2.0)
 _BELL_STATES = {
@@ -644,7 +639,7 @@ def _ket(*occupations: int) -> np.ndarray:
 _GHZ = PureState(_ABC, (_ket(0, 0, 0) + _ket(1, 1, 1)) / sqrt(2.0))
 _W = PureState(_ABC, (_ket(1, 0, 0) + _ket(0, 1, 0) + _ket(0, 0, 1)) / sqrt(3.0))
 _W_VARIANT = PureState(_ABC, (_ket(1, 0, 0) + _ket(0, 1, 0) + _ket(0, 1, 1)) / sqrt(3.0))
-_KET_011 = _read_only(_ket(0, 1, 1))
+_PRODUCT_011 = PureState(_ABC, _ket(0, 1, 1))
 #: :func:`filter_example`'s psi and |01>.
 _FILTER_VECTORS = (_read_only(sqrt(3.0) / 2.0 * _ket(0, 0) + 0.5 * _ket(1, 1)), _read_only(_ket(0, 1)))
 
@@ -668,7 +663,7 @@ def werner(F: float) -> DensityMatrix:
         raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
     q = (1.0 - F) / 3.0
     weights = {"phi+": F, "phi-": q, "psi+": q, "psi-": q}
-    return DensityMatrix.mixture(_AB, [(w, _BELL_STATES[kind].amplitudes) for kind, w in weights.items()])
+    return DensityMatrix.mixture(_AB, [(w, _BELL_STATES[kind]) for kind, w in weights.items()])
 
 
 def ghz_state() -> PureState:
@@ -700,7 +695,7 @@ def three_qubit_example(p: float) -> DensityMatrix:
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise InvariantViolation("p", f"p must lie in (0, 1], got {p}")
-    return DensityMatrix.mixture(_ABC, [(p, _GHZ.amplitudes), (1.0 - p, _KET_011)])
+    return DensityMatrix.mixture(_ABC, [(p, _GHZ), (1.0 - p, _PRODUCT_011)])
 
 
 def _filter_lambda(lam) -> float:

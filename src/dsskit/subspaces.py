@@ -56,7 +56,6 @@ from .states import (
     _normalized_stack,
     _power_block,
     _power_checks,
-    _power_eigenpairs,
     _power_sandwich,
     _power_shape,
     _power_spectrum,
@@ -485,6 +484,22 @@ def _tables(dims: tuple[int, ...]) -> tuple[tuple, ...]:
     return subsets, members, sizes
 
 
+@functools.lru_cache(maxsize=8)
+def _screen_tables(dims: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The index tables of :meth:`_SearchContext.screen` over local dims
+    ``dims``, built once per dims tuple and read-only: the axis ``order``
+    that pairs each party's row and column axes of ``G``; per party ``p``,
+    the flat indices ``rows[p][b, a]`` with party ``p``'s index ``a`` and
+    the others' ``b``; and the mask ``shaped[p]`` of the candidates whose
+    cut at party ``p`` has one basis state on either side."""
+    grid = np.ix_(*_tables(dims)[2])
+    index = np.arange(prod(dims)).reshape(dims)
+    order = tuple(a for p in range(len(dims)) for a in (p, p + len(dims)))
+    rows = tuple(_read_only(np.moveaxis(index, p, -1).reshape(-1, d)) for p, d in enumerate(dims))
+    shaped = tuple(_read_only((g == 1) | (g == prod(grid))) for g in grid)
+    return order, rows, shaped
+
+
 def candidate_count(shape: SystemShape) -> int:
     return prod((1 << d) - 1 for d in shape.dims)
 
@@ -540,9 +555,9 @@ class _SearchContext:
     local dims.  With no supplied basis the search basis is the product
     basis: ``local`` is the power's own matrix, read as it is, and
     ``change`` is None.  With supplied bases ``change`` is ``U =
-    kron_all(bases)`` and ``local = U† rho U``.  The screen's eigenpairs
-    come from the single copy; the blocks that classification reads come
-    from ``local``, one slice of consecutive positions at a time.
+    kron_all(bases)`` and ``local = U† rho U``.  The screen, the core pass
+    and classification all read ``local``: the screen whole, the others one
+    slice of consecutive positions at a time.
 
     A candidate is named by its canonical position: lexicographic over
     (party, subset bitmask ascending), the first party most significant.
@@ -559,7 +574,7 @@ class _SearchContext:
         self.count = candidate_count(_power_shape(rho, copies))
         if self.count > candidate_cap:
             raise SearchSpaceTooLarge(self.count, candidate_cap)
-        self.single, self.copies = rho, copies
+        self.single = rho
         self.rho = tensor_power(rho, copies, tol)
         self.shape = self.rho.shape
         self.tol = tol
@@ -580,29 +595,18 @@ class _SearchContext:
         picks = np.ix_(*(np.flatnonzero(s == k) for s, k in zip(self.sizes, sizes)))
         return np.ravel_multi_index(picks, [len(s) for s in self.subsets]).ravel()
 
-    def ensemble(self) -> np.ndarray:
-        """The power's significant eigenvectors, scaled by sqrt(weight), in
-        the product basis with one axis per party: restricting the party axes
-        to a candidate's index sets reads off its unnormalized ensemble.  The
-        eigenpairs are the single copy's products and regrouped Kronecker
-        products (:func:`~dsskit.states._power_eigenpairs`), so one ``eigh``
-        of the single copy's side runs and no decomposition of the power."""
-        weights, vectors = _power_eigenpairs(self.single, self.copies, self.tol.rank_rtol)
-        coords = vectors if self.change is None else dagger(self.change) @ vectors
-        scaled = coords * np.sqrt(weights)[np.newaxis, :]
-        return np.ascontiguousarray(scaled.T).reshape((len(weights),) + self.shape.dims)
-
     def screen(self, require_entangled: bool) -> tuple[np.ndarray, _ScreenCounts]:
         """Canonical positions of the candidates that may yield certificates.
 
-        ``G[x, y] = sum_j E[j, x] conj(E[j, y])`` over the :meth:`ensemble`
-        ``E`` is the state in the search basis, and a candidate ``S``'s
-        unnormalized projection is ``G`` restricted to ``S x S``.  Each test
-        below sums over basis states, or pairs of them, inside ``S``.  As
-        ``S`` is a product of per-party subsets, such a sum contracts a kernel
-        of at most ``D x D`` entries with each party's subset indicators, so
-        all candidates are decided at once, one kernel at a time, in working
-        memory O(D^2 + candidates).  A candidate is dropped as
+        ``G`` is ``local``, the matrix the core pass and the kernel read, and
+        a candidate ``S``'s unnormalized projection is ``G`` restricted to
+        ``S x S``.  Each test below sums over basis states, or pairs of them,
+        inside ``S``.  As ``S`` is a product of per-party subsets, such a sum
+        contracts a kernel of at most ``D x D`` entries with each party's
+        subset indicators, so all candidates are decided at once, one kernel
+        at a time, in working memory O(D^2 + candidates), with no
+        eigensolver.  The index tables come from :func:`_screen_tables`.  A
+        candidate is dropped as
 
         - zero when its weight ``w = sum_{x in S} G[x, x]`` is at most a tenth
           of ``ZERO_WEIGHT``;
@@ -619,17 +623,16 @@ class _SearchContext:
           product by its shape.
 
         Both margins are ten times the thresholds of :func:`project`, and
-        borderline candidates fall through to it.
+        borderline candidates fall through to it.  The kernel reads the same
+        matrix, so the margins cover every component, below the rank cutoff too.
         """
-        dims = self.shape.dims
+        dims, gram = self.shape.dims, self.local
+        order, rows, shaped = _screen_tables(dims)
         # pairs[p][i, a * d + b] = 1.0 when party p's i-th subset holds a and b.
         pairs = [(m[:, :, np.newaxis] * m[:, np.newaxis, :]).reshape(len(m), -1) for m in self.members]
-        flat = self.ensemble().reshape(-1, self.shape.total_dim)
-        gram = flat.T @ np.conj(flat)
 
         weight = _contract(np.real(np.diagonal(gram)).reshape(dims), self.members)
         # by_pair[(x_1, y_1), ..., (x_k, y_k)] = |G[x, y]|^2: one pair axis per party.
-        order = [a for p in range(len(dims)) for a in (p, p + len(dims))]
         by_pair = (np.abs(gram) ** 2).reshape(dims + dims).transpose(order)
         purity = _contract(by_pair.reshape([d * d for d in dims]), pairs)
 
@@ -640,20 +643,15 @@ class _SearchContext:
         keep = live & ~mixed
         counts = _ScreenCounts(int(np.count_nonzero(~live)), int(np.count_nonzero(mixed)))
         if require_entangled:
-            grid = np.ix_(*self.sizes)
-            width = prod(grid)
             product = keep
-            index = np.arange(self.shape.total_dim).reshape(dims)
             for p, d in enumerate(dims):
                 # block[b, a, a'] = G[(a, b), (a', b)], b over the other parties.
-                rows = np.moveaxis(index, p, -1).reshape(-1, d)
-                block = gram[rows[:, :, np.newaxis], rows[:, np.newaxis, :]]
+                block = gram[rows[p][:, :, np.newaxis], rows[p][:, np.newaxis, :]]
                 others = [m for q, m in enumerate(self.members) if q != p]
                 # reduced[(a, a'), i_others] = the unnormalized reduced state's entry.
                 reduced = _contract(block.reshape(dims[:p] + dims[p + 1:] + (d * d,)), others)
                 purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [pairs[p]]), -1, p) / norm
-                shaped = (grid[p] == 1) | (width == grid[p])
-                product = product & (shaped | (1.0 - purity_p + 2.0 * deficit <= 0.1 * self.tol.rank_rtol))
+                product = product & (shaped[p] | (1.0 - purity_p + 2.0 * deficit <= 0.1 * self.tol.rank_rtol))
             counts.product = int(np.count_nonzero(product))
             keep = keep & ~product
         return np.flatnonzero(keep), counts
@@ -957,9 +955,11 @@ def search_dss(
     :class:`DssSearch`: a record of each certificate, without its state,
     and the distinct cores with theirs.
 
-    With ``prune`` (the default) the search is core first.  After the
-    screen, each survivor's core is read off the zero pattern of the power
-    in the search basis, without reading its block
+    With ``prune`` (the default) the search is core first.  The screen
+    reads the power in the search basis, the matrix the core pass and the
+    kernel read, and runs no eigensolver.  After the screen, each
+    survivor's core is read off the zero pattern of that matrix, without
+    reading its block
     (:meth:`_SearchContext.cores`): the survivor without its padding
     indices, those whose rows and columns within the survivor are all
     exactly zero.  One block per distinct core is read and classified by
@@ -969,9 +969,8 @@ def search_dss(
     (bit-equal to its block's trace).  A padded survivor is thus classified
     from its core normalized by the core's weight, where its own block is
     normalized by its own weight; the two weights differ at most in the
-    last bit.  On
-    example3q(0.5)^⊗2 the 24 certificates have one core: one block is
-    read, and 23 records are padded.  With ``prune=False`` every candidate
+    last bit.  On example3q(0.5)^⊗2 the 24 certificates have one core: one
+    block is read, and 23 records are padded.  With ``prune=False`` every candidate
     is classified from its own block, the flat oracle, which shares no
     padding rule with the core-first search; each record's core, and the
     ``smaller_cores`` count, come from the same zero pattern.
@@ -1012,11 +1011,9 @@ def find_dss(
     about ``_SLICE_ENTRIES`` entries, read by index out of the power in the
     search basis, formed once, and normalized with the others of their side
     in the slice; each block side in a slice takes one decomposition.  The
-    screen decides all candidates at once from the power's significant
-    eigenpairs, which come from one ``eigh`` of the single copy (the
-    products of its eigenvalues and the regrouped Kronecker products of its
-    eigenvectors), by kernel contractions in memory O(D^2 + candidates) for
-    side ``D``, with no eigensolver per candidate.  It drops candidates
+    screen decides all candidates at once from the same power in the search
+    basis, by kernel contractions in memory O(D^2 + candidates) for side
+    ``D``, with no eigensolver.  It drops candidates
     that are clearly zero-weight or clearly mixed: weight at most a tenth
     of ``ZERO_WEIGHT``, or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the
     projection ``P`` above ``20 * purity_atol``, which puts the residual
@@ -1025,8 +1022,10 @@ def find_dss(
     eigenvector is clearly product: at every party cut a bound on its
     second squared Schmidt coefficient, from the reduced purities and the
     deficit, is at most ``0.1 * rank_rtol``.  Both margins are ten times
-    the thresholds of :func:`project`, so pruned and unpruned searches
-    return identical results.  ``prune=False`` runs no screen and
+    the thresholds of :func:`project`, and the screen and the kernel read
+    one matrix, so pruned and unpruned searches return identical results,
+    components of the state below the rank cutoff included.
+    ``prune=False`` runs no screen and
     classifies every candidate from its own block.
 
     One DEBUG record on the ``dsskit`` logger gives the candidates, those

@@ -135,21 +135,24 @@ def search_instances(draw):
     return state, bases, planted
 
 
-def restricted_ensemble(ensemble, indices) -> np.ndarray:
-    """The search context's ensemble components supported on the candidate
-    index set, flattened."""
-    rank = ensemble.shape[0]
-    return ensemble[np.ix_(range(rank), *indices)].reshape(rank, -1)
+def candidate_block(ctx, indices) -> np.ndarray:
+    """The candidate's block of the search context's ``local``, the state in
+    the search basis, as the kernel decomposes it: its Hermitian part.  With
+    supplied bases ``local`` is Hermitian only to roundoff, and one
+    triangle's eigenvalues can then differ from the Hermitian part's by more
+    than the screen's margin on a block of weight near ``ZERO_WEIGHT``."""
+    rows = np.ravel_multi_index(np.ix_(*indices), ctx.shape.dims).ravel()
+    block = ctx.local[np.ix_(rows, rows)]
+    return (block + np.conj(block).T) / 2
 
 
-def old_screen_keeps(ensemble, tol, indices) -> bool:
-    """The per-candidate zero/mixed test: one SVD of the restricted ensemble."""
-    restricted = restricted_ensemble(ensemble, indices)
-    weight = float(np.sum(np.abs(restricted) ** 2))
+def old_screen_keeps(block, tol) -> bool:
+    """The per-candidate zero/mixed test: one ``eigvalsh`` of the block."""
+    weight = float(np.trace(block).real)
     if weight <= ZERO_WEIGHT * 0.1:
         return False
-    s = np.linalg.svd(restricted, compute_uv=False)
-    return float(np.sum(s[1:] ** 2)) <= 10.0 * tol.purity_atol * weight
+    evals = np.linalg.eigvalsh(block)
+    return float(np.sum(evals[:-1])) <= 10.0 * tol.purity_atol * weight
 
 
 @PROPERTY_SETTINGS
@@ -158,9 +161,8 @@ def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance):
     state, bases, _ = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     positions, counts = ctx.screen(require_entangled=False)
-    ensemble = ctx.ensemble()
     expected = [
-        pos for pos, c in enumerate(iter_candidates(state.shape)) if old_screen_keeps(ensemble, ctx.tol, c)
+        pos for pos, c in enumerate(iter_candidates(state.shape)) if old_screen_keeps(candidate_block(ctx, c), ctx.tol)
     ]
     kept = positions.tolist()
     assert kept == expected
@@ -168,20 +170,19 @@ def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance):
     assert counts.zero + counts.mixed + len(kept) == subspaces.candidate_count(state.shape)
 
 
-def old_screen_verdict(ensemble, tol, indices) -> str:
+def old_screen_verdict(block, tol, indices) -> str:
     """The per-candidate zero/mixed/product test: "zero", "mixed", "product"
-    or "keep", from one SVD of the restricted ensemble.  Its top left
-    singular vector is the projection's top eigenvector, and it is product
-    when its cut ranks at a tenth of ``rank_rtol`` are all at most 1."""
-    restricted = restricted_ensemble(ensemble, indices)
-    weight = float(np.sum(np.abs(restricted) ** 2))
+    or "keep", from one ``eigh`` of the candidate's block.  Its top
+    eigenvector is product when its cut ranks at a tenth of ``rank_rtol``
+    are all at most 1."""
+    weight = float(np.trace(block).real)
     if weight <= ZERO_WEIGHT * 0.1:
         return "zero"
-    u, s, _ = np.linalg.svd(restricted.T)
-    if float(np.sum(s[1:] ** 2)) > 10.0 * tol.purity_atol * weight:
+    evals, evecs = np.linalg.eigh(block)
+    if float(np.sum(evals[:-1])) > 10.0 * tol.purity_atol * weight:
         return "mixed"
     sizes = [len(idx) for idx in indices]
-    return "product" if np.all(_cut_ranks([(u[np.newaxis, :, 0], sizes)], 0.1 * tol.rank_rtol) <= 1) else "keep"
+    return "product" if np.all(_cut_ranks([(evecs[np.newaxis, :, -1], sizes)], 0.1 * tol.rank_rtol) <= 1) else "keep"
 
 
 @PROPERTY_SETTINGS
@@ -190,8 +191,7 @@ def test_batched_product_screen_keeps_what_the_per_candidate_test_keeps(instance
     state, bases, _ = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     positions, counts = ctx.screen(require_entangled=True)
-    ensemble = ctx.ensemble()
-    verdicts = [old_screen_verdict(ensemble, ctx.tol, c) for c in iter_candidates(state.shape)]
+    verdicts = [old_screen_verdict(candidate_block(ctx, c), ctx.tol, c) for c in iter_candidates(state.shape)]
     assert positions.tolist() == [pos for pos, v in enumerate(verdicts) if v == "keep"]
     assert (counts.zero, counts.mixed, counts.product) == tuple(
         verdicts.count(v) for v in ("zero", "mixed", "product")
@@ -722,8 +722,7 @@ def test_decompose_and_search_keep_the_numerical_rank(instance):
     assert decompose(operator, tol).retained_dim == numerical_rank(operator, tol) == rank
     if np.isclose(weights.sum(), 1.0):
         rho = state_with_spectrum(rng, shape, weights)
-        kept = _SearchContext(rho, 1, None, tol, subspaces.CANDIDATE_CAP).ensemble().shape[0]
-        assert kept == numerical_rank(rho.mat, tol) == rank
+        assert power_rank(rho, 1, tol) == numerical_rank(rho.mat, tol) == rank
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -746,50 +745,6 @@ def test_pure_power_top_eigenstate_refuses_an_ambiguous_top():
     with pytest.raises(InvariantViolation) as err:
         states._power_top_eigenstate(werner(0.5), 2)
     assert err.value.invariant == "degenerate"
-
-
-#: (shape, copies) pairs whose search space fits under the candidate cap.
-SEARCH_POWER_CASES = [
-    (SystemShape.of(("A", 2), ("B", 2)), 2),
-    (SystemShape.of(("A", 2), ("B", 2)), 3),
-    (SystemShape.of(("A", 2), ("B", 3)), 2),
-    (SystemShape.of(("A", 2), ("B", 2), ("C", 2)), 2),
-]
-
-
-@PROPERTY_SETTINGS
-@given(st.integers(0, 2**32 - 1), st.sampled_from(SEARCH_POWER_CASES), st.booleans())
-def test_single_copy_ensemble_has_the_gram_of_the_dense_one(seed, case, rotated):
-    """The screen's ensemble of rho^n, built from the single copy's
-    eigenpairs, against the one from a dense ``eigh`` of the power: the same
-    number of components and the same Gram matrix ``sum_j E_j E_j†`` (the
-    state's significant part in the search basis) to 1e-12.  The spectrum
-    has planted eigenvalues whose n-fold products land at 10x and 0.1x the
-    rank cutoff."""
-    rng = np.random.default_rng(seed)
-    shape, copies = case
-    tol = Tolerance()
-    rank = int(rng.integers(1, shape.total_dim - 1))
-    weights = np.zeros(shape.total_dim)
-    weights[:rank] = rng.dirichlet(np.ones(rank))
-    small = np.array([10.0, 0.1]) * tol.rank_rtol / float(np.max(weights)) ** (copies - 1)
-    weights[:rank] *= 1.0 - small.sum()
-    weights[rank : rank + 2] = small
-    rho = state_with_spectrum(rng, shape, weights)
-    power = tensor_power(rho, copies)
-    bases = None
-    if rotated:
-        bases = {p.label: random_unitary(rng, p.dim) for p in power.shape.parties}
-    ctx = _SearchContext(rho, copies, bases, tol, subspaces.CANDIDATE_CAP)
-    ensemble = ctx.ensemble().reshape(-1, power.shape.total_dim)
-
-    evals, evecs = power.eigh()
-    keep = evals > tol.rank_rtol * max(1.0, float(evals[0]))
-    # The search basis: the resolved bases, identities where none is supplied.
-    dense = (np.conj(kron_all(ctx.bases)).T @ evecs[:, keep]) * np.sqrt(evals[keep])
-    assert len(ensemble) == np.count_nonzero(keep)
-    gram = ensemble.T @ np.conj(ensemble)
-    assert np.max(np.abs(gram - dense @ np.conj(dense).T)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ def test_measure_and_discard_product_state():
     assert fidelity_with_pure(branch.state, PureState(branch.state.shape, expected)) == pytest.approx(1.0)
     assert branch.shape_history[0].dims == (4, 2)
     assert branch.shape_history[-1].dims == (2, 2)
+    # The unchecked post-measurement shapes equal, and hash as, checked ones.
+    for step, want in ((MeasureAndDiscard("A", 1), SystemShape.of(("A", 2), ("B", 2))),
+                       (MeasureAndDiscard("B", 0), SystemShape.of(("A", (2, 2))))):
+        got = run([step], rho).branches[0].state.shape
+        assert got == want and hash(got) == hash(want)
 
 
 def test_measure_splits_branches():

@@ -44,8 +44,9 @@ def test_cached_preset_vectors_and_shapes_cannot_be_written():
     before = [werner(0.9).mat.copy(), three_qubit_example(0.5).mat.copy(), filter_example(0.7).mat.copy()]
     vectors = [ghz_state().amplitudes, w_state().amplitudes, w_state_variant().amplitudes]
     vectors += list(bell_vectors().values()) + [bell_state(kind).amplitudes for kind in bell_vectors()]
-    vectors += [states._KET_011, *states._FILTER_VECTORS]
-    for v in vectors:
+    vectors += [states._PRODUCT_011.amplitudes, *states._FILTER_VECTORS]
+    projectors = [state._projector for state in (*states._BELL_STATES.values(), states._GHZ, states._PRODUCT_011)]
+    for v in vectors + projectors:
         with pytest.raises(ValueError, match="read-only"):
             v[0] = 0.5
     vecs = bell_vectors()
@@ -62,6 +63,24 @@ def test_cached_preset_vectors_and_shapes_cannot_be_written():
     abc = SystemShape.qubits("ABC")
     ghz = (product_basis_vector(abc, (0, 0, 0)) + product_basis_vector(abc, (1, 1, 1))) / np.sqrt(2)
     assert ghz_state().amplitudes.tobytes() == ghz.tobytes()
+
+
+def test_presets_add_projectors_formed_once(monkeypatch):
+    """werner and example3q add the stored projectors of their constant
+    terms, with no outer product per call, and give the bytes of the same
+    mixture of fresh vectors."""
+    werner(0.9), three_qubit_example(0.5)
+    outer, calls = np.outer, []
+    monkeypatch.setattr(np, "outer", lambda *args: calls.append(args) or outer(*args))
+    got = [werner(0.9).mat, three_qubit_example(0.5).mat]
+    assert calls == []
+    monkeypatch.undo()
+    ab, abc, q, bell = SystemShape.qubits("AB"), SystemShape.qubits("ABC"), (1.0 - 0.9) / 3.0, bell_vectors()
+    want = [
+        DensityMatrix.mixture(ab, [(0.9, bell["phi+"]), (q, bell["phi-"]), (q, bell["psi+"]), (q, bell["psi-"])]),
+        DensityMatrix.mixture(abc, [(0.5, ghz_state().amplitudes), (0.5, product_basis_vector(abc, (0, 1, 1)))]),
+    ]
+    assert [g.tobytes() for g in got] == [w.mat.tobytes() for w in want]
 
 
 def test_shape_rejects_duplicate_labels():

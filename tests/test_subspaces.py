@@ -26,7 +26,8 @@ from dsskit import (
     three_qubit_example,
     werner,
 )
-from dsskit import states, subspaces
+from dsskit import fileio, states, subspaces
+from dsskit.cli import main
 from dsskit.linalg import DEFAULT_TOLERANCE
 from dsskit.states import DensityMatrix, PureState, product_basis_vector
 from dsskit.subspaces import CANDIDATE_CAP, _SearchContext, _tables
@@ -305,8 +306,8 @@ def test_iter_candidates_canonical_order():
 
 @pytest.mark.parametrize("require_entangled", [True, False])
 def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled):
-    # The one eigh is the single copy's, behind the ensemble: the power's
-    # eigenpairs are products of its eigenpairs.  Every screen decision is a
+    # The screen reads the power in the search basis, the matrix the kernel
+    # reads, and decomposes nothing.  Every screen decision is a
     # contraction, so a solver call per candidate or group shows here.
     ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     calls = {"svd": 0, "eigvalsh": 0, "eigh": 0}
@@ -319,7 +320,7 @@ def test_screen_runs_no_eigensolver_per_candidate(monkeypatch, require_entangled
 
         monkeypatch.setattr(np.linalg, name, counted)
     positions, _ = ctx.screen(require_entangled)
-    assert calls == {"svd": 0, "eigvalsh": 0, "eigh": 1}
+    assert calls == {"svd": 0, "eigvalsh": 0, "eigh": 0}
     assert len(positions) == (24 if require_entangled else 979)
 
 
@@ -348,12 +349,11 @@ def test_search_runs_one_cut_rank_call_for_all_size_groups(monkeypatch):
 def test_search_stacks_all_survivor_cores_in_one_eigensolver_call(monkeypatch):
     # The 24 survivors lie in one slice, in 16 size groups of sides 8 to 36,
     # but each is a zero-padded copy of a (2, 2, 2) core or that core itself:
-    # one eigh of side 8 decides them all, after the single copy's eigh for
-    # the screen.
+    # one eigh of side 8 decides them all, and the screen runs none.
     calls = count_solver_calls(monkeypatch)
     certs = find_dss(three_qubit_example(0.5), copies=2)
     assert len(certs) == 24
-    assert (calls["eigh"], calls["svd"]) == (2, 1)
+    assert (calls["eigh"], calls["svd"]) == (1, 1)
 
 
 def test_classify_stack_reads_each_top_at_its_own_sizes(monkeypatch):
@@ -394,6 +394,23 @@ def test_unpruned_search_decomposes_every_nonzero_block():
     # that 2107 of them have a strictly smaller core.
     stats = search_dss(three_qubit_example(0.5), copies=2, prune=False).stats
     assert (stats["smaller_cores"], stats["decomposed"]) == (2107, 2208)
+
+
+def test_pruned_search_keeps_components_below_the_rank_cutoff(capsys, tmp_path):
+    # (1 - eps)|00><00| + eps|phi><phi| on two qutrits, phi = (|11> + |22>)/sqrt(2):
+    # eps lies between ZERO_WEIGHT and rank_rtol, so a screen of the state cut
+    # at the rank cutoff sees no weight on {1, 2} x {1, 2} and its padded
+    # supersets, where the kernel finds three pure entangled projections.
+    eps, shape = 5e-10, SystemShape.of(("A", 3), ("B", 3))
+    phi = (product_basis_vector(shape, (1, 1)) + product_basis_vector(shape, (2, 2))) / np.sqrt(2)
+    rho = DensityMatrix.mixture(shape, [(1 - eps, product_basis_vector(shape, (0, 0))), (eps, phi)])
+    for require_entangled in (True, False):
+        pruned = search_dss(rho, require_entangled=require_entangled)
+        assert pruned.records == search_dss(rho, require_entangled=require_entangled, prune=False).records
+    assert [r.indices for r in search_dss(rho).records] == [((1, 2), (1, 2)), ((1, 2), (0, 1, 2)), ((0, 1, 2), (1, 2))]
+    fileio.write_state(str(tmp_path / "state.json"), rho)
+    assert main(["dss", "find", "--state", str(tmp_path / "state.json")]) == 0
+    assert "certificates_found: 3" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])

@@ -40,9 +40,7 @@ from .protocols import ghz_from_two_copies, run, werner_two_copy
 from .states import (
     DensityMatrix,
     SystemShape,
-    _power_shape,
-    _power_spectrum,
-    _power_top_eigenstate,
+    _Power,
     bell_state,
     filter_example,
     ghz_state,
@@ -464,7 +462,7 @@ def _rank_bound_doc(rank: int, bound: int) -> dict:
 
 def _cmd_dss_find(args, tol, warnings) -> tuple[Report, int]:
     single, inputs = _single_state(args, tol)
-    shape = _power_shape(single, inputs["copies"])
+    shape = _Power(single, inputs["copies"]).shape
     bases = None
     if args.bases:
         doc, inputs["bases"] = _read_input(args.bases)
@@ -557,12 +555,13 @@ def _cmd_entanglement(args, tol, warnings) -> tuple[Report, int]:
     copies = inputs["copies"]
     # The power itself is never built: a pure power's top eigenvector is
     # the regrouped kron of the single copy's.
-    top = float(_power_spectrum(single, copies).max())
+    power = _Power(single, copies)
+    top = float(power.spectrum.max())
     results: dict[str, Any] = {"per_party_dims": [d**copies for d in single.shape.dims]}
     results["top_eigenvalue"] = top
     results["pure"] = bool(top >= 1.0 - tol.purity_atol)
     if results["pure"]:
-        psi = _power_top_eigenstate(single, copies)
+        psi = power.top_eigenstate()
         results["signature"] = list(dimension_signature(psi, tol))
         if len(single.shape.parties) == 2:
             results["schmidt_coefficients"] = [float(c) for c in schmidt(psi)]

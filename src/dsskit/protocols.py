@@ -40,7 +40,7 @@ from .states import (
     _hermitian_part,
     _normalized,
     _post_select,
-    _power_shape,
+    _Power,
     bell_vectors,
     fidelity_with_pure,
     ghz_state,
@@ -402,7 +402,7 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
     if not 0.0 <= F <= 1.0:
         raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
     single = werner(F)
-    two_copy_shape = _power_shape(single, 2)
+    two_copy_shape = _Power(single, 2).shape
     outcomes = [
         project(single, LocalSubspace.from_indices(two_copy_shape, {"A": idx, "B": idx}), tol, copies=2)
         for idx in WERNER_SUBSPACE_INDICES.values()

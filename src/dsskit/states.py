@@ -7,8 +7,14 @@ library (the public constructor, ``mixture``, the file loader) runs the
 full check; a state derived from a checked one (a projection, an outcome,
 a reduced state, a power) is stored unchecked by ``DensityMatrix._derived``
 and keeps the invariants to roundoff over its weight: a projection of
-weight 9e-12 can hold an eigenvalue of -3.6e-8.  A power is checked on the
-single copy, its trace as tr(rho)**n, its spectrum as eigenvalue products.
+weight 9e-12 can hold an eigenvalue of -3.6e-8.
+
+A tensor power is read through one object, ``_Power(rho, n)``: its copy
+count, cap and party-major regrouping are checked and formed once, and it
+reads the power's spectrum (cached on the state per copy count), blocks,
+compressions and product vectors from the single copy.  It is checked on
+the single copy, its trace as tr(rho)**n, its spectrum as eigenvalue
+products.  Only :func:`tensor_power` forms a power's dense matrix.
 """
 
 from __future__ import annotations
@@ -270,19 +276,19 @@ class DensityMatrix:
     def _spectrum(self) -> np.ndarray:
         """``eigvalsh(mat)``, ascending and read-only, computed once; not a
         dataclass field, so repr ignores it.  ``mat`` is immutable, so it
-        stays valid.  :func:`_power_spectrum` reads it."""
+        stays valid.  :attr:`_Power.spectrum` reads it."""
         return _read_only(np.linalg.eigvalsh(self.mat))
 
     @functools.cached_property
-    def _power_spectra(self) -> dict[int, np.ndarray]:
-        """The eigenvalue products of :func:`_power_spectrum`, by copy count."""
+    def _spectra(self) -> dict[int, np.ndarray]:
+        """The :attr:`_Power.spectrum` of each of this state's powers, by copy count."""
         return {}
 
     @classmethod
     def _derived(cls, shape: SystemShape, mat: np.ndarray) -> "DensityMatrix":
         """The one store-only constructor: a state derived from a checked one,
         stored read-only unchecked.  ``mat`` must be exactly Hermitian, as
-        :func:`_power_checks` assumes; see :func:`_hermitian_part`."""
+        :meth:`_Power.checked` assumes; see :func:`_hermitian_part`."""
         mat.setflags(write=False)
         return _stored(cls, shape=shape, mat=mat)
 
@@ -394,75 +400,158 @@ def _normalized(out: np.ndarray, shape: SystemShape) -> tuple[float, DensityMatr
     return float(weights[0]), DensityMatrix._derived(shape, states[0])
 
 
-def _checked_copies(rho: DensityMatrix, n: int) -> int:
-    """``n`` as a copy count of ``rho``: an integer ``>= 1`` whose power
-    stays within ``MAX_SIDE``."""
-    n = as_int(n, "copies")
-    if n < 1:
-        raise InvariantViolation("copies", f"copies must be >= 1, got {n}")
-    total = rho.shape.total_dim**n
-    if total > MAX_SIDE:
-        raise DimensionCapError(
-            f"{n} copies give total dimension {total}, above the cap {MAX_SIDE}"
-        )
-    return n
+class _Power:
+    """``n`` copies of a state, regrouped party-major as :func:`tensor_power`
+    regroups them, and read from the single copy without forming the power.
 
+    ``_Power(single, n)`` is the one home of a copy count: it checks ``n``
+    (an integer ``>= 1`` whose power stays within ``MAX_SIDE``) once and
+    forms the per-copy axis sizes of the copy-major kron (``axes``), the
+    axis ``order`` that puts each party's copies side by side and, on first
+    use, the regrouped ``shape``.  Each read below works from ``single`` and
+    allocates nothing of side ``d**n`` but its result.  The object is a
+    read-only view, made per call: the state caches only the
+    :attr:`spectrum`, as an object that pointed back at its state from the
+    state's own cache would tie the two in a reference cycle."""
 
-def _party_major(shape: SystemShape, n: int) -> tuple[tuple[int, ...], list[int], SystemShape]:
-    """How ``n`` copies over ``shape`` regroup party-major: the per-party
-    axis sizes of the copy-major kron, the axis order that puts each party's
-    copies side by side, and the regrouped shape.  ``n`` must have passed
-    :func:`_checked_copies`, so the shape is stored unchecked."""
-    k = len(shape.parties)
-    order = [c * k + p for p in range(k) for c in range(n)]
-    return shape.dims * n, order, SystemShape._derived((p.label, p.dims * n) for p in shape.parties)
+    def __init__(self, single: DensityMatrix, n: int):
+        n = as_int(n, "copies")
+        if n < 1:
+            raise InvariantViolation("copies", f"copies must be >= 1, got {n}")
+        total = single.shape.total_dim**n
+        if total > MAX_SIDE:
+            raise DimensionCapError(f"{n} copies give total dimension {total}, above the cap {MAX_SIDE}")
+        k = len(single.shape.parties)
+        self.single, self.n, self.axes = single, n, single.shape.dims * n
+        self.order = tuple(c * k + p for p in range(k) for c in range(n))
 
+    @functools.cached_property
+    def shape(self) -> SystemShape:
+        """The regrouped shape, each party holding its ``n`` copies'
+        subsystems; at ``n = 1`` the state's own."""
+        single = self.single
+        if self.n == 1:
+            return single.shape
+        return SystemShape._derived((p.label, p.dims * self.n) for p in single.shape.parties)
 
-def _power_shape(rho: DensityMatrix, n: int) -> SystemShape:
-    """The shape of ``tensor_power(rho, n)``, with its copies and cap errors; nothing built."""
-    return _party_major(rho.shape, _checked_copies(rho, n))[2]
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The power's eigenvalues, unsorted and read-only: the ``n``-fold
+        products of the single copy's stored eigenvalues (Horn & Johnson,
+        *Topics in Matrix Analysis*, Thm 4.2.12), formed once per state and
+        ``n`` (:attr:`DensityMatrix._spectra`).  Regrouping the copies is a
+        permutation similarity, so it leaves them unchanged."""
+        spectrum = self.single._spectra.get(self.n)
+        if spectrum is None:
+            spectrum = base = self.single._spectrum
+            for _ in range(self.n - 1):
+                spectrum = np.multiply.outer(spectrum, base).reshape(-1)
+            self.single._spectra[self.n] = _read_only(spectrum)
+        return spectrum
 
+    def checked(self, tol: Tolerance) -> "_Power":
+        """This power once it passes the density matrix checks to ``tol``,
+        all made on the single copy; at ``n = 1``, where the power is the
+        state, nothing is checked.
 
-def _power_spectrum(rho: DensityMatrix, n: int) -> np.ndarray:
-    """The eigenvalues of ``rho``'s ``n``-th tensor power, unsorted and
-    read-only: the ``n``-fold products of ``rho``'s stored eigenvalues
-    (Horn & Johnson, *Topics in Matrix Analysis*, Thm 4.2.12), formed once
-    per state and ``n``.  Regrouping the copies is a permutation
-    similarity, so it leaves them unchanged.  Raises where
-    :func:`tensor_power` would: for ``n < 1`` and above ``MAX_SIDE``."""
-    return _power_products(rho, _checked_copies(rho, n))
+        The trace, ``tr(rho)**n``, must be 1 to ``TRACE_ATOL``: a copy inside
+        that margin can leave its power outside.  The :attr:`spectrum` must
+        pass the positivity check against ``tol.psd_atol``, as a state file
+        does.  Hermiticity needs no check: a stored ``mat`` is exactly
+        Hermitian (:meth:`DensityMatrix._derived`), and so is every Kronecker
+        product of it, entry by entry."""
+        if self.n > 1:
+            _require_unit_trace(float(self.single.mat.trace().real) ** self.n)
+            _require_psd(self.spectrum, tol)
+        return self
 
+    def block(self, picks: Sequence[Sequence[int]]) -> np.ndarray:
+        """``tensor_power(single, n).mat[np.ix_(rows, rows)]``, where ``rows``
+        are the flat indices of the product of per-party local indices
+        ``picks`` (each party's indices into its ``n`` copies, in the given
+        order; the first party most significant).
 
-def _power_products(rho: DensityMatrix, n: int) -> np.ndarray:
-    """:func:`_power_spectrum` for an ``n`` that passed :func:`_checked_copies`."""
-    spectrum = rho._power_spectra.get(n)
-    if spectrum is None:
-        base = spectrum = rho._spectrum
-        for _ in range(n - 1):
-            spectrum = np.multiply.outer(spectrum, base).reshape(-1)
-        rho._power_spectra[n] = _read_only(spectrum)
-    return spectrum
+        An entry of the power is the product of ``n`` single-copy entries, one
+        per copy (Horn & Johnson, *Topics in Matrix Analysis*, ch. 4).  So each
+        copy's single-copy indices of the rows are read off the picks, the
+        single copy is gathered at them, and the ``n`` gathers are multiplied
+        left to right, earlier copies times the next as in
+        :func:`~dsskit.linalg.kron_all`: each entry is bit-equal to the one
+        the dense power holds.  That is ``O(n k**2)`` work for ``k`` rows.
+        """
+        n = self.n
+        # index[c] holds copy c's single-copy index of each row, in kron order:
+        # n*k small integers, built in Python, against the n*k**2 entries read.
+        index = [[0] for _ in range(n)]
+        for d, pick in zip(self.single.shape.dims, picks):
+            for c in range(n):
+                scale = d ** (n - 1 - c)
+                digits = [local // scale % d for local in pick]
+                index[c] = [i * d + digit for i in index[c] for digit in digits]
+        index = np.array(index)
+        gathered = self.single.mat[index[:, :, np.newaxis], index[:, np.newaxis, :]]
+        block = gathered[0]
+        for c in range(1, n):
+            block = block * gathered[c]
+        return block
 
+    def sandwich(self, b: np.ndarray) -> np.ndarray:
+        """``b† σ b`` for the power ``σ``, for a ``d**n x k`` matrix ``b``
+        whose rows follow ``σ``'s party-major order, e.g. a subspace
+        compression.
 
-def _power_checks(rho: DensityMatrix, n: int, tol: Tolerance) -> int:
-    """``n`` as a copy count of ``rho`` once ``rho``'s ``n``-th tensor power
-    passes the density matrix checks to ``tol``, all made on the single copy.
+        At ``n = 1`` it is the dense product ``m rho m†`` for ``m = b†``,
+        kept for its bytes: the contraction below differs from it in the
+        last bits on most rotated subspaces.  At ``n > 1`` ``σ`` is never
+        formed.  The rows of ``b`` are regrouped copy-major once; then the
+        single copy acts on each copy's axis in turn, ``n`` contractions of
+        length ``d`` (the mixed-product property of the Kronecker product,
+        Horn & Johnson, *Topics in Matrix Analysis*, ch. 4): ``O(n d**(n+1)
+        k)`` work and ``O(d**n k)`` memory, against ``d**(2n)`` for ``σ``.
+        Each contraction is a sum of elementwise products, earlier copies
+        times the next copy as in :func:`~dsskit.linalg.kron_all`, and the
+        result agrees with the dense ``b† σ b`` to roundoff.
+        """
+        rho = self.single.mat
+        if self.n == 1:
+            m = dagger(b)
+            return m @ rho @ dagger(m)
+        d, k, order = len(rho), b.shape[1], self.order
+        to_copy_major = sorted(range(len(order)), key=order.__getitem__) + [len(order)]
+        b = b.reshape([self.axes[o] for o in order] + [k]).transpose(to_copy_major).reshape(-1, k)
+        x = b.reshape(d, -1)
+        for _ in range(self.n):
+            # Contract the leading copy axis, then rotate it to the back so the
+            # next copy leads and every product runs over a long inner axis.
+            acc = x[:1] * rho[:, :1]
+            for j in range(1, d):
+                acc += x[j : j + 1] * rho[:, j : j + 1]
+            x = acc.T.reshape(d, -1)
+        # The rotations have brought the column axis to the front.
+        return dagger(b) @ x.reshape(k, -1).T
 
-    ``n`` must be an integer ``>= 1`` whose power stays within
-    ``MAX_SIDE``.  The power's trace, ``tr(rho)**n``, must be 1 to
-    ``TRACE_ATOL``; a copy inside that margin can leave its power outside.
-    Its eigenvalues, the products :func:`_power_spectrum` gives, must pass
-    the positivity check against ``tol.psd_atol``, as a state file does.
-    Hermiticity needs no check: ``rho.mat`` is exactly Hermitian, and so is
-    every Kronecker product of it, entry by entry.  Nothing of side
-    ``d**n`` is allocated.  :func:`tensor_power` runs these checks, and so
-    does :func:`~dsskit.subspaces.project` at ``n > 1`` before it reads the
-    power's block (:func:`_power_block` or :func:`_power_sandwich`).
-    """
-    n = _checked_copies(rho, n)
-    _require_unit_trace(float(rho.mat.trace().real) ** n)
-    _require_psd(_power_products(rho, n), tol)
-    return n
+    def vectors(self, vecs: np.ndarray) -> np.ndarray:
+        """The ``n``-fold Kronecker products of the columns of ``vecs`` (``d x
+        r``, vectors of the single copy's space), regrouped party-major as the
+        power is: column ``(j_1, ..., j_n)``, lexicographic, is ``vecs[:, j_1]
+        (x) ... (x) vecs[:, j_n]``."""
+        big = kron_all([vecs] * self.n)
+        return big.reshape(self.axes + (-1,)).transpose(self.order + (len(self.axes),)).reshape(big.shape)
+
+    def top_eigenstate(self) -> PureState:
+        """The power's top eigenvector: the :meth:`vectors` of the single
+        copy's top eigenvector, at eigenvalue ``l1**n``.  That eigenvalue is
+        simple, and its eigenvector unique up to phase, when the single
+        copy's top eigenvalue ``l1`` exceeds 1/2 (every other eigenvalue of
+        the power is at most ``l1**(n-1) * (1 - l1)``); below that this
+        raises."""
+        w, v = self.single.eigh()
+        if w[0] <= 0.5:
+            raise InvariantViolation(
+                "degenerate",
+                f"top eigenvalue {w[0]:.6g} <= 1/2 leaves the power's top eigenvector ambiguous",
+            )
+        return PureState(self.shape, self.vectors(v[:, :1])[:, 0])
 
 
 def tensor_power(rho: DensityMatrix, n: int, tol: Tolerance | None = None) -> DensityMatrix:
@@ -474,116 +563,22 @@ def tensor_power(rho: DensityMatrix, n: int, tol: Tolerance | None = None) -> De
     Local subspaces of a party's enlarged space are then contiguous blocks.
 
     The result is checked to ``tol`` (by default ``DEFAULT_TOLERANCE``, as
-    for the public constructor) by :func:`_power_checks` on the single copy,
-    so no dense pass and no eigendecomposition of side ``d**n`` runs.
+    for the public constructor) by :meth:`_Power.checked` on the single
+    copy, so no dense pass and no eigendecomposition of side ``d**n`` runs.
     The matrix is the one the public constructor would store, with no link
-    back to ``rho``.  The library's functions take ``(rho, copies=n)``
-    instead: ``project`` builds no power, and the searches build it only
+    back to ``rho``.  This is the one place the library forms a power's
+    matrix.  Its functions take ``(rho, copies=n)`` instead: ``project``
+    reads the power through :class:`_Power`, and the searches build it only
     once their candidate cap holds.
     """
     n = as_int(n, "copies")
     if n == 1:
         return rho
-    n = _power_checks(rho, n, DEFAULT_TOLERANCE if tol is None else tol)
-    axes, order, shape = _party_major(rho.shape, n)
-    perm = order + [len(axes) + o for o in order]
-    total = shape.total_dim
+    power = _Power(rho, n).checked(DEFAULT_TOLERANCE if tol is None else tol)
+    axes, order, total = power.axes, power.order, power.shape.total_dim
     big = kron_all([rho.mat] * n)
-    mat = big.reshape(axes * 2).transpose(perm).reshape(total, total)
-    return DensityMatrix._derived(shape, mat)
-
-
-def _power_sandwich(rho: DensityMatrix, n: int, b: np.ndarray) -> np.ndarray:
-    """``b† σ b`` for ``σ = tensor_power(rho, n)``, without forming ``σ``.
-
-    ``b`` is a ``d**n x k`` matrix whose rows follow ``σ``'s party-major
-    order, e.g. a subspace compression.  Its rows are regrouped copy-major
-    once; then ``rho`` acts on each copy's axis in turn, ``n`` contractions
-    of length ``d`` (the mixed-product property of the Kronecker product,
-    Horn & Johnson, *Topics in Matrix Analysis*, ch. 4): ``O(n d**(n+1) k)``
-    work and ``O(d**n k)`` memory, against ``d**(2n)`` for ``σ``.  ``n``
-    must have passed :func:`_power_checks`.
-
-    Each contraction is a sum of elementwise products, earlier copies times
-    the next copy as in :func:`~dsskit.linalg.kron_all`, and the result
-    agrees with the dense ``b† σ b`` to roundoff.  :func:`~dsskit.subspaces.project`
-    calls it only for subspaces whose columns are not all computational
-    basis vectors; those take :func:`_power_block`.
-    """
-    dims = rho.shape.dims
-    d, k = rho.shape.total_dim, b.shape[1]
-    party_major = [dp for dp in dims for _ in range(n)] + [k]
-    to_copy_major = [p * n + c for c in range(n) for p in range(len(dims))] + [len(dims) * n]
-    b = b.reshape(party_major).transpose(to_copy_major).reshape(-1, k)
-    x = b.reshape(d, -1)
-    for _ in range(n):
-        # Contract the leading copy axis, then rotate it to the back so the
-        # next copy leads and every product runs over a long inner axis.
-        acc = x[:1] * rho.mat[:, :1]
-        for j in range(1, d):
-            acc += x[j : j + 1] * rho.mat[:, j : j + 1]
-        x = acc.T.reshape(d, -1)
-    # The rotations have brought the column axis to the front.
-    return dagger(b) @ x.reshape(k, -1).T
-
-
-def _power_block(rho: DensityMatrix, n: int, picks: Sequence[Sequence[int]]) -> np.ndarray:
-    """``tensor_power(rho, n).mat[np.ix_(rows, rows)]`` without forming the
-    power, where ``rows`` are the party-major flat indices of the product of
-    per-party local indices ``picks`` (each party's indices into its ``n``
-    copies, in the given order; the first party most significant).
-
-    An entry of the power is the product of ``n`` single-copy entries, one
-    per copy (Horn & Johnson, *Topics in Matrix Analysis*, ch. 4).  So each
-    copy's single-copy indices of the rows are read off the picks, ``rho``
-    is gathered at them, and the ``n`` gathers are multiplied left to right,
-    earlier copies times the next as in :func:`~dsskit.linalg.kron_all`:
-    each entry is bit-equal to the one the dense power holds.  That is
-    ``O(n k**2)`` work for ``k`` rows.  ``n`` must have passed
-    :func:`_checked_copies`.
-    """
-    # index[c] holds copy c's single-copy index of each row, in kron order:
-    # n*k small integers, built in Python, against the n*k**2 entries read.
-    index = [[0] for _ in range(n)]
-    for d, pick in zip(rho.shape.dims, picks):
-        for c in range(n):
-            scale = d ** (n - 1 - c)
-            digits = [local // scale % d for local in pick]
-            index[c] = [i * d + digit for i in index[c] for digit in digits]
-    index = np.array(index)
-    gathered = rho.mat[index[:, :, np.newaxis], index[:, np.newaxis, :]]
-    block = gathered[0]
-    for c in range(1, n):
-        block = block * gathered[c]
-    return block
-
-
-def _power_vectors(rho: DensityMatrix, n: int, vecs: np.ndarray) -> np.ndarray:
-    """The ``n``-fold Kronecker products of the columns of ``vecs`` (``d x
-    r``, vectors of ``rho``'s space), regrouped party-major as
-    :func:`tensor_power` regroups ``rho``: column ``(j_1, ..., j_n)``,
-    lexicographic, is ``vecs[:, j_1] (x) ... (x) vecs[:, j_n]``.  ``n``
-    must have passed :func:`_checked_copies`."""
-    axes, order, _ = _party_major(rho.shape, n)
-    big = kron_all([vecs] * n)
-    return big.reshape(axes + (-1,)).transpose(order + [len(axes)]).reshape(big.shape)
-
-
-def _power_top_eigenstate(rho: DensityMatrix, n: int) -> PureState:
-    """The top eigenvector of ``tensor_power(rho, n)`` without forming the
-    power: the :func:`_power_vectors` of ``rho``'s top eigenvector, at
-    eigenvalue ``l1**n``.  That eigenvalue is simple, and its eigenvector
-    unique up to phase, when ``rho``'s top eigenvalue ``l1`` exceeds 1/2
-    (every other eigenvalue of the power is at most ``l1**(n-1) * (1 -
-    l1)``); below that this raises."""
-    n = _checked_copies(rho, n)
-    w, v = rho.eigh()
-    if w[0] <= 0.5:
-        raise InvariantViolation(
-            "degenerate",
-            f"top eigenvalue {w[0]:.6g} <= 1/2 leaves the power's top eigenvector ambiguous",
-        )
-    return PureState(_party_major(rho.shape, n)[2], _power_vectors(rho, n, v[:, :1])[:, 0])
+    mat = big.reshape(axes * 2).transpose(order + tuple(len(axes) + o for o in order)).reshape(total, total)
+    return DensityMatrix._derived(power.shape, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,8 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     SystemShape,
-    _checked_copies,
     _normalized_stack,
-    _power_block,
-    _power_checks,
-    _power_sandwich,
-    _power_shape,
-    _power_spectrum,
+    _Power,
     _read_only,
     tensor_power,
 )
@@ -73,7 +68,7 @@ CANDIDATE_CAP = 1_000_000
 #: Entries a search classifies at once (2 MiB of complex128): it reads its
 #: survivors in slices of about this many block entries, each candidate
 #: counting at least the power's side, whatever their count
-#: (:meth:`_SearchContext.classify`).  The core pass, which reads no block,
+#: (:meth:`_SearchContext._classified`).  The core pass, which reads no block,
 #: takes slices of about this many row-mask entries, the power's side per
 #: candidate (:meth:`_SearchContext.cores`).
 _SLICE_ENTRIES = 1 << 17
@@ -375,27 +370,20 @@ def project(
 
     With ``copies > 1`` the subspace lives on the party-major shape of
     :func:`~dsskit.states.tensor_power`, and the power is never formed: it
-    passes the same checks on the single copy.  When every party's columns
-    are computational basis vectors, at any ``copies``, the compressed block
-    is read as products of single-copy entries, ``k**2`` of them for ``k``
-    columns (:func:`~dsskit.states._power_block`; bit-equal to the dense
-    power's).  Any other subspace is compressed densely with one copy and
-    contracted copy by copy from ``rho`` with more
-    (:func:`~dsskit.states._power_sandwich`; equal to roundoff).  The
-    classification that follows is the same.
+    passes the same checks on the single copy, and it is read through
+    :class:`~dsskit.states._Power` on one of two paths.  When every party's
+    columns are computational basis vectors, at any ``copies``, the
+    compressed block is read as products of single-copy entries, ``k**2``
+    of them for ``k`` columns (:meth:`~dsskit.states._Power.block`;
+    bit-equal to the dense power's).  Any other subspace is compressed by
+    :meth:`~dsskit.states._Power.sandwich`: the dense ``B† rho B`` at one
+    copy, contracted copy by copy from ``rho`` at more (equal to roundoff).
+    The classification that follows is the same.
     """
-    copies = _checked_copies(rho, copies)
-    if copies > 1:
-        _power_checks(rho, copies, tol)
-    subspace._check_against(rho.shape, copies)
+    power = _Power(rho, copies).checked(tol)
+    subspace._check_against(rho.shape, power.n)
     rows = subspace._computational_rows()
-    if rows is not None:
-        out = _power_block(rho, copies, rows)
-    elif copies == 1:
-        m = dagger(subspace.compression())
-        out = m @ rho.mat @ dagger(m)
-    else:
-        out = _power_sandwich(rho, copies, subspace.compression())
+    out = power.block(rows) if rows is not None else power.sandwich(subspace.compression())
     weights, live, states = _normalized_stack(out[np.newaxis])
     if not live[0]:
         return _outcome(0.0, None, 0, ())
@@ -553,11 +541,10 @@ class _SearchContext:
     shape, the power (checked to ``tol``), the resolved bases, the power in
     the search basis (``local``) and the :func:`_tables` of the power's
     local dims.  With no supplied basis the search basis is the product
-    basis: ``local`` is the power's own matrix, read as it is, and
-    ``change`` is None.  With supplied bases ``change`` is ``U =
-    kron_all(bases)`` and ``local = U† rho U``.  The screen, the core pass
-    and classification all read ``local``: the screen whole, the others one
-    slice of consecutive positions at a time.
+    basis: ``local`` is the power's own matrix, read as it is.  With
+    supplied bases ``local = U† rho U`` for ``U = kron_all(bases)``.  The
+    screen, the core pass and classification all read ``local``: the
+    screen whole, the others one slice of consecutive positions at a time.
 
     A candidate is named by its canonical position: lexicographic over
     (party, subset bitmask ascending), the first party most significant.
@@ -571,29 +558,21 @@ class _SearchContext:
         tol: Tolerance,
         candidate_cap: int,
     ):
-        self.count = candidate_count(_power_shape(rho, copies))
+        self.count = candidate_count(_Power(rho, copies).shape)
         if self.count > candidate_cap:
             raise SearchSpaceTooLarge(self.count, candidate_cap)
-        self.single = rho
-        self.rho = tensor_power(rho, copies, tol)
-        self.shape = self.rho.shape
-        self.tol = tol
+        power = tensor_power(rho, copies, tol)
+        self.shape, self.tol = power.shape, tol
         self.bases = _resolve_bases(self.shape, bases)
         if bases:
-            self.change = kron_all(self.bases)
-            self.local = dagger(self.change) @ self.rho.mat @ self.change
+            change = kron_all(self.bases)
+            self.local = dagger(change) @ power.mat @ change
         else:
-            self.change, self.local = None, self.rho.mat
+            self.local = power.mat
         self.subsets, self.members, self.sizes = _tables(self.shape.dims)
         # columns[p][idx]: party p's basis columns of its subset idx, cut
         # when first asked for; a party of dim d has 2^d - 1 subsets.
         self.columns = [{} for _ in self.subsets]
-
-    def group(self, sizes: Sequence[int]) -> np.ndarray:
-        """The canonical positions, ascending, of the candidates whose subset
-        for party ``p`` has ``sizes[p]`` elements."""
-        picks = np.ix_(*(np.flatnonzero(s == k) for s, k in zip(self.sizes, sizes)))
-        return np.ravel_multi_index(picks, [len(s) for s in self.subsets]).ravel()
 
     def screen(self, require_entangled: bool) -> tuple[np.ndarray, _ScreenCounts]:
         """Canonical positions of the candidates that may yield certificates.
@@ -668,15 +647,6 @@ class _SearchContext:
                 vecs = cut[idx] = _columns(basis, idx)
             columns.append(vecs)
         return LocalSubspace._from_checked(self.shape.labels, columns, indices)
-
-    def classify(
-        self, positions: Sequence[int], keep: Collection[Classification]
-    ) -> Iterator[tuple[LocalSubspace, ProjectionOutcome]]:
-        """Each candidate at ``positions`` whose classification is in
-        ``keep``, in that order: its :meth:`subspace`, and the outcome of the
-        power on it (:meth:`_classified`)."""
-        for _, indices, outcome in self._classified(positions, keep):
-            yield self.subspace(indices), outcome
 
     def _classified(
         self, positions: Sequence[int], keep: Collection[Classification]
@@ -872,7 +842,7 @@ def _search(
     record's."""
     if min_signature is not None:
         min_signature = tuple(as_int(m, "min_signature") for m in min_signature)
-        if len(min_signature) != len(ctx.single.shape.parties):
+        if len(min_signature) != len(ctx.shape.parties):
             raise InvariantViolation("min_signature", "one entry per party required")
     keep = ("pure-entangled",) if require_entangled else ("pure-product", "pure-entangled")
 
@@ -1090,7 +1060,10 @@ def find_purifying_subspaces(
     else:
         measure_before = float(reference)
 
-    mixed = list(ctx.classify(ctx.group((2, 2)), ("mixed",)))
+    # The candidates with two vectors per party, in canonical order.
+    pairs = np.ix_(*(np.flatnonzero(s == 2) for s in ctx.sizes))
+    positions = np.ravel_multi_index(pairs, [len(s) for s in ctx.subsets]).ravel()
+    mixed = [(ctx.subspace(indices), outcome) for _, indices, outcome in ctx._classified(positions, ("mixed",))]
     if not mixed:
         return []
     # Every mixed outcome here is a two-qubit state: one stacked call.
@@ -1139,7 +1112,7 @@ def power_rank(rho: DensityMatrix, copies: int, tol: Tolerance = DEFAULT_TOLERAN
     magnitudes are its singular values.  No tensor power is built, and the
     copies and size checks are those of :func:`~dsskit.states.tensor_power`.
     """
-    magnitudes = np.abs(_power_spectrum(rho, copies))
+    magnitudes = np.abs(_Power(rho, copies).spectrum)
     return int(np.count_nonzero(above_rank_cutoff(magnitudes, tol.rank_rtol)))
 
 

@@ -249,15 +249,21 @@ def contract_reference(tensor: np.ndarray, mats) -> np.ndarray:
 
 def spy_on_the_general_path(monkeypatch) -> list[str]:
     """Record, in order, each call of ``LocalSubspace.compression`` (as
-    "compression") and of ``states._power_sandwich``, under each name it is
-    imported by (as "sandwich")."""
+    "compression") and of ``states._Power.sandwich`` (as "sandwich")."""
     calls = []
     compression = LocalSubspace.compression
     monkeypatch.setattr(LocalSubspace, "compression", lambda self: calls.append("compression") or compression(self))
-    sandwich = states._power_sandwich
-    for module in (states, subspaces):
-        monkeypatch.setattr(module, "_power_sandwich", lambda *args: calls.append("sandwich") or sandwich(*args))
+    sandwich = states._Power.sandwich
+    monkeypatch.setattr(states._Power, "sandwich", lambda self, b: calls.append("sandwich") or sandwich(self, b))
     return calls
+
+
+def classify_all(ctx, positions) -> Iterator[tuple[LocalSubspace, object]]:
+    """Each candidate of the search context ``ctx`` at ``positions``, every
+    classification kept, in order: its subspace and its outcome, as the
+    searches read them."""
+    for _, indices, outcome in ctx._classified(positions, subspaces._CLASSES):
+        yield ctx.subspace(indices), outcome
 
 
 def count_solver_calls(monkeypatch) -> dict[str, int]:

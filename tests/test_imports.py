@@ -1,7 +1,8 @@
 """Every name a package or test module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every name the package exports has a user or a reason to stay, only ``linalg.py`` reaches numpy's Kronecker product, only the CLI's
-``simulate`` handler builds a tensor power, only ``mixture`` and the file
+``simulate`` handler builds a tensor power, every other module reads a power
+through ``states._Power`` alone, only ``mixture`` and the file
 loader call the checking ``DensityMatrix`` constructor, and a state carries
 nothing but its shape and matrix."""
 
@@ -280,6 +281,49 @@ def test_only_simulate_builds_a_tensor_power_in_the_cli():
     hands the single copy and ``copies`` to the library."""
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert references_outside(source, "tensor_power", "_cmd_simulate") == []
+
+
+def private_power_imports(source: str) -> list[str]:
+    """Private names containing ``power``, other than ``_Power``, that
+    ``source`` imports from a ``states`` module or reads as ``states.name``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "states":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "states":
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            f"{name} (line {node.lineno})"
+            for name in names
+            if name.startswith("_") and "power" in name.lower() and name != "_Power"
+        ]
+    return found
+
+
+def test_power_import_detector_flags_private_power_names_but_the_object():
+    source = (
+        "from . import states\n"
+        "from .states import DensityMatrix, _Power, _power_block\n"
+        "from dsskit.states import _power_checks as checks\n"
+        "from .linalg import _power_table\n"
+        "SPECTRA = states._PowerSpectra\n"
+        "SHAPE = states._Power(RHO, 2).shape\n"
+        "RANK = other._power_rank\n"
+    )
+    assert private_power_imports(source) == [
+        "_power_block (line 2)",
+        "_power_checks (line 3)",
+        "_PowerSpectra (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "states.py"], ids=lambda p: p.name)
+def test_only_states_reads_a_power_past_its_object(path):
+    """The copy count, the regrouping and every read of a power live in
+    ``states._Power``; no other module reaches a private power helper."""
+    assert private_power_imports(path.read_text(encoding="utf-8")) == []
 
 
 def public_constructor_calls(source: str) -> list[str]:

@@ -14,11 +14,14 @@ records against the flat search, certificate by certificate.
 
 The tensor-power examples check what is read off the single-copy spectrum
 (the rank and the positivity of the n-copy state, the top eigenvector of a
-pure power) against the dense computation on the n-copy matrix, and the
-projection of a power, read from single-copy entries or contracted copy by
-copy, against the projection of the dense power.  The searches handed the
-single copy and ``copies`` are checked against the same searches of the
-built power.
+pure power) against the dense computation on the n-copy matrix, each read
+of ``states._Power`` (spectrum, blocks, sandwiches, product vectors, top
+eigenvector) against the dense power, and the projection of a power, read
+from single-copy entries or contracted copy by copy, against the
+projection of the dense power.  The searches handed the single copy and
+``copies`` are checked against the same searches of the built power, and
+their certificates against the protocol runner's projection of the built
+power.
 
 The kernel examples check ``kron_all`` against chained ``np.kron``, the
 sliced measurement outcomes against dense padded post-selection, and the
@@ -45,6 +48,7 @@ from dsskit import (
     MeasureAndDiscard,
     Party,
     ProductOperator,
+    Project,
     PureState,
     SystemShape,
     apply,
@@ -77,6 +81,7 @@ from dsskit.subspaces import _SearchContext
 
 from helpers import (
     certificate_summary,
+    classify_all,
     contract_reference,
     iter_candidates,
     planted_instance,
@@ -259,7 +264,7 @@ def test_batched_classification_equals_project(instance, require_entangled):
     state, bases, _ = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     kept = []
-    for (sub, got), indices in zip(ctx.classify(range(ctx.count), subspaces._CLASSES), iter_candidates(state.shape)):
+    for (sub, got), indices in zip(classify_all(ctx, range(ctx.count)), iter_candidates(state.shape)):
         assert sub.basis_indices == indices
         want = project(tensor_power(state, 1), sub)
         assert_outcomes_match(got, want, computational=bases is None)
@@ -283,7 +288,7 @@ def test_batched_classification_of_a_power_equals_project(rotated):
     power = tensor_power(rho, 2)
     ctx = _SearchContext(rho, 2, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     seen = set()
-    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
+    for sub, got in classify_all(ctx, range(ctx.count)):
         assert_outcomes_match(got, project(power, sub), computational=not rotated)
         assert reference_classification(power, sub, ctx.tol) == (got.classification, got.signature)
         seen.add(got.classification)
@@ -305,7 +310,7 @@ def test_batched_classification_of_a_rotated_power_equals_project(seed, rank):
     bases = {label: random_unitary(rng, 4) for label in "AB"}
     ctx = _SearchContext(rho, 2, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     seen = set()
-    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
+    for sub, got in classify_all(ctx, range(ctx.count)):
         assert_outcomes_match(got, project(rho, sub, copies=2), computational=False)
         seen.add(got.signature)
     if rank == 1:
@@ -407,7 +412,7 @@ def test_classification_on_cores_equals_the_full_block(instance):
     state, bases = instance
     ctx = _SearchContext(state, 1, bases, Tolerance(), subspaces.CANDIDATE_CAP)
     got = []
-    for sub, outcome in ctx.classify(range(ctx.count), subspaces._CLASSES):
+    for sub, outcome in classify_all(ctx, range(ctx.count)):
         got.append((outcome.classification, outcome.signature))
         assert reference_classification(state, sub, ctx.tol) == got[-1]
     positions = np.arange(ctx.count)
@@ -732,7 +737,7 @@ def test_pure_power_top_eigenstate_matches_dense(preset, copies):
     tol = Tolerance()
     power = tensor_power(single, copies)
     dense = power.top_eigenstate()
-    psi = states._power_top_eigenstate(single, copies)
+    psi = states._Power(single, copies).top_eigenstate()
     assert psi.shape == power.shape
     assert dimension_signature(psi, tol) == dimension_signature(dense, tol)
     labels = power.shape.labels
@@ -743,7 +748,7 @@ def test_pure_power_top_eigenstate_matches_dense(preset, copies):
 
 def test_pure_power_top_eigenstate_refuses_an_ambiguous_top():
     with pytest.raises(InvariantViolation) as err:
-        states._power_top_eigenstate(werner(0.5), 2)
+        states._Power(werner(0.5), 2).top_eigenstate()
     assert err.value.invariant == "degenerate"
 
 
@@ -809,7 +814,7 @@ def power_projection_instances(draw):
     rank = int(rng.integers(1, shape.total_dim + 1))
     weights[:rank] = rng.dirichlet(np.ones(rank))
     rho = state_with_spectrum(rng, shape, weights)
-    power_shape = states._power_shape(rho, copies)
+    power_shape = states._Power(rho, copies).shape
     sizes = [min(int(rng.choice([1, 2, 2, 3])), p.dim) for p in power_shape.parties]
     return rho, copies, subspace_of_kind(rng, power_shape, sizes, kind), kind
 
@@ -952,7 +957,168 @@ def test_stored_spectrum_is_bit_equal_to_eigvalsh(seed, shape, rank):
     for state in checked + derived:
         assert state._spectrum.tobytes() == np.linalg.eigvalsh(state.mat).tobytes()
         assert not state._spectrum.flags.writeable
-    assert states._power_spectrum(rho, 2) is states._power_spectrum(rho, 2)
+    assert states._Power(rho, 2).spectrum is states._Power(rho, 2).spectrum
+
+
+# ---------------------------------------------------------------------------
+# Reads of a tensor power through ``states._Power``, against the dense power
+# ---------------------------------------------------------------------------
+
+#: (shape, copies) of the power reads: one copy of four shapes, then POWER_CASES.
+POWER_READ_CASES = [(shape, 1) for shape, _ in POWER_CASES[::2]] + POWER_CASES
+
+
+def power_read_state(rng, shape: SystemShape, zero_rows: bool) -> DensityMatrix:
+    """A random state of rank 1 to ``d - 1``; with ``zero_rows``, supported
+    on a random proper subset of the computational basis, so the rows and
+    columns of the other basis states are exactly zero."""
+    d = shape.total_dim
+    rank = int(rng.integers(1, d))
+    vectors = np.zeros((d, rank), dtype=np.complex128)
+    support = np.sort(rng.permutation(d)[: int(rng.integers(rank, d))]) if zero_rows else np.arange(d)
+    vectors[support] = random_unitary(rng, len(support))[:, :rank]
+    return DensityMatrix(shape, (vectors * rng.dirichlet(np.ones(rank))) @ np.conj(vectors).T)
+
+
+def power_read_instances():
+    """``(state, copies, seed)`` for each case, rank-deficient and with
+    planted zero rows; the seed made the state, and a test draws its own
+    inputs from the next one."""
+    for seed, ((shape, copies), zero_rows) in enumerate(itertools.product(POWER_READ_CASES, (False, True)), 4100):
+        state = power_read_state(np.random.default_rng(seed), shape, zero_rows)
+        yield pytest.param(state, copies, seed,
+                           id=f"{'x'.join(map(str, shape.dims))}^{copies}-{'zero-rows' if zero_rows else 'deficient'}")
+
+
+POWER_READS = list(power_read_instances())
+
+
+@pytest.mark.parametrize("rho,copies,seed", POWER_READS)
+def test_power_reads_spectrum(rho, copies, seed):
+    """The eigenvalue products are the dense power's eigenvalues, read-only
+    and formed once per state and copy count; the shape is the power's."""
+    power = states._Power(rho, copies)
+    dense = tensor_power(rho, copies)
+    assert states._Power(rho, copies).spectrum is power.spectrum
+    assert power.shape == dense.shape
+    assert not power.spectrum.flags.writeable
+    assert np.max(np.abs(np.sort(power.spectrum) - np.linalg.eigvalsh(dense.mat))) <= 1e-12
+
+
+@pytest.mark.parametrize("rho,copies,seed", POWER_READS)
+def test_power_reads_block(rho, copies, seed):
+    """Each block is the dense power's, byte for byte, for per-party picks in
+    any order, zero rows included."""
+    rng = np.random.default_rng(seed + 1)
+    power = states._Power(rho, copies)
+    dense = tensor_power(rho, copies).mat
+    dims = power.shape.dims
+    for _ in range(8):
+        picks = [rng.permutation(d)[: int(rng.integers(1, d + 1))].tolist() for d in dims]
+        rows = np.ravel_multi_index(np.ix_(*picks), dims).ravel()
+        assert power.block(picks).tobytes() == dense[np.ix_(rows, rows)].tobytes()
+
+
+@pytest.mark.parametrize("rho,copies,seed", POWER_READS)
+def test_power_reads_sandwich(rho, copies, seed):
+    """``b† σ b`` of the dense power for random ``b``: at one copy the dense
+    product's bytes, at more equal to roundoff."""
+    rng = np.random.default_rng(seed + 1)
+    power = states._Power(rho, copies)
+    dense = tensor_power(rho, copies).mat
+    for k in (1, 2, 5):
+        b = rng.normal(size=(len(dense), k)) + 1j * rng.normal(size=(len(dense), k))
+        got = power.sandwich(b)
+        if copies == 1:
+            m = np.conj(b).T
+            assert got.tobytes() == (m @ dense @ np.conj(m).T).tobytes()
+        else:
+            scale = np.abs(np.conj(b).T) @ np.abs(dense) @ np.abs(b)
+            assert np.all(np.abs(got - np.conj(b).T @ dense @ b) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("rho,copies,seed", POWER_READS)
+def test_power_reads_vectors(rho, copies, seed):
+    """The regrouped products of the single copy's eigenvectors are
+    orthonormal eigenvectors of the dense power, column ``(j_1, ..., j_n)``
+    at the spectrum's entry of the same place."""
+    power = states._Power(rho, copies)
+    dense = tensor_power(rho, copies).mat
+    vectors = power.vectors(np.linalg.eigh(rho.mat)[1])
+    assert np.max(np.abs(np.conj(vectors).T @ vectors - np.eye(len(dense)))) <= 1e-12
+    assert np.max(np.abs(dense @ vectors - vectors * power.spectrum)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho,copies,seed", POWER_READS)
+def test_power_reads_top_eigenstate(rho, copies, seed):
+    """Above a top eigenvalue of 1/2, the dense power's top eigenvector up
+    to phase; at or below it, refused."""
+    power = states._Power(rho, copies)
+    dense = tensor_power(rho, copies)
+    if rho.eigh()[0][0] <= 0.5:
+        with pytest.raises(InvariantViolation) as err:
+            power.top_eigenstate()
+        assert err.value.invariant == "degenerate"
+        return
+    psi = power.top_eigenstate()
+    assert psi.shape == dense.shape
+    assert abs(abs(np.vdot(dense.top_eigenstate().amplitudes, psi.amplitudes)) - 1.0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The protocol runner and the search read one power
+# ---------------------------------------------------------------------------
+
+
+def assert_run_keeps_the_certificates(rho, copies, certificates, exact):
+    """``run([Project(c.subspace)], tensor_power(rho, copies))`` keeps each
+    certificate's weight as its probability, and its one branch state,
+    compressed to the subspace, is the certificate's state: byte for byte
+    when ``exact``, else to 1e-12."""
+    power = tensor_power(rho, copies)
+    assert certificates
+    for cert in certificates:
+        (branch,) = run([Project(cert.subspace)], power).branches
+        b = cert.subspace.compression()
+        if exact:
+            rows = np.flatnonzero(np.abs(b).sum(axis=1))
+            assert np.float64(branch.probability).tobytes() == np.float64(cert.outcome.weight).tobytes()
+            assert branch.state.mat[np.ix_(rows, rows)].tobytes() == cert.outcome.state.mat.tobytes()
+        else:
+            assert abs(branch.probability - cert.outcome.weight) <= 1e-12
+            assert np.max(np.abs(np.conj(b).T @ branch.state.mat @ b - cert.outcome.state.mat)) <= 1e-12
+
+
+def test_run_keeps_the_certificates_of_the_two_copy_search():
+    """example3q(0.5)^⊗2: the 24 certificates, and a seeded sample of the
+    979 without ``require_entangled``, on computational bases."""
+    rho = three_qubit_example(0.5)
+    assert_run_keeps_the_certificates(rho, 2, find_dss(rho, copies=2), exact=True)
+    every = find_dss(rho, copies=2, require_entangled=False)
+    assert len(every) == 979
+    sample = np.random.default_rng(19).choice(len(every), 60, replace=False)
+    assert_run_keeps_the_certificates(rho, 2, [every[i] for i in sorted(sample)], exact=True)
+
+
+def test_run_keeps_the_certificates_of_the_three_copy_werner_search():
+    """werner(0.9)^⊗3 is of full rank, so its certificates are its 64 basis
+    states, all product; in rotated bases they agree to roundoff."""
+    rho = werner(0.9)
+    certificates = find_dss(rho, copies=3, require_entangled=False)
+    assert len(certificates) == 64
+    assert_run_keeps_the_certificates(rho, 3, certificates, exact=True)
+    rng = np.random.default_rng(23)
+    bases = {p.label: random_unitary(rng, p.dim) for p in states._Power(rho, 3).shape.parties}
+    assert_run_keeps_the_certificates(rho, 3, find_dss(rho, bases, copies=3, require_entangled=False), exact=False)
+
+
+def test_ghz_distillation_projects_onto_the_search_core():
+    rho = three_qubit_example(0.5)
+    (core,) = search_dss(rho, copies=2).cores
+    step = ghz_distillation_steps(states._Power(rho, 2).shape)[0]
+    assert core.subspace.basis_indices == step.subspace.basis_indices == ((1, 2), (1, 2), (1, 2))
+    for (label, got), (_, want) in zip(step.subspace.parties, core.subspace.parties):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -985,7 +1151,7 @@ def search_power_instances(draw):
     rho = state_with_spectrum(rng, shape, weights)
     bases = None
     if draw(st.booleans()):
-        bases = {p.label: random_unitary(rng, p.dim) for p in states._power_shape(rho, copies).parties}
+        bases = {p.label: random_unitary(rng, p.dim) for p in states._Power(rho, copies).shape.parties}
     prune = large or draw(st.booleans())
     return rho, copies, bases, prune
 
@@ -1168,8 +1334,12 @@ CONTEXT_IDS = ["example3q-0.3-x2", "werner-x1", "werner-x2", "ghz-x2", "w-x2", "
 
 @pytest.mark.parametrize("rho,copies", CONTEXT_CASES, ids=CONTEXT_IDS)
 def test_search_context_without_bases_reads_the_power_itself(rho, copies):
-    ctx = _SearchContext(rho, copies, None, Tolerance(), subspaces.CANDIDATE_CAP)
-    assert ctx.change is None
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subspaces, "tensor_power", lambda *args: built.append(tensor_power(*args)) or built[-1])
+        ctx = _SearchContext(rho, copies, None, Tolerance(), subspaces.CANDIDATE_CAP)
+    assert len(built) == 1
+    assert ctx.local is built[0].mat
     assert ctx.local.tobytes() == tensor_power(rho, copies).mat.tobytes()
 
 
@@ -1183,7 +1353,7 @@ def test_search_without_bases_equals_identity_bases_and_the_flat_search(rho, cop
     """No supplied basis reads the power itself; explicit identity bases
     multiply it by identities.  Both give the same records, in fields and
     weight bytes, and the same counts; the records are the flat search's."""
-    identities = {p.label: np.eye(p.dim) for p in states._power_shape(rho, copies).parties}
+    identities = {p.label: np.eye(p.dim) for p in states._Power(rho, copies).shape.parties}
     plain = search_dss(rho, copies=copies, require_entangled=require_entangled)
     explicit = search_dss(rho, identities, copies=copies, require_entangled=require_entangled)
     flat = find_dss(rho, copies=copies, prune=False, require_entangled=require_entangled)
@@ -1256,7 +1426,7 @@ def test_screen_decisions_match_the_tensordot_screen(instance, require_entangled
                          ids=["example3q-0.5-x2", "werner-x2", "werner-x3"])
 def test_screen_decisions_of_the_workload_searches_match_the_tensordot_screen(rho, copies, rotated):
     rng = np.random.default_rng(29)
-    shape = states._power_shape(rho, copies)
+    shape = states._Power(rho, copies).shape
     bases = {p.label: random_unitary(rng, p.dim) for p in shape.parties} if rotated else None
     for require_entangled in (True, False):
         counts = assert_screen_decisions_match_the_tensordot_screen(rho, copies, bases, require_entangled)

@@ -34,6 +34,7 @@ from dsskit.subspaces import CANDIDATE_CAP, _SearchContext, _tables
 
 from helpers import (
     certificate_summary,
+    classify_all,
     count_solver_calls,
     iter_candidates,
     maximally_mixed,
@@ -195,13 +196,13 @@ def test_project_refuses_a_copy_count_that_tensor_power_refuses(copies):
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
 def test_project_reads_computational_blocks_without_the_compression(monkeypatch, copies):
-    """On computational basis vectors ``project`` reads the block from
-    single-copy entries: no compression and no copy-by-copy contraction.
-    Every other subspace, a look-alike with one entry -1.0 included, is
-    compressed, and contracted from the single copy when ``copies > 1``."""
+    """``project`` has two read paths.  On computational basis vectors it
+    reads the block from single-copy entries: no compression and no
+    sandwich.  Every other subspace, a look-alike with one entry -1.0
+    included, is compressed and sandwiched, at every copy count."""
     rng = np.random.default_rng(copies)
     rho = three_qubit_example(0.5)
-    shape = states._power_shape(rho, copies)
+    shape = states._Power(rho, copies).shape
     calls = spy_on_the_general_path(monkeypatch)
     dim = 2**copies
     for indices in ({label: (1, 0) for label in "ABC"}, {"A": (0,), "B": tuple(range(dim))[::-1], "C": (dim - 1,)}):
@@ -211,7 +212,7 @@ def test_project_reads_computational_blocks_without_the_compression(monkeypatch,
             project(rho, subspace, copies=copies)
             check_certificate(rho, subspace, copies=copies)
     assert calls == []
-    general = ["compression"] + ["sandwich"] * (copies > 1)
+    general = ["compression", "sandwich"]
     rotated = LocalSubspace(tuple((label, random_unitary(rng, dim)[:, :2]) for label in "ABC"))
     minus_one = np.eye(dim)[:, [0, 1]]
     minus_one[1, 1] = -1.0
@@ -280,7 +281,7 @@ def test_check_certificate_refuses_product_and_zero():
 # ---------------------------------------------------------------------------
 
 
-def test_iter_candidates_canonical_order():
+def test_iter_candidates_canonical_order(monkeypatch):
     shape = SystemShape.qubits("AB")
     got = list(iter_candidates(shape))
     assert candidate_count(shape) == 9
@@ -292,16 +293,19 @@ def test_iter_candidates_canonical_order():
     ]
     assert got[-1] == ((0, 1), (0, 1))
 
-    # The search context numbers candidates in the same order, and its
-    # (2, 2) size group is the oracle's two-by-two candidates.
+    # The search context numbers candidates in the same order, and the
+    # purifying search reads the oracle's two-by-two candidates.
     rho = random_density(np.random.default_rng(5), SystemShape.of(("A", 2), ("B", 3)))
     ctx = _SearchContext(rho, 1, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     oracle = list(iter_candidates(rho.shape))
-    assert [sub.basis_indices for sub, _ in ctx.classify(range(ctx.count), subspaces._CLASSES)] == oracle
-    pairs = ctx.group((2, 2))
-    assert pairs.tolist() == [
-        pos for pos, c in enumerate(oracle) if all(len(idx) == 2 for idx in c)
-    ]
+    assert [sub.basis_indices for sub, _ in classify_all(ctx, range(ctx.count))] == oracle
+    read = []
+    classified = _SearchContext._classified
+    monkeypatch.setattr(
+        _SearchContext, "_classified", lambda self, at, keep: read.append(at.tolist()) or classified(self, at, keep)
+    )
+    find_purifying_subspaces(rho, reference=0.0)
+    assert read == [[pos for pos, c in enumerate(oracle) if all(len(idx) == 2 for idx in c)]]
 
 
 @pytest.mark.parametrize("require_entangled", [True, False])
@@ -330,7 +334,7 @@ def test_classify_runs_one_eigensolver_per_size_group(monkeypatch):
     # or per group, and one cut-rank SVD per slice.
     ctx = _SearchContext(three_qubit_example(0.5), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     calls = count_solver_calls(monkeypatch)
-    outcomes = [outcome.classification for _, outcome in ctx.classify(range(ctx.count), subspaces._CLASSES)]
+    outcomes = [outcome.classification for _, outcome in classify_all(ctx, range(ctx.count))]
     assert len(outcomes) == 3375
     assert calls["eigvalsh"] == 0
     assert 0 < calls["eigh"] <= 64
@@ -432,7 +436,9 @@ def test_search_cuts_a_subspace_for_each_certificate_only(monkeypatch, prune, re
 
 def test_purifying_search_cuts_a_subspace_for_each_mixed_outcome_only(monkeypatch):
     ctx = _SearchContext(werner(0.9), 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
-    mixed = [got for _, got in ctx.classify(ctx.group((2, 2)), subspaces._CLASSES) if got.classification == "mixed"]
+    mixed = [
+        got for sub, got in classify_all(ctx, range(ctx.count)) if sub.dims == (2, 2) and got.classification == "mixed"
+    ]
     made = []
     cut = LocalSubspace._from_checked.__func__
     monkeypatch.setattr(LocalSubspace, "_from_checked", classmethod(lambda cls, *a: made.append(a) or cut(cls, *a)))
@@ -449,7 +455,7 @@ def test_classify_of_a_power_keeps_the_bytes_of_project(rho):
     ctx = _SearchContext(rho, 2, None, DEFAULT_TOLERANCE, CANDIDATE_CAP)
     power = tensor_power(rho, 2)
     seen = set()
-    for sub, got in ctx.classify(range(ctx.count), subspaces._CLASSES):
+    for sub, got in classify_all(ctx, range(ctx.count)):
         want = project(power, sub)
         assert (got.classification, got.signature) == (want.classification, want.signature)
         assert np.float64(got.weight).tobytes() == np.float64(want.weight).tobytes()
@@ -516,7 +522,7 @@ def test_classify_outcomes_do_not_depend_on_the_slice_bound(monkeypatch, rho, ba
                 np.float64(got.weight).tobytes(),
                 None if got.state is None else got.state.mat.tobytes(),
             )
-            for _, got in ctx.classify(range(ctx.count), subspaces._CLASSES)
+            for _, got in classify_all(ctx, range(ctx.count))
         ]
 
     default = outcomes(subspaces._SLICE_ENTRIES)

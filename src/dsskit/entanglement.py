@@ -227,7 +227,6 @@ def entanglement_of_formation(
     Refuses anything that is not exactly two qubits; no multipartite
     generalization is attempted.
     """
-    _require_two_qubits(rho)
     c = concurrence(rho, tol)
     return EntanglementReport(concurrence=c, eof=eof_from_concurrence(c))
 

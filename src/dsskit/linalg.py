@@ -15,7 +15,6 @@ the honest choice and anything larger signals a modelling mistake.
 from __future__ import annotations
 
 import numbers
-import string
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
@@ -29,11 +28,14 @@ MAX_SIDE = 4096
 #: Below this, a projector weight / branch probability counts as zero.
 ZERO_WEIGHT = 1e-12
 
-#: Largest entry of ``V†V - I`` for orthonormal columns ``V``: a future
-#: ``Tolerance`` field (the check of caller-supplied bases and vectors).
+#: Largest entry of ``V†V - I`` for orthonormal columns ``V``: a fixed
+#: self-check of caller-supplied bases and vectors.  It stays out of
+#: ``Tolerance`` because every ``Tolerance`` field becomes a CLI flag
+#: (``cli._common_options``), so a new field would be a new knob.
 ORTHONORMAL_ATOL = 1e-9
 
-_EINSUM_LETTERS = string.ascii_lowercase + string.ascii_uppercase
+#: numpy's einsum takes sublist labels in ``[0, 52)``: two per subsystem.
+_EINSUM_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -170,26 +172,13 @@ def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise InvariantViolation("keep", f"keep indices {keep} out of range for {n} subsystems")
-    if 2 * n > len(_EINSUM_LETTERS):
+    if 2 * n > _EINSUM_LABELS:
         raise DimensionCapError(f"too many subsystems ({n}) for partial_trace")
 
-    keepset = set(keep)
-    row = list(_EINSUM_LETTERS[:n])
-    col = []
-    out_row = []
-    out_col = []
-    nxt = n
-    for i in range(n):
-        if i in keepset:
-            letter = _EINSUM_LETTERS[nxt]
-            nxt += 1
-            col.append(letter)
-            out_row.append(row[i])
-            out_col.append(letter)
-        else:
-            col.append(row[i])  # repeated letter contracts the traced subsystem
-    subscript = "".join(row) + "".join(col) + "->" + "".join(out_row) + "".join(out_col)
-    reduced = np.einsum(subscript, m.reshape(dims + dims))
+    # Subsystem i's row axis is label i and its column axis n + i; a traced
+    # subsystem's column takes its row's label, which contracts it.
+    cols = [n + i if i in keep else i for i in range(n)]
+    reduced = np.einsum(m.reshape(dims + dims), list(range(n)) + cols, keep + [n + k for k in keep])
     side = prod(dims[k] for k in keep)
     return reduced.reshape(side, side)
 

@@ -35,6 +35,14 @@ SPECTRAL_NORM_SLACK = 1e-9
 #: fixed self-check of the SVD's closed form, not a caller's tolerance.
 RECONSTRUCTION_ATOL = 1e-9
 
+#: Norm below which ``_complete_unitary`` takes a standard basis vector, left
+#: after its projections off the basis so far, to lie in that basis's span.
+#: A dependent vector keeps a residual of roundoff size; one above this norm
+#: is independent by more than 1e8 times roundoff, and two projection
+#: passes leave it orthogonal to working precision.  A fixed property of the
+#: completion, not a caller's tolerance.
+_COMPLETION_MIN_NORM = 1e-7
+
 
 @dataclass(frozen=True, eq=False)
 class LocalFactor:
@@ -203,7 +211,7 @@ def _complete_unitary(cols: np.ndarray) -> np.ndarray:
             for b in basis:
                 v = v - b * np.vdot(b, v)
         nrm = float(np.linalg.norm(v))
-        if nrm > 1e-7:
+        if nrm > _COMPLETION_MIN_NORM:
             basis.append(v / nrm)
     if len(basis) != d:
         raise InvariantViolation("orthonormal", "failed to complete an orthonormal basis")

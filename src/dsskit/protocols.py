@@ -329,8 +329,6 @@ def ghz_from_two_copies(p: float) -> GhzDistillationReport:
     to each branch.
     """
     p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise InvariantViolation("p", f"p must lie in (0, 1], got {p}")
     two = tensor_power(three_qubit_example(p), 2)
     *steps, correction = ghz_distillation_steps(two.shape)
     plain = run(steps, two)
@@ -399,8 +397,6 @@ def werner_two_copy(F: float, tol: Tolerance = DEFAULT_TOLERANCE) -> WernerPurif
     :func:`~dsskit.entanglement._concurrence_stack` call.
     """
     F = float(F)
-    if not 0.0 <= F <= 1.0:
-        raise InvariantViolation("F", f"F must lie in [0, 1], got {F}")
     single = werner(F)
     two_copy_shape = _Power(single, 2).shape
     outcomes = [

@@ -492,13 +492,6 @@ def candidate_count(shape: SystemShape) -> int:
     return prod((1 << d) - 1 for d in shape.dims)
 
 
-@dataclass
-class _ScreenCounts:
-    zero: int = 0
-    mixed: int = 0
-    product: int = 0
-
-
 def _contract(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Sum the leading axes of ``tensor``, one per matrix, against the rows
     of ``mats``: ``out[..., i_1, ..., i_m] = sum tensor[t_1, ..., t_m, ...]
@@ -574,8 +567,10 @@ class _SearchContext:
         # when first asked for; a party of dim d has 2^d - 1 subsets.
         self.columns = [{} for _ in self.subsets]
 
-    def screen(self, require_entangled: bool) -> tuple[np.ndarray, _ScreenCounts]:
-        """Canonical positions of the candidates that may yield certificates.
+    def screen(self, require_entangled: bool) -> tuple[np.ndarray, dict[str, int]]:
+        """Canonical positions of the candidates that may yield certificates,
+        and the counts dropped as zero, mixed and product, keyed as in the
+        search's ``stats``.
 
         ``G`` is ``local``, the matrix the core pass and the kernel read, and
         a candidate ``S``'s unnormalized projection is ``G`` restricted to
@@ -620,7 +615,11 @@ class _SearchContext:
         deficit = 1.0 - purity / norm
         mixed = live & (deficit > 20.0 * self.tol.purity_atol)
         keep = live & ~mixed
-        counts = _ScreenCounts(int(np.count_nonzero(~live)), int(np.count_nonzero(mixed)))
+        counts = {
+            "screened_zero": int(np.count_nonzero(~live)),
+            "screened_mixed": int(np.count_nonzero(mixed)),
+            "screened_product": 0,
+        }
         if require_entangled:
             product = keep
             for p, d in enumerate(dims):
@@ -631,7 +630,7 @@ class _SearchContext:
                 reduced = _contract(block.reshape(dims[:p] + dims[p + 1:] + (d * d,)), others)
                 purity_p = np.moveaxis(_contract(np.abs(reduced) ** 2, [pairs[p]]), -1, p) / norm
                 product = product & (shaped[p] | (1.0 - purity_p + 2.0 * deficit <= 0.1 * self.tol.rank_rtol))
-            counts.product = int(np.count_nonzero(product))
+            counts["screened_product"] = int(np.count_nonzero(product))
             keep = keep & ~product
         return np.flatnonzero(keep), counts
 
@@ -670,13 +669,12 @@ class _SearchContext:
         self.decomposed = done = 0
         for picks, side in self._slices(positions):
             n = len(side)
-            weights, stacks = self._read(picks, side)
+            weights, stacks, states = self._read(picks, side)
             sizes = np.stack([s[pick] for s, pick in zip(self.sizes, picks)], axis=-1)
             codes, ranks = np.zeros(n, dtype=np.int8), np.zeros(sizes.shape, dtype=np.intp)
-            live = np.concatenate([at for at, _ in stacks])
+            live = list(states)
             codes[live], ranks[live] = _classify_stack([(blocks, sizes[at]) for at, blocks in stacks], self.tol)
             self.decomposed += len(live)
-            states = dict(zip(live.tolist(), (block for _, blocks in stacks for block in blocks)))
             chosen = np.flatnonzero(wanted[codes])
             for i, indices, weight, code, signature in zip(
                 chosen.tolist(),
@@ -725,32 +723,30 @@ class _SearchContext:
 
     def _read(
         self, picks: Sequence[np.ndarray], side: np.ndarray
-    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], dict[int, np.ndarray]]:
         """The blocks of the candidates with subset numbers ``picks`` and
-        block sides ``side``: their weights and, per block side, the
-        candidates of nonzero weight and their normalized blocks.  Each
-        side's blocks are read out of ``local`` by one index, with no product
-        or matrix multiply per candidate, and normalized by one
+        block sides ``side``: their weights; per block side, the candidates
+        of nonzero weight and their normalized blocks; and the same blocks
+        keyed on candidate index, in that order.  Each side's blocks are
+        read out of ``local`` by one index, with no product or matrix
+        multiply per candidate, and normalized by one
         :func:`~dsskit.states._normalized_stack` call."""
         mask = self._rows(picks)
-        weights, stacks = np.zeros(len(side)), []
+        weights, stacks, states = np.zeros(len(side)), [], {}
         for k in np.unique(side).tolist():
             at = np.flatnonzero(side == k)
             rows = np.nonzero(mask[at])[1].reshape(-1, k)
             weights[at], kept, blocks = _normalized_stack(self.local[rows[:, :, np.newaxis], rows[:, np.newaxis, :]])
             stacks.append((at[kept], blocks))
-        return weights, stacks
+            states.update(zip(at[kept].tolist(), blocks))
+        return weights, stacks, states
 
     def states(self, positions: Sequence[int]) -> Iterator[DensityMatrix]:
         """The state of the power on each candidate at ``positions``, all of
         nonzero weight, in order: its own block, normalized, as
         :meth:`_classified` gives it."""
         for picks, side in self._slices(positions):
-            _, stacks = self._read(picks, side)
-            states = dict(zip(
-                np.concatenate([at for at, _ in stacks]).tolist(),
-                (block for _, blocks in stacks for block in blocks),
-            ))
+            states = self._read(picks, side)[2]
             for i, indices in enumerate(self._indices(picks)):
                 yield DensityMatrix._derived(self._state_shape(indices), states[i].copy())
 
@@ -758,18 +754,16 @@ class _SearchContext:
         """Each candidate's core position and weight, read off ``local``
         without reading a block.
 
-        Party ``p``'s index ``a`` is padding for a candidate when every
-        row of ``local`` within the candidate whose party-``p`` index is
-        ``a`` is exactly zero, and so is its column.  This is the only home
-        of the padding rule: the kernel classifies whole blocks.  Removing
-        every padding index at once gives the core; as only zero rows and
-        columns go, the core has the candidate's classification and
-        signature.  A row is nonzero within the candidate when some basis
-        state of the candidate touches it: a nonzero entry of ``local`` in
-        its row or its column.  That is one product of the candidates' row
-        masks with the 0/1 pattern of those entries.  When no diagonal entry
-        of ``local`` is zero, every row is nonzero and each candidate is its
-        own core.
+        The padding rule: party ``p``'s index ``a`` is padding for a
+        candidate when every row of ``local`` within the candidate whose
+        party-``p`` index is ``a`` is exactly zero, and so is its column.
+        This is the rule's only home: the kernel classifies whole blocks.
+        Removing every padding index at once gives the core; as only zero
+        rows and columns go, the core has the candidate's classification
+        and signature.  A row is nonzero within the candidate when some
+        basis state of the candidate touches it: a nonzero entry of
+        ``local`` in its row or its column.  That is one product of the
+        candidates' row masks with the 0/1 pattern of those entries.
 
         The weight is the complex sum of ``local``'s diagonal over the
         candidate's rows (:func:`_diagonal_sums`), bit-equal to its block's
@@ -780,25 +774,19 @@ class _SearchContext:
         """
         dims, counts = self.shape.dims, [len(s) for s in self.subsets]
         diagonal = np.diagonal(self.local)
-        padding = not diagonal.all()
-        if padding:
-            nonzero = self.local != 0
-            touching = (nonzero | nonzero.T).astype(np.float32)
-            # A core position is sum_p (bitmask_p - 1) * stride_p over the
-            # bitmasks of the indices each party holds.
-            strides = [prod(counts[p + 1:]) for p in range(len(counts))]
-            place = np.array([(1 << a) * stride for d, stride in zip(dims, strides) for a in range(d)])
+        nonzero = self.local != 0
+        touching = (nonzero | nonzero.T).astype(np.float32)
+        # A core position is sum_p (bitmask_p - 1) * stride_p over the
+        # bitmasks of the indices each party holds.
+        strides = [prod(counts[p + 1:]) for p in range(len(counts))]
+        place = np.array([(1 << a) * stride for d, stride in zip(dims, strides) for a in range(d)])
         core_at, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
         every, sides = self._picks(positions)
         for run in _runs(np.full(len(sides), self.shape.total_dim)):
-            picks, side = [pick[run] for pick in every], sides[run]
-            mask = self._rows(picks)
-            weights.append(_diagonal_sums(diagonal, mask, side))
-            if padding:
-                live = mask & (mask.astype(np.float32) @ touching > 0)
-                core_at.append(_held(live, dims) @ place - sum(strides))
-            else:
-                core_at.append(np.ravel_multi_index(picks, counts))
+            mask = self._rows([pick[run] for pick in every])
+            weights.append(_diagonal_sums(diagonal, mask, sides[run]))
+            live = mask & (mask.astype(np.float32) @ touching > 0)
+            core_at.append(_held(live, dims) @ place - sum(strides))
         return np.concatenate(core_at), np.concatenate(weights)
 
 
@@ -857,7 +845,8 @@ def _search(
     if prune:
         positions, counts = ctx.screen(require_entangled)
     else:
-        positions, counts = np.arange(ctx.count), _ScreenCounts()
+        positions = np.arange(ctx.count)
+        counts = {"screened_zero": 0, "screened_mixed": 0, "screened_product": 0}
     screened = time.perf_counter()
     core_at, weights = ctx.cores(positions)
     live = np.flatnonzero(weights > ZERO_WEIGHT)
@@ -888,9 +877,7 @@ def _search(
     classified = time.perf_counter()
     stats = {
         "candidates": ctx.count,
-        "screened_zero": counts.zero,
-        "screened_mixed": counts.mixed,
-        "screened_product": counts.product,
+        **counts,
         "classified": len(positions),
         "smaller_cores": smaller,
         "decomposed": ctx.decomposed,
@@ -944,6 +931,14 @@ def search_dss(
     is classified from its own block, the flat oracle, which shares no
     padding rule with the core-first search; each record's core, and the
     ``smaller_cores`` count, come from the same zero pattern.
+
+    One DEBUG record on the ``dsskit`` logger carries ``stats``: the
+    candidates, those screened out as zero, mixed and product, those
+    classified, those of them of nonzero weight whose core is strictly
+    smaller (``smaller_cores``), the blocks decomposed (``decomposed``: one
+    per distinct core pruned, one per nonzero block unpruned), the
+    certificates and the padded ones among them (``padded``), and the
+    seconds spent screening and classifying.
     """
     return _search(_SearchContext(rho, copies, bases, tol, candidate_cap), require_entangled, min_signature, prune)[0]
 
@@ -971,41 +966,11 @@ def find_dss(
 
     This is :func:`search_dss`'s run, materialized: each record becomes a
     certificate whose state is read from its own block, so a padded
-    certificate's weight and state are its block's, as a core's are.
-
-    The search takes every candidate position, screens them, and classifies
-    what is left by the kernel of :func:`project`, which re-verifies every
-    returned certificate against the full state and supplies its weight and
-    signature; pruned, it classifies the distinct cores of the survivors
-    (:func:`search_dss`).  Blocks are taken in position order, in slices of
-    about ``_SLICE_ENTRIES`` entries, read by index out of the power in the
-    search basis, formed once, and normalized with the others of their side
-    in the slice; each block side in a slice takes one decomposition.  The
-    screen decides all candidates at once from the same power in the search
-    basis, by kernel contractions in memory O(D^2 + candidates) for side
-    ``D``, with no eigensolver.  It drops candidates
-    that are clearly zero-weight or clearly mixed: weight at most a tenth
-    of ``ZERO_WEIGHT``, or purity deficit ``1 - tr(P^2) / tr(P)^2`` of the
-    projection ``P`` above ``20 * purity_atol``, which puts the residual
-    weight beyond the top eigenvalue above ``10 * purity_atol`` of the
-    weight.  With ``require_entangled`` it also drops candidates whose top
-    eigenvector is clearly product: at every party cut a bound on its
-    second squared Schmidt coefficient, from the reduced purities and the
-    deficit, is at most ``0.1 * rank_rtol``.  Both margins are ten times
-    the thresholds of :func:`project`, and the screen and the kernel read
-    one matrix, so pruned and unpruned searches return identical results,
-    components of the state below the rank cutoff included.
-    ``prune=False`` runs no screen and
-    classifies every candidate from its own block.
-
-    One DEBUG record on the ``dsskit`` logger gives the candidates, those
-    screened out as zero, mixed and product, those classified, those of
-    them of nonzero weight whose core is strictly smaller
-    (``smaller_cores``), the blocks decomposed (``decomposed``: one per
-    distinct core pruned, one per nonzero block unpruned), the
-    certificates and the padded ones among them (``padded``), and the
-    seconds spent screening and classifying.  Only the certificates get a
-    subspace cut from the bases.
+    certificate's weight and state are its block's, as a core's are.  Only
+    the certificates get a subspace cut from the bases.  The core-first
+    search, ``prune`` and the DEBUG record are described at
+    :func:`search_dss`, and the screen's tests and margins at
+    :meth:`_SearchContext.screen`.
     """
     ctx = _SearchContext(rho, copies, bases, tol, candidate_cap)
     search, at, found = _search(ctx, require_entangled, min_signature, prune)

@@ -299,6 +299,24 @@ def test_simulate_protocol_file(capsys, tmp_path):
     assert "success_probability: 1" in out
 
 
+def test_simulate_one_project_step_keeps_the_weight_dss_check_reports(capsys, tmp_path):
+    """The paper's two results on one certificate: a protocol of one
+    ``project`` step on the golden x2 certificate succeeds with the weight
+    ``dss check`` reports for it, and drops the rest, bit for bit."""
+    subspace = os.path.join(GOLDEN_DIR, "json", "subspace_x2_certificate.json")
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(json.dumps({"steps": [{"kind": "project", "subspace": subspace}]}))
+    state = ("--state", "example3q", "--p", "0.5", "--copies", "2", "--json", "-")
+    code, out, err = run_cli(capsys, "dss", "check", "--subspace", subspace, *state)
+    assert (code, err) == (0, "")
+    weight = json.loads(out[out.index("\n{") + 1:])["results"]["weight"]
+    code, out, err = run_cli(capsys, "simulate", "--protocol", str(protocol), *state)
+    assert (code, err) == (0, "")
+    results = json.loads(out[out.index("\n{") + 1:])["results"]
+    assert results["success_probability"] == weight
+    assert results["dropped_weight"] == 1.0 - weight
+
+
 def write_near_orthogonal_inputs(tmp_path) -> None:
     """A pure product state, search bases whose first party-A vector lies
     3e-6 away from orthogonal to the A factor, the subspace on that vector

@@ -122,6 +122,18 @@ def test_partial_trace_size_mismatch():
         partial_trace(np.eye(4, dtype=complex), (2, 3), [0])
 
 
+def test_partial_trace_caps_the_einsum_labels_at_26_subsystems():
+    """Two einsum labels per subsystem, of numpy's 52: 27 subsystems are
+    refused with the cap's error, 26 are traced."""
+    with pytest.raises(DimensionCapError) as err:
+        partial_trace(np.eye(1, dtype=complex), (1,) * 27, [0])
+    assert str(err.value) == "too many subsystems (27) for partial_trace"
+    m = np.array([[0.25 - 0.5j]])
+    reduced = partial_trace(m, (1,) * 26, [0, 13, 25])
+    assert reduced.shape == (1, 1)
+    assert np.trace(reduced) == np.trace(m)
+
+
 def test_eig_hermitian_identity():
     w, v = eig_hermitian(np.eye(3, dtype=complex))
     assert np.allclose(w, [1, 1, 1])

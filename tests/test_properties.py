@@ -171,8 +171,8 @@ def test_batched_screen_keeps_what_the_per_candidate_test_keeps(instance):
     ]
     kept = positions.tolist()
     assert kept == expected
-    assert counts.product == 0
-    assert counts.zero + counts.mixed + len(kept) == subspaces.candidate_count(state.shape)
+    assert counts["screened_product"] == 0
+    assert counts["screened_zero"] + counts["screened_mixed"] + len(kept) == subspaces.candidate_count(state.shape)
 
 
 def old_screen_verdict(block, tol, indices) -> str:
@@ -198,7 +198,7 @@ def test_batched_product_screen_keeps_what_the_per_candidate_test_keeps(instance
     positions, counts = ctx.screen(require_entangled=True)
     verdicts = [old_screen_verdict(candidate_block(ctx, c), ctx.tol, c) for c in iter_candidates(state.shape)]
     assert positions.tolist() == [pos for pos, v in enumerate(verdicts) if v == "keep"]
-    assert (counts.zero, counts.mixed, counts.product) == tuple(
+    assert (counts["screened_zero"], counts["screened_mixed"], counts["screened_product"]) == tuple(
         verdicts.count(v) for v in ("zero", "mixed", "product")
     )
 
@@ -540,7 +540,8 @@ def test_core_rule_reads_rows_and_columns(monkeypatch, transpose):
     local = np.zeros((4, 4), dtype=np.complex128)
     local[0, 0], local[0, 3] = 1.0, 0.5
     ctx.local = local.T.copy() if transpose else local
-    monkeypatch.setattr(ctx, "screen", lambda require_entangled: (np.arange(ctx.count), subspaces._ScreenCounts()))
+    zero_counts = {"screened_zero": 0, "screened_mixed": 0, "screened_product": 0}
+    monkeypatch.setattr(ctx, "screen", lambda require_entangled: (np.arange(ctx.count), zero_counts))
     for require_entangled in (True, False):
         core_first, _, _ = subspaces._search(ctx, require_entangled, None, True)
         flat, _, _ = subspaces._search(ctx, require_entangled, None, False)
@@ -1431,4 +1432,4 @@ def test_screen_decisions_of_the_workload_searches_match_the_tensordot_screen(rh
     for require_entangled in (True, False):
         counts = assert_screen_decisions_match_the_tensordot_screen(rho, copies, bases, require_entangled)
         if copies == 2 and len(shape.parties) == 3 and not rotated and require_entangled:
-            assert (counts.zero, counts.mixed, counts.product) == (1167, 1229, 955)
+            assert (counts["screened_zero"], counts["screened_mixed"], counts["screened_product"]) == (1167, 1229, 955)
